@@ -84,16 +84,23 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        values = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-        return cls(**_coerce_fields(values))
+        return cls(**_coerce_fields(_parse_key_values(text)))
+
+
+def _parse_key_values(text: str, source: str | None = None) -> dict:
+    """Raw ``key=value`` pairs of a configuration text; blank and ``#`` lines
+    are skipped. ``source`` names the file in error messages."""
+    where = f" in {source}" if source else ""
+    values = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected key=value{where}, got {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
+    return values
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -127,16 +134,7 @@ def _merge_config(cli_values: dict, config_path: str | None) -> RunConfig:
             text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        file_cfg = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key=value in {config_path}, got {line!r}")
-            key, _, val = line.partition("=")
-            file_cfg[key.strip()] = val.strip()
-        merged.update(_coerce_fields(file_cfg))
+        merged.update(_coerce_fields(_parse_key_values(text, config_path)))
     merged.update({k: v for k, v in cli_values.items() if v is not None})
     return RunConfig(**merged)
 

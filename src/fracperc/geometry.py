@@ -18,6 +18,9 @@ counters with direct boolean reductions. A third, structurally different
 cross-check obtains the Euler characteristic as components minus holes
 from connected-component labelling (occupied cells 8-connected, complement
 cells 4-connected, matching closed-set semantics).
+
+Cluster labelling and spanning detection (``label``) are one
+``scipy.ndimage.label`` call at 4- or 8-connectivity.
 """
 
 from __future__ import annotations
@@ -188,35 +191,20 @@ class ClusterLabeling:
         """Boolean mask of all cells lying in a spanning component."""
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        lab = self.labels
-        if axis == "x":
-            first, last = lab[:, 0], lab[:, -1]
-        else:
-            first, last = lab[0, :], lab[-1, :]
-        spanning = np.intersect1d(first[first >= 0], last[last >= 0])
-        return np.isin(lab, spanning) & (lab >= 0)
+        return np.isin(self.labels, _spanning_labels(self.labels, axis))
 
 
-def _union_edges(occ: np.ndarray, connectivity: int):
-    """Index pairs of neighbouring occupied cells (forward offsets only)."""
-    H, W = occ.shape
-    flat = np.arange(H * W).reshape(H, W)
-    offsets = [(0, 1), (1, 0)]
-    if connectivity == 8:
-        offsets += [(1, 1), (1, -1)]
-    for dr, dc in offsets:
-        rs = slice(None, -dr or None)
-        re = slice(dr, None)
-        if dc >= 0:
-            cs, ce = slice(None, -dc or None), slice(dc, None)
-        else:
-            cs, ce = slice(-dc, None), slice(None, dc)
-        both = occ[rs, cs] & occ[re, ce]
-        yield flat[rs, cs][both], flat[re, ce][both]
+def _spanning_labels(labels: np.ndarray, axis: str) -> np.ndarray:
+    """Component labels present on both opposite borders along ``axis``."""
+    if axis == "x":
+        first, last = labels[:, 0], labels[:, -1]
+    else:
+        first, last = labels[0, :], labels[-1, :]
+    return np.intersect1d(first[first >= 0], last[last >= 0])
 
 
 def label(grid, connectivity: int = 8) -> ClusterLabeling:
-    """Union-find component labelling of the occupied cells.
+    """Connected-component labelling of the occupied cells (``scipy.ndimage``).
 
     Connectivity 8 matches the closed-set semantics of the construction
     cells (corner contact connects); connectivity 4 is the
@@ -225,34 +213,12 @@ def label(grid, connectivity: int = 8) -> ClusterLabeling:
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     occ = grid.occupancy if isinstance(grid, GridRealization) else np.asarray(grid, bool)
-    H, W = occ.shape
-    parent = list(range(H * W))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a_arr, b_arr in _union_edges(occ, connectivity):
-        for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-    labels = np.full((H, W), -1, dtype=np.int64)
-    present = np.flatnonzero(occ.ravel())
-    roots = np.fromiter((find(int(i)) for i in present), dtype=np.int64, count=len(present))
-    uniq, compact = np.unique(roots, return_inverse=True)
-    labels.ravel()[present] = compact
-    lab = labels
-    spans_x = bool(
-        np.intersect1d(lab[:, 0][lab[:, 0] >= 0], lab[:, -1][lab[:, -1] >= 0]).size
+    labels, count = ndimage.label(occ, structure=_EIGHT if connectivity == 8 else _FOUR)
+    labels -= 1  # empty cells -1, components 0-based; in place, no second full-size array
+    return ClusterLabeling(
+        labels, connectivity, int(count),
+        bool(_spanning_labels(labels, "x").size), bool(_spanning_labels(labels, "y").size),
     )
-    spans_y = bool(
-        np.intersect1d(lab[0, :][lab[0, :] >= 0], lab[-1, :][lab[-1, :] >= 0]).size
-    )
-    return ClusterLabeling(labels, connectivity, len(uniq), spans_x, spans_y)
 
 
 def euler_crosscheck(grid) -> int:

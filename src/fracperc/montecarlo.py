@@ -1,13 +1,14 @@
 """Batch estimation of lattice functionals with mergeable statistics.
 
-Estimates are accumulated with Welford's algorithm, whose parallel merge
-rule makes sharded runs combine exactly (up to float rounding, which is
-what the merge-invariance check bounds). Because the sampler hashes
-``(seed, sample index, tree position)`` rather than keeping generator
-state, the same seed always produces the same replicate set regardless of
-the shard plan or worker count, and a sweep over a p grid reuses one
-shared set of uniforms per seed (coupled mode: grids are cell-wise
-monotone in p). Independent per-p streams are derived on request.
+Estimates are accumulated with Welford's algorithm. Because the sampler
+hashes ``(seed, sample index, tree position)`` rather than keeping
+generator state, the same seed always produces the same replicate set
+regardless of the shard plan or worker count. Shards return each
+replicate's values, which are pushed into one accumulator per estimate in
+replicate order, so the estimates (and ``simulation.csv``) are
+bit-identical for every shard plan and worker count. A sweep over a p grid
+reuses one shared set of uniforms per seed (coupled mode: grids are
+cell-wise monotone in p). Independent per-p streams are derived on request.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def _new_estimates(functionals, targets):
 def _run_shard(args):
     (params, n, seed, start, count, functionals, targets, connectivity, axes,
      budget_bytes) = args
-    estimates = {key: McEstimate() for key in _new_estimates(functionals, targets)}
-    spanning = {axis: McEstimate() for axis in axes}
+    estimates = {key: [] for key in _new_estimates(functionals, targets)}
+    spanning = {axis: [] for axis in axes}
     for i in range(start, start + count):
         grid = sampler.sample(params, n, seed, i, budget_bytes=budget_bytes)
         for target in targets:
@@ -136,12 +137,12 @@ def _run_shard(args):
             mv = geometry.minkowski(g)
             for functional in functionals:
                 k = _FUNCTIONAL_INDEX[functional]
-                estimates[(target, functional)].push(float(mv.vk(k)))
+                estimates[(target, functional)].append(float(mv.vk(k)))
         if axes:
             lab = geometry.label(grid, connectivity)
             for axis in axes:
                 hit = lab.spans_x if axis == "x" else lab.spans_y
-                spanning[axis].push(1.0 if hit else 0.0)
+                spanning[axis].append(1.0 if hit else 0.0)
     return estimates, spanning
 
 
@@ -171,8 +172,9 @@ def run_experiment(
     """Sample ``samples`` replicates of F_n and accumulate the requested
     functionals on the requested targets.
 
-    The replicate set is fully determined by (params, n, seed); the shard
-    plan and worker count only affect the merge order of the accumulators.
+    The replicate set is fully determined by (params, n, seed), and every
+    replicate's values are pushed in replicate order, so the result is
+    bit-identical for any shard plan and worker count.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -196,10 +198,12 @@ def run_experiment(
     estimates = {key: McEstimate() for key in _new_estimates(functionals, targets)}
     spanning = {axis: McEstimate() for axis in spanning_axes}
     for est_part, span_part in partials:
-        for key, est in est_part.items():
-            estimates[key].merge(est)
-        for axis, est in span_part.items():
-            spanning[axis].merge(est)
+        for key, values in est_part.items():
+            for x in values:
+                estimates[key].push(x)
+        for axis, values in span_part.items():
+            for x in values:
+                spanning[axis].push(x)
     return ExperimentResult(
         params, n, seed, samples, connectivity, estimates, spanning,
         elapsed=time.perf_counter() - t0, shards=len(shard_args),

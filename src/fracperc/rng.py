@@ -32,8 +32,12 @@ def _mix(z):
     return z ^ (z >> np.uint64(31))
 
 
-def node_key(seed: int, sample_index: int, level: int):
-    """Scalar key shared by all cells of one level of one replicate."""
+def node_key(seed: int, sample_index, level: int):
+    """Key shared by all cells of one level of one replicate.
+
+    ``sample_index`` may be a scalar (one key) or an array (one key per
+    element, same shape).
+    """
     with np.errstate(over="ignore"):
         z = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
         z = _mix(z ^ (np.uint64(sample_index) + np.uint64(1)) * _SAMPLE_SALT)
@@ -50,13 +54,7 @@ def node_uniforms(seed: int, sample_index, level: int, cell_indices) -> np.ndarr
     """
     idx = np.asarray(cell_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        if np.ndim(sample_index) == 0:
-            base = node_key(seed, int(sample_index), level)
-        else:
-            s = np.asarray(sample_index, dtype=np.uint64)
-            base = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-            base = _mix(base ^ (s + np.uint64(1)) * _SAMPLE_SALT)
-            base = _mix(base ^ (np.uint64(level) + np.uint64(1)) * _LEVEL_SALT)
+        base = node_key(seed, sample_index, level)
         z = _mix(_mix(base ^ (idx + np.uint64(1)) * _GOLDEN))
     return (z >> np.uint64(11)).astype(np.float64) * _U53_INV
 

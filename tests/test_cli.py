@@ -49,6 +49,17 @@ def test_config_file_precedence(tmp_path):
     assert manifest["seed"] == 4
 
 
+def test_simulation_csv_independent_of_workers(tmp_path):
+    csv_bytes = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        rc = cli.main(["simulate", "-M", "2", "-n", "4", "-p", "0.6", "--samples", "40",
+                       "--seed", "7", "--workers", workers, "--out", str(out)])
+        assert rc == EXIT_OK
+        csv_bytes.append((out / "simulation.csv").read_bytes())
+    assert csv_bytes[0] == csv_bytes[1]
+
+
 def test_curves_outputs(tmp_path):
     rc = cli.main(["curves", "-M", "2", "--out", str(tmp_path), "--n-list", "4,8",
                    "--m-list", "2,3"])

@@ -1,5 +1,7 @@
 """Minkowski counters, the lookup/audit duality, labelling and spanning."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -120,6 +122,59 @@ def test_label_matches_scipy_counts():
         occ = rng.random((24, 24)) < rng.choice((0.4, 0.55, 0.7))
         assert G.label(occ, 8).component_count == ndimage.label(occ, structure=eight)[1]
         assert G.label(occ, 4).component_count == ndimage.label(occ)[1]
+
+
+def _bfs_components(occ, connectivity):
+    """Reference labelling by breadth-first search: (labels, component count)."""
+    H, W = occ.shape
+    steps = [
+        (dr, dc)
+        for dr in (-1, 0, 1)
+        for dc in (-1, 0, 1)
+        if (dr, dc) != (0, 0) and (connectivity == 8 or dr == 0 or dc == 0)
+    ]
+    labels = np.full((H, W), -1)
+    count = 0
+    for r in range(H):
+        for c in range(W):
+            if not occ[r, c] or labels[r, c] >= 0:
+                continue
+            labels[r, c] = count
+            queue = deque([(r, c)])
+            while queue:
+                i, j = queue.popleft()
+                for dr, dc in steps:
+                    a, b = i + dr, j + dc
+                    if 0 <= a < H and 0 <= b < W and occ[a, b] and labels[a, b] < 0:
+                        labels[a, b] = count
+                        queue.append((a, b))
+            count += 1
+    return labels, count
+
+
+def test_label_matches_breadth_first_search():
+    rng = np.random.default_rng(2718)
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 2)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 14, size=2)) for _ in range(150)]
+    for shape in shapes:
+        for density in (0.0, 0.35, 0.55, 0.75, 1.0):
+            occ = rng.random(shape) < density
+            for connectivity in (4, 8):
+                ref, count = _bfs_components(occ, connectivity)
+                lab = G.label(occ, connectivity)
+                case = (shape, density, connectivity)
+                assert lab.component_count == count, case
+                # same partition: -1 exactly on empty cells, labels in
+                # one-to-one correspondence with the search's
+                assert np.array_equal(lab.labels < 0, ~occ), case
+                pairs = set(zip(lab.labels[occ].tolist(), ref[occ].tolist()))
+                assert len(pairs) == count, case
+                assert set(lab.labels[occ].tolist()) == set(range(count)), case
+                for axis, spans in (("x", lab.spans_x), ("y", lab.spans_y)):
+                    first, last = (ref[:, 0], ref[:, -1]) if axis == "x" else (ref[0], ref[-1])
+                    expected = np.isin(ref, list((set(first) & set(last)) - {-1}))
+                    assert np.array_equal(lab.spanning_mask(axis), expected), case
+                    assert spans == expected.any(), case
 
 
 def test_component_counts_ordered_by_connectivity():

@@ -99,6 +99,17 @@ def test_uniform_hash_basic_statistics():
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.01
 
 
+def test_vector_sample_index_matches_scalar_calls():
+    idx = np.arange(64, dtype=np.uint64)
+    both = rng.node_uniforms(2024, np.array([[3], [11]]), 5, idx[None, :])
+    for row, i in enumerate((3, 11)):
+        scalar = rng.node_uniforms(2024, i, 5, idx)
+        assert np.array_equal(both[row].view(np.uint64), scalar.view(np.uint64))
+    pair = rng.node_uniforms(2024, np.array([3, 11]), 5, 17)
+    singles = [rng.node_uniforms(2024, i, 5, 17) for i in (3, 11)]
+    assert np.array_equal(pair.view(np.uint64), np.array(singles).view(np.uint64))
+
+
 def test_derive_seed_distinct():
     seeds = {rng.derive_seed(1, f"p={p}") for p in (0.1, 0.2, 0.3)}
     assert len(seeds) == 3
