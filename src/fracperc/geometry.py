@@ -11,13 +11,16 @@ the half-perimeter is V1 = s (2 #cells - #shared edges) and the area is
 V2 = s^2 #cells, with s the cell side length.
 
 Two independent implementations are kept on purpose. The performance path
-classifies all 2x2 windows of the zero-padded image (each window sits at
-one lattice vertex) and accumulates the four counters through a 16-entry
-lookup table in a single histogram pass. The audit path computes the same
-counters with direct boolean reductions. A third, structurally different
-cross-check obtains the Euler characteristic as components minus holes
-from connected-component labelling (occupied cells 8-connected, complement
-cells 4-connected, matching closed-set semantics).
+counts the 2x2 windows of the image, one per lattice vertex (Michielsen &
+De Raedt, Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1 occupied or
+2 outside, so one 81-entry table gives each window's contribution both to
+F, which reads 1 as occupied, and to the closed complement C, which reads 0
+as occupied: one histogram pass measures F and C of a lattice or a stack.
+The audit path computes the same counters with direct boolean reductions.
+A third, structurally different cross-check obtains the Euler
+characteristic as components minus holes from connected-component
+labelling (occupied cells 8-connected, complement cells 4-connected,
+matching closed-set semantics). A d = 1 lattice is one row of cells.
 
 Cluster labelling and spanning detection (``label``) are one
 ``scipy.ndimage.label`` call at 4- or 8-connectivity.
@@ -25,6 +28,7 @@ Cluster labelling and spanning detection (``label``) are one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -40,29 +44,27 @@ _EIGHT = np.ones((3, 3), dtype=int)
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 
 
-def _window_tables():
-    """Per-pattern contributions of one 2x2 window, scaled by 4.
+#: Lattices per offset ``bincount``; bounds the (block, 81) histogram of a stack.
+_BLOCK = 1024
 
-    Window bits (a, b, c, d) are the four cells around one lattice vertex
-    (NW, NE, SW, SE). The vertex is counted once per window, each of the
-    four incident edges is split between its two endpoint windows, and
-    each cell between its four corner windows, hence the scaling by 4.
+
+def _window_table() -> np.ndarray:
+    """Contributions of window code a + 3 b + 9 c + 27 d (cells NW, NE, SW, SE)
+    to the F, then the C (faces, edges_any, edges_shared, vertices), scaled by
+    4: the vertex is counted once per window, each incident edge is split
+    between its two endpoint windows and each cell between its four corners.
     """
-    faces = np.zeros(16, dtype=np.int64)
-    vertices = np.zeros(16, dtype=np.int64)
-    edges_any = np.zeros(16, dtype=np.int64)
-    edges_shared = np.zeros(16, dtype=np.int64)
-    for code in range(16):
-        a, b, c, d = (code & 1, (code >> 1) & 1, (code >> 2) & 1, (code >> 3) & 1)
-        faces[code] = a + b + c + d
-        vertices[code] = 4 * ((a | b | c | d) != 0)
+    states = np.arange(81)[:, None] // 3 ** np.arange(4) % 3
+    columns = []
+    for inside in (1, 0):  # F reads 1 as occupied, C reads 0; outside is neither
+        a, b, c, d = (states == inside).T.astype(np.int64)
         pairs = ((a, b), (c, d), (a, c), (b, d))  # N, S, W, E edges at the vertex
-        edges_any[code] = 2 * sum((x | y) != 0 for x, y in pairs)
-        edges_shared[code] = 2 * sum((x & y) != 0 for x, y in pairs)
-    return faces, vertices, edges_any, edges_shared
+        columns += [a + b + c + d, 2 * sum(x | y for x, y in pairs),
+                    2 * sum(x & y for x, y in pairs), 4 * (a | b | c | d)]
+    return np.stack(columns, axis=1)
 
 
-_LUT_FACES, _LUT_VERTICES, _LUT_EDGES_ANY, _LUT_EDGES_SHARED = _window_tables()
+_WINDOW_TABLE = _window_table()
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,18 @@ class MinkowskiValues:
 
 
 def _as_occupancy(grid) -> tuple[np.ndarray, Number, int]:
+    """(occupancy, cell size, d); a raw boolean array is a d = 2 lattice of unit cells."""
     if isinstance(grid, GridRealization):
         return grid.occupancy, grid.cell_size, grid.d
-    raise TypeError("expected a GridRealization; use minkowski_of_array for raw arrays")
+    return np.asarray(grid, bool), 1, 2
 
 
-def _values_2d(occ, cell_size, faces, edges_any, edges_shared, vertices_any):
+def _values(d, cell_size, faces, edges_any, edges_shared, vertices_any):
+    if d == 1:
+        runs = faces - edges_shared  # a run of L cells touches L + 1 lattice points
+        return MinkowskiValues(
+            1, cell_size, faces, faces, edges_shared, faces + runs, runs, cell_size * faces, None
+        )
     v0 = int(vertices_any - edges_any + faces)
     v1 = cell_size * (2 * faces - edges_shared)
     v2 = cell_size * cell_size * faces
@@ -105,21 +113,31 @@ def _values_2d(occ, cell_size, faces, edges_any, edges_shared, vertices_any):
     )
 
 
-def _minkowski_2d_lookup(occ: np.ndarray, cell_size: Number) -> MinkowskiValues:
-    P = np.pad(occ, 1).astype(np.uint8)
-    codes = (
-        P[:-1, :-1] + 2 * P[:-1, 1:] + 4 * P[1:, :-1] + 8 * P[1:, 1:]
-    )
-    hist = np.bincount(codes.ravel(), minlength=16).astype(np.int64)
-    faces4 = int(hist @ _LUT_FACES)
-    vert4 = int(hist @ _LUT_VERTICES)
-    ea4 = int(hist @ _LUT_EDGES_ANY)
-    es4 = int(hist @ _LUT_EDGES_SHARED)
-    assert faces4 % 4 == ea4 % 4 == es4 % 4 == vert4 % 4 == 0
-    return _values_2d(occ, cell_size, faces4 // 4, ea4 // 4, es4 // 4, vert4 // 4)
+def _window_counters(occ: np.ndarray) -> np.ndarray:
+    """Counters of F and C for one lattice or a stack on leading axes.
+
+    Returns int64 of shape ``occ.shape[:-2] + (2, 4)``: F, then C, each
+    (faces, edges_any, edges_shared, vertices_any).
+    """
+    occ = np.asarray(occ, dtype=bool)
+    stack = occ.reshape((math.prod(occ.shape[:-2]),) + occ.shape[-2:])
+    out = np.empty((len(stack), 8), dtype=np.int64)
+    for start in range(0, len(stack), _BLOCK):
+        block = stack[start : start + _BLOCK]
+        size = len(block)
+        P = np.pad(block.view(np.uint8), ((0, 0), (1, 1), (1, 1)), constant_values=2)
+        codes = P[:, :-1, :-1] + 3 * P[:, :-1, 1:] + 9 * P[:, 1:, :-1] + 27 * P[:, 1:, 1:]
+        del P
+        codes = codes.reshape(size, -1) + 81 * np.arange(size)[:, None]
+        hist = np.bincount(codes.ravel(), minlength=81 * size).reshape(size, 81)
+        counts4 = hist @ _WINDOW_TABLE
+        assert not (counts4 % 4).any()
+        out[start : start + size] = counts4 // 4
+    return out.reshape(occ.shape[:-2] + (2, 4))
 
 
-def _minkowski_2d_counting(occ: np.ndarray, cell_size: Number) -> MinkowskiValues:
+def _counting_counters(occ: np.ndarray) -> tuple:
+    """(faces, edges_any, edges_shared, vertices_any) by direct boolean reductions."""
     faces = int(occ.sum())
     edges_shared = int((occ[:-1, :] & occ[1:, :]).sum()) + int(
         (occ[:, :-1] & occ[:, 1:]).sum()
@@ -129,43 +147,31 @@ def _minkowski_2d_counting(occ: np.ndarray, cell_size: Number) -> MinkowskiValue
         (P[1:-1, :-1] | P[1:-1, 1:]).sum()
     )
     vertices_any = int((P[:-1, :-1] | P[:-1, 1:] | P[1:, :-1] | P[1:, 1:]).sum())
-    return _values_2d(occ, cell_size, faces, edges_any, edges_shared, vertices_any)
-
-
-def _minkowski_1d(occ: np.ndarray, cell_size: Number) -> MinkowskiValues:
-    row = occ.ravel()
-    faces = int(row.sum())
-    shared = int((row[:-1] & row[1:]).sum())  # interior endpoints shared by two cells
-    runs = faces - shared
-    vertices_any = faces + runs  # a run of L cells touches L + 1 lattice points
-    return MinkowskiValues(
-        1, cell_size, faces, faces, shared, vertices_any, runs, cell_size * faces, None
-    )
+    return faces, edges_any, edges_shared, vertices_any
 
 
 def minkowski_of_array(occ: np.ndarray, cell_size: Number, d: int = 2) -> MinkowskiValues:
-    """Functionals of a raw boolean array (lookup path)."""
-    occ = np.asarray(occ, dtype=bool)
-    if d == 1:
-        return _minkowski_1d(occ, cell_size)
-    return _minkowski_2d_lookup(occ, cell_size)
+    """Functionals of a raw boolean array (the F half of the window pass)."""
+    return _values(d, cell_size, *_window_counters(np.atleast_2d(occ))[0].tolist())
 
 
 def minkowski(grid: GridRealization) -> MinkowskiValues:
     """Exact functionals of a sampled grid; single histogram pass."""
+    return minkowski_of_array(*_as_occupancy(grid))
+
+
+def minkowski_pair(grid) -> tuple[MinkowskiValues, MinkowskiValues]:
+    """Functionals of the occupied cells (F) and of their closed complement
+    (C) from one window pass; ``grid`` may also be a raw boolean array."""
     occ, cell_size, d = _as_occupancy(grid)
-    return minkowski_of_array(occ, cell_size, d)
+    f, c = _window_counters(occ).tolist()
+    return _values(d, cell_size, *f), _values(d, cell_size, *c)
 
 
 def minkowski_audit(grid) -> MinkowskiValues:
     """Independent counting-path evaluation (audit route)."""
-    if isinstance(grid, GridRealization):
-        occ, cell_size, d = _as_occupancy(grid)
-    else:
-        occ, cell_size, d = np.asarray(grid, bool), 1, 2
-    if d == 1:
-        return _minkowski_1d(occ, cell_size)
-    return _minkowski_2d_counting(occ, cell_size)
+    occ, cell_size, d = _as_occupancy(grid)
+    return _values(d, cell_size, *_counting_counters(occ))
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,10 @@ def _run_shard(args):
     spanning = {axis: [] for axis in axes}
     for i in range(start, start + count):
         grid = sampler.sample(params, n, seed, i, budget_bytes=budget_bytes)
-        for target in targets:
-            g = grid if target == "F" else sampler.complement(grid)
-            mv = geometry.minkowski(g)
-            for functional in functionals:
-                k = _FUNCTIONAL_INDEX[functional]
-                estimates[(target, functional)].append(float(mv.vk(k)))
+        if estimates:
+            pair = dict(zip(("F", "C"), geometry.minkowski_pair(grid)))
+            for (target, functional), values in estimates.items():
+                values.append(float(pair[target].vk(_FUNCTIONAL_INDEX[functional])))
         if axes:
             lab = geometry.label(grid, connectivity)
             for axis in axes:

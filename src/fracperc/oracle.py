@@ -16,11 +16,13 @@ polynomial evaluation over a common denominator ``y^nodes``.
 One-dimensional realizations are sorted lists of closed components with
 rational endpoints; a degenerate component (a = b) is an isolated point,
 which is how intersections of interval unions are scored. Two-dimensional
-realizations are boolean lattices scored with the grid-geometry counters.
+realizations are boolean lattices; one geometry window pass over the stack
+of all patterns counts each pattern and its complement.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -317,22 +319,18 @@ def _block_structure(M: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pattern_scores_2d(M: int, n: int) -> tuple:
-    """Integer scores of every pattern: (v0_F, v1s_F, faces_F, v0_C, v1s_C, faces_C).
-
-    v1s is 2*faces - shared_edges, i.e. V1 scaled by M^n.
+def _pattern_scores_2d(M: int, n: int) -> np.ndarray:
+    """Read-only (patterns, 2, 4) window counters in :func:`_block_structure`
+    order: for the pattern (F), then its complement (C), (faces, edges_any,
+    edges_shared, vertices_any), from one geometry kernel call.
     """
     side = M**n
-    scores = []
-    for key, _ in _block_structure(M, n):
-        occ = np.unpackbits(np.frombuffer(key, np.uint8))[: side * side]
-        occ = occ.reshape(side, side).astype(bool)
-        row = []
-        for target_occ in (occ, ~occ):
-            mv = geometry.minkowski_of_array(target_occ, 1, d=2)
-            row.extend((mv.v0, 2 * mv.faces - mv.edges_shared, mv.faces))
-        scores.append(tuple(row))
-    return tuple(scores)
+    keys = [key for key, _ in _block_structure(M, n)]
+    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), -1)
+    occ = np.unpackbits(packed, axis=1)[:, : side * side].reshape(-1, side, side)
+    counters = geometry._window_counters(occ.view(bool))  # unpacked bits are 0 or 1
+    counters.flags.writeable = False
+    return counters
 
 
 def _nodes_2d(M: int, n: int) -> int:
@@ -343,24 +341,19 @@ def _nodes_2d(M: int, n: int) -> int:
 def _table_2d(M: int, p: Fraction, n: int) -> dict:
     """All six exact expectations {(functional, target): Fraction}."""
     structure = _block_structure(M, n)
-    scores = _pattern_scores_2d(M, n)
+    faces, edges_any, edges_shared, vertices = np.moveaxis(_pattern_scores_2d(M, n), -1, 0)
+    # integer scores V0, V1 * M^n and V2 * M^2n per pattern (rows) and target (columns)
+    scores = (vertices - edges_any + faces, 2 * faces - edges_shared, faces)
     emax = _nodes_2d(M, n)
     nums = _weight_numerators([e for _, e in structure], p, emax)
     den = p.denominator**emax
-    acc = [0, 0, 0, 0, 0, 0]
-    for num, row in zip(nums, scores):
-        for i, s in enumerate(row):
-            acc[i] += num * s
-    side = M**n
-    s1 = Fraction(1, side)
-    return {
-        ("V0", "F"): Fraction(acc[0], den),
-        ("V1", "F"): Fraction(acc[1], den) * s1,
-        ("V2", "F"): Fraction(acc[2], den) * s1 * s1,
-        ("V0", "C"): Fraction(acc[3], den),
-        ("V1", "C"): Fraction(acc[4], den) * s1,
-        ("V2", "C"): Fraction(acc[5], den) * s1 * s1,
-    }
+    s1 = Fraction(1, M**n)
+    table = {}
+    for t, target in enumerate(("F", "C")):
+        for k, score in enumerate(scores):
+            total = sum(map(operator.mul, nums, score[:, t].tolist()))
+            table[(f"V{k}", target)] = Fraction(total, den) * s1**k
+    return table
 
 
 def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -> Fraction:

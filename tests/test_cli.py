@@ -1,6 +1,7 @@
 """CLI behaviour: config round-trip, outputs, exit codes, negative control."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,18 @@ def test_simulation_csv_independent_of_workers(tmp_path):
         assert rc == EXIT_OK
         csv_bytes.append((out / "simulation.csv").read_bytes())
     assert csv_bytes[0] == csv_bytes[1]
+
+
+def test_simulation_csv_digest_pinned(tmp_path):
+    # byte identity of simulation.csv across changes to the sampler, the
+    # window pass, labelling and the accumulators
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "-M", "2", "-n", "5", "--p-start", "0.6", "--p-stop", "0.7",
+                   "--samples", "30", "--seed", "11", "--spanning", "both", "--workers", "1",
+                   "--out", str(out)])
+    assert rc == EXIT_OK
+    digest = hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest()
+    assert digest == "3a575c2348bc93c5d4c6310f9c63f4c007fefe24715b870e84bd7b49b5cd4bfd"
 
 
 def test_curves_outputs(tmp_path):

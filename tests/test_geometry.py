@@ -54,17 +54,28 @@ def test_empty_grid():
 
 def test_lookup_equals_audit_and_crosscheck():
     rng = np.random.default_rng(123)
-    for _ in range(1000):
-        side = int(rng.integers(2, 40))
-        occ = rng.random((side, side)) < rng.choice((0.2, 0.5, 0.8))
+    cases = [(shape, density) for shape in ((1, 1), (1, 9), (9, 1), (2, 7), (6, 3))
+             for density in (0.0, 0.5, 1.0)]
+    cases += [(tuple(int(v) for v in rng.integers(1, 40, size=2)),
+               rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))) for _ in range(1000)]
+    for shape, density in cases:
+        occ = rng.random(shape) < density
         a = G.minkowski_of_array(occ, 1.0)
         b = G.minkowski_audit(occ)
-        assert (a.faces, a.edges_any, a.edges_shared, a.vertices_any, a.v0) == (
-            b.faces, b.edges_any, b.edges_shared, b.vertices_any, b.v0
-        )
+        assert a == b, shape
+        # both halves of the single F/C pass against the counting path
+        f, c = G.minkowski_pair(occ)
+        assert f == b and c == G.minkowski_audit(~occ), shape
         assert a.v0 == G.euler_crosscheck(occ)
         assert a.v2 == occ.sum()
         assert a.v1 >= 0
+    # one stacked kernel call (two leading axes, more lattices than one
+    # bincount block) equals the per-slice calls
+    stack = rng.random((2, G._BLOCK // 2 + 3, 4, 5)) < 0.5
+    stacked = G._window_counters(stack)
+    assert stacked.shape == stack.shape[:2] + (2, 4)
+    for index in np.ndindex(*stack.shape[:2]):
+        assert np.array_equal(stacked[index], G._window_counters(stack[index]))
 
 
 def test_additivity_on_overlapping_column_splits():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracperc import geometry as G
 from fracperc import oracle as O
 from fracperc.oracle import InstanceTooLargeError, IntervalSet1D
 
@@ -91,6 +92,22 @@ def test_2d_trivial_cases():
     assert O.enumerate_2d(2, F(1), 2, "V0", "C") == 0
     # area linearity at level 2
     assert O.enumerate_2d(2, F(1, 3), 2, "V2", "F") == F(1, 9)
+
+
+def test_pattern_counters_match_audit_per_pattern():
+    # the batched kernel call scores each pattern and its complement exactly
+    for M, n in ((2, 1), (3, 1)):
+        side = M**n
+        structure = O._block_structure(M, n)
+        scores = O._pattern_scores_2d(M, n)
+        assert len(structure) == 2 ** (side * side)
+        assert scores.shape == (len(structure), 2, 4)
+        for (key, _), row in zip(structure, scores):
+            bits = np.unpackbits(np.frombuffer(key, np.uint8))[: side * side]
+            occ = bits.reshape(side, side).astype(bool)
+            for target_occ, got in zip((occ, ~occ), row.tolist()):
+                mv = G.minkowski_audit(target_occ)
+                assert got == [mv.faces, mv.edges_any, mv.edges_shared, mv.vertices_any]
 
 
 def test_2d_envelope_guard():

@@ -1,9 +1,12 @@
-"""Sampling determinism, tree consistency, offspring law, PBM output."""
+"""Sampling determinism, tree consistency, offspring law, memory guard, PBM output."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from fracperc import geometry as G
 from fracperc import rng
 from fracperc import sampler as S
 from fracperc.analytic import ModelParams
@@ -62,6 +65,29 @@ def test_memory_guard():
         S.sample(ModelParams(2, 0.5, 2), 8, seed=0, budget_bytes=1000)
     with pytest.raises(ValueError):
         S.sample(ModelParams(2, 0.5, 2), -1, seed=0)
+    # the guard charges PEAK_BYTES_PER_CELL per cell: exactly that passes
+    need = 4**3 * S.PEAK_BYTES_PER_CELL
+    S.sample(ModelParams(2, 0.5, 2), 3, seed=0, budget_bytes=need)
+    with pytest.raises(MemoryBudgetError):
+        S.sample(ModelParams(2, 0.5, 2), 3, seed=0, budget_bytes=need - 1)
+    # at M = 2 the default budget refuses n = 13 (3.2 GB)
+    with pytest.raises(MemoryBudgetError):
+        S.sample(ModelParams(2, 0.7, 2), 13, seed=0)
+
+
+def test_replicate_peak_memory_within_guard_model():
+    n = 8
+    cells = 4**n
+    for p in (0.7, 1.0):
+        tracemalloc.start()
+        try:
+            grid = S.sample(ModelParams(2, p, 2), n, seed=3)
+            G.minkowski_pair(grid)
+            G.label(grid, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= S.PEAK_BYTES_PER_CELL * cells, (p, peak / cells)
 
 
 def test_offspring_counts_binomial():
