@@ -105,21 +105,27 @@ def _parse_key_values(text: str, source: str | None = None) -> dict:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
+#: Spanning axes estimated for each value of the ``spanning`` option.
+_SPANNING_AXES = {"none": (), "x": ("x",), "y": ("y",), "both": ("x", "y")}
+
 
 def _coerce_one(name: str, text: str):
     ftype = _FIELD_TYPES.get(name)
     if ftype is None:
         raise ConfigError(f"unknown configuration key {name!r}")
-    if ftype in ("int", "int | None"):
-        return int(text)
-    if ftype in ("float | None", "float"):
-        return float(text)
+    try:
+        if ftype in ("int", "int | None"):
+            return int(text)
+        if ftype in ("float | None", "float"):
+            return float(text)
+        if ftype == "tuple":
+            return tuple(int(v) for v in text.split(",") if v)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
     if ftype == "bool":
         if text not in ("true", "false"):
             raise ConfigError(f"{name} must be true or false, got {text!r}")
         return text == "true"
-    if ftype == "tuple":
-        return tuple(int(v) for v in text.split(",") if v)
     return text
 
 
@@ -137,6 +143,34 @@ def _merge_config(cli_values: dict, config_path: str | None) -> RunConfig:
         merged.update(_coerce_fields(_parse_key_values(text, config_path)))
     merged.update({k: v for k, v in cli_values.items() if v is not None})
     return RunConfig(**merged)
+
+
+def _check_config(config: RunConfig) -> None:
+    """Refuse option values that the library would reject deeper down."""
+    if config.d not in (1, 2):
+        raise ConfigError(f"d must be 1 or 2, got {config.d}")
+    if config.n is not None and config.n < 0:
+        raise ConfigError(f"n must be nonnegative, got {config.n}")
+    if any(n < 0 for n in config.n_list):
+        raise ConfigError(f"n_list entries must be nonnegative, got {config.n_list}")
+    if any(m < 2 for m in config.m_list):
+        raise ConfigError(f"m_list entries must be at least 2, got {config.m_list}")
+    if config.samples < 2:
+        raise ConfigError(f"samples must be at least 2 for a standard error, got {config.samples}")
+    if config.connectivity not in (4, 8):
+        raise ConfigError(f"connectivity must be 4 or 8, got {config.connectivity}")
+    if config.axis not in ("x", "y"):
+        raise ConfigError(f"axis must be x or y, got {config.axis!r}")
+    if config.spanning not in _SPANNING_AXES:
+        raise ConfigError(f"spanning must be one of {tuple(_SPANNING_AXES)}, got {config.spanning!r}")
+
+
+def _model_params(M, p, d) -> ModelParams:
+    """:class:`ModelParams` whose validation failures are configuration errors."""
+    try:
+        return ModelParams(M, p, d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require_seed(config: RunConfig) -> tuple:
@@ -187,7 +221,7 @@ def cmd_curves(config: RunConfig) -> int:
         with open(out / fname, "w", encoding="ascii") as fh:
             fh.write(",".join(headers) + "\n")
             for p in grid:
-                params = ModelParams(config.M, p, 2)
+                params = _model_params(config.M, p, 2)
                 row = [format_float(p)]
                 for n in n_list:
                     if target == "F":
@@ -217,10 +251,10 @@ def cmd_curves(config: RunConfig) -> int:
         for p in limits_grid:
             row = [format_float(p)]
             for m in m_list:
-                row.append(format_float(float(analytic.limit_vk_2d(ModelParams(m, p, 2), 0))))
+                row.append(format_float(float(analytic.limit_vk_2d(_model_params(m, p, 2), 0))))
             row.append(format_float(float(analytic.large_m_v(p))))
             for m in m_list:
-                row.append(format_float(-float(analytic.limit_vck_2d(ModelParams(m, p, 2), 0))))
+                row.append(format_float(-float(analytic.limit_vck_2d(_model_params(m, p, 2), 0))))
             row.append(format_float(float(analytic.large_m_vc(p))))
             fh.write(",".join(row) + "\n")
     print(f"wrote {out / 'curves_f.csv'}, {out / 'curves_c.csv'}, {out / 'limits.csv'}")
@@ -241,11 +275,11 @@ def cmd_simulate(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed, generated = _require_seed(config)
     grid = [config.p] if config.p is not None else _p_grid(config)
-    axes = {"none": (), "x": ("x",), "y": ("y",), "both": ("x", "y")}[config.spanning]
+    axes = _SPANNING_AXES[config.spanning]
     t0 = time.perf_counter()
     rows = []
     for p in grid:
-        params = ModelParams(config.M, p, config.d)
+        params = _model_params(config.M, p, config.d)
         run_seed = seed if config.coupled else montecarlo.per_p_seed(seed, p)
         functionals = ("V0", "V1") if config.d == 1 else ("V0", "V1", "V2")
         result = montecarlo.run_experiment(
@@ -312,7 +346,7 @@ def cmd_render(config: RunConfig) -> int:
         out = out / "realization.pbm"
     out.parent.mkdir(parents=True, exist_ok=True)
     seed, generated = _require_seed(config)
-    params = ModelParams(config.M, config.p, config.d)
+    params = _model_params(config.M, config.p, config.d)
     grid = sampler.sample(params, config.n, seed, budget_bytes=config.budget_bytes)
     sampler.write_pbm(grid, out)
     written = [str(out)]
@@ -346,9 +380,15 @@ def cmd_oracle(config: RunConfig) -> int:
     if not 0 <= p <= 1:
         raise ConfigError(f"probability {p} outside [0, 1]")
     if config.d == 1:
-        value = oracle.enumerate_1d(config.M, p, config.n, config.functional, config.target)
+        enumerate_, functionals, targets = oracle.enumerate_1d, oracle.FUNCTIONALS_1D, oracle.TARGETS_1D
     else:
-        value = oracle.enumerate_2d(config.M, p, config.n, config.functional, config.target)
+        enumerate_, functionals, targets = oracle.enumerate_2d, oracle.FUNCTIONALS_2D, oracle.TARGETS_2D
+    if config.functional not in functionals:
+        raise ConfigError(f"functional for d = {config.d} must be one of {functionals}, "
+                          f"got {config.functional!r}")
+    if config.target not in targets:
+        raise ConfigError(f"target for d = {config.d} must be one of {targets}, got {config.target!r}")
+    value = enumerate_(config.M, p, config.n, config.functional, config.target)
     print(f"{value.numerator}/{value.denominator}")
     print(format_float(float(value)))
     return EXIT_OK
@@ -450,8 +490,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     values = {k: v for k, v in vars(args).items() if k not in ("config",)}
     values["command"] = args.command
+    # only the typed errors map to exit codes; any other exception is a bug
+    # and propagates with its traceback
     try:
         config = _merge_config(values, args.config)
+        _check_config(config)
         handler = _COMMANDS[config.command]
         return handler(config)
     except (MemoryBudgetError, InstanceTooLargeError) as exc:
@@ -460,7 +503,7 @@ def main(argv=None) -> int:
     except BracketingError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ConfigError, DomainError, ValueError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,10 +14,16 @@ an expectation for a concrete ``p = x/y`` then reduces to exact integer
 polynomial evaluation over a common denominator ``y^nodes``.
 
 One-dimensional realizations are sorted lists of closed components with
-rational endpoints; a degenerate component (a = b) is an isolated point,
-which is how intersections of interval unions are scored. Two-dimensional
-realizations are boolean lattices; one geometry window pass over the stack
-of all patterns counts each pattern and its complement.
+rational endpoints (:class:`IntervalSet1D`), which score single patterns.
+Intersections of two copies are scored for all pattern pairs at once from
+integer leaf masks: grid point k lies in the closed set exactly when bit k
+of ``mask | mask << 1`` is set, so the shared cells, their runs and the
+isolated touching points of each pair are popcounts of bitwise
+expressions. Two-dimensional patterns are integer keys built as arrays
+from the per-cell options of the level below; one geometry window pass
+over the stack of all patterns counts each pattern and its complement,
+and the scores are summed per (kept, dropped) exponent pair before any
+big-integer weight is formed.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +45,14 @@ FEASIBLE_2D = ((2, 1), (2, 2), (3, 1))
 #: Node budget for one-dimensional trees: sum of M^k for k = 1..n.
 MAX_NODES_1D = 21
 
-_FUNCTIONALS_1D = ("V0", "V1", "N", "contains0", "contains1")
-_TARGETS_1D = ("K", "D", "KK", "DD")
+#: Budget on pattern pairs of one 1-d intersection table ("KK" or "DD"):
+#: three int64 arrays of this many entries are cached per instance.
+MAX_PATTERN_PAIRS_1D = 2**20
+
+FUNCTIONALS_1D = ("V0", "V1", "N", "contains0", "contains1")
+TARGETS_1D = ("K", "D", "KK", "DD")
+FUNCTIONALS_2D = ("V0", "V1", "V2")
+TARGETS_2D = ("F", "C")
 
 
 class InstanceTooLargeError(ValueError):
@@ -186,26 +199,32 @@ def _score_set(iv: IntervalSet1D, functional: str) -> Fraction:
 def _pair_scores_1d(M: int, n: int, family: str) -> tuple:
     """Score matrices of pairwise intersections for "KK" or "DD".
 
-    Returns (v0, v1_scaled, isolated) as int64 arrays over pattern pairs,
-    with v1 scaled by M^n to stay integral.
+    Returns (v0, v1_scaled, isolated) as read-only int64 arrays over pattern
+    pairs, with v1 scaled by M^n to stay integral. Raises
+    :class:`InstanceTooLargeError` when the tables would exceed
+    ``MAX_PATTERN_PAIRS_1D`` entries.
     """
     structure = _leaf_structure(M, n)
-    full = (1 << (M**n)) - 1
-    scale = M**n
-    sets = []
-    for mask, _ in structure:
-        key = mask if family == "KK" else mask ^ full
-        sets.append(interval_set_from_leaves(key, M, n))
-    size = len(sets)
-    v0 = np.zeros((size, size), dtype=np.int64)
-    v1 = np.zeros((size, size), dtype=np.int64)
-    iso = np.zeros((size, size), dtype=np.int64)
-    for i, si in enumerate(sets):
-        for j in range(i, size):
-            iv = si.intersect(sets[j])
-            v0[i, j] = v0[j, i] = iv.v0
-            v1[i, j] = v1[j, i] = int(iv.v1 * scale)
-            iso[i, j] = iso[j, i] = iv.isolated_count
+    size = len(structure)
+    if size * size > MAX_PATTERN_PAIRS_1D:
+        raise InstanceTooLargeError(
+            f"1d {family} table of {size} x {size} pattern pairs exceeds the budget of "
+            f"{MAX_PATTERN_PAIRS_1D}"
+        )
+    # unsigned masks over the M^n + 1 grid points, at most 22 under MAX_NODES_1D
+    masks = np.array([mask for mask, _ in structure], dtype=np.uint32)
+    if family != "KK":
+        masks ^= (1 << M**n) - 1
+    a, b = masks[:, None], masks[None, :]
+    both = a & b  # cells in both sets
+    cover = both | both << 1  # grid points on a shared cell
+    isolated = (a | a << 1) & (b | b << 1) & ~cover  # grid points in both sets, on no shared cell
+    runs = both & ~(both << 1)  # first cell of each run of shared cells
+    iso = np.bitwise_count(isolated).astype(np.int64)
+    v0 = np.bitwise_count(runs) + iso
+    v1 = np.bitwise_count(both).astype(np.int64)
+    for table in (v0, v1, iso):
+        table.flags.writeable = False
     return v0, v1, iso
 
 
@@ -228,17 +247,24 @@ def _quadratic_form(weights: list, matrix: np.ndarray) -> int:
 def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -> Fraction:
     """Exact expectation of a functional of K_n, D_n, or the intersection
     of two independent copies (targets "KK" and "DD")."""
-    if functional not in _FUNCTIONALS_1D:
-        raise ValueError(f"functional must be one of {_FUNCTIONALS_1D}, got {functional!r}")
-    if target not in _TARGETS_1D:
-        raise ValueError(f"target must be one of {_TARGETS_1D}, got {target!r}")
+    if functional not in FUNCTIONALS_1D:
+        raise ValueError(f"functional must be one of {FUNCTIONALS_1D}, got {functional!r}")
+    if target not in TARGETS_1D:
+        raise ValueError(f"target must be one of {TARGETS_1D}, got {target!r}")
     p = Fraction(p)
+    if target in ("KK", "DD"):
+        if functional in ("contains0", "contains1"):
+            # membership of an endpoint in the intersection factorizes over copies
+            single = enumerate_1d(M, p, n, functional, target[0])
+            return single * single
+        v0, v1, iso = _pair_scores_1d(M, n, target)  # refuses oversized tables first
+        matrix = {"V0": v0, "V1": v1, "N": iso}[functional]
     structure = _leaf_structure(M, n)
     emax = _tree_nodes(M, n)
     nums = _weight_numerators([e for _, e in structure], p, emax)
     den = p.denominator**emax
-    full = (1 << (M**n)) - 1
     if target in ("K", "D"):
+        full = (1 << (M**n)) - 1
         total = Fraction(0)
         for (mask, _), num in zip(structure, nums):
             if target == "D":
@@ -246,13 +272,6 @@ def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -
             score = _score_set(interval_set_from_leaves(mask, M, n), functional)
             total += Fraction(num, den) * score
         return total
-    family = "KK" if target == "KK" else "DD"
-    if functional in ("contains0", "contains1"):
-        # membership of an endpoint in the intersection factorizes over copies
-        single = enumerate_1d(M, p, n, functional, "K" if family == "KK" else "D")
-        return single * single
-    v0, v1, iso = _pair_scores_1d(M, n, family)
-    matrix = {"V0": v0, "V1": v1, "N": iso}[functional]
     total = _quadratic_form(nums, matrix)
     value = Fraction(total, den * den)
     if functional == "V1":
@@ -271,64 +290,78 @@ def _check_2d_budget(M: int, n: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _block_structure(M: int, n: int) -> tuple:
-    """p-independent enumeration of the M^n x M^n occupancy patterns.
+class _Blocks(NamedTuple):
+    """Occupancy patterns of one 2-d instance with their decision exponents.
 
-    Returns ((packed_pattern, ((kept, dropped, count), ...)), ...) with the
-    pattern packed row-major by :func:`numpy.packbits`.
+    ``keys`` holds every M^n x M^n pattern once, in increasing order, as an
+    integer whose bits read the cells row-major from the most significant
+    bit. Row r of the other arrays says that ``count[r]`` keep/drop
+    assignments with ``kept[r]`` kept and ``dropped[r]`` dropped nodes
+    produce the pattern ``keys[pattern[r]]``; rows are sorted by
+    (pattern, kept, dropped).
     """
-    side = M**n
+
+    keys: np.ndarray
+    pattern: np.ndarray
+    kept: np.ndarray
+    dropped: np.ndarray
+    count: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _block_structure(M: int, n: int) -> _Blocks:
+    """p-independent enumeration of the M^n x M^n occupancy patterns as
+    read-only int64 arrays (see :class:`_Blocks`)."""
+    cells = M * M
     if n == 1:
-        entries = []
-        for bits in product((0, 1), repeat=M * M):
-            occ = np.array(bits, dtype=bool).reshape(M, M)
-            kept = sum(bits)
-            entries.append(
-                (np.packbits(occ).tobytes(), ((kept, M * M - kept, 1),))
-            )
-        return tuple(sorted(entries))
-    prev = _block_structure(M, n - 1)
-    sub = M ** (n - 1)
-    options = [(None, (0, 1, 1))]
-    for key, triples in prev:
-        blk = np.unpackbits(np.frombuffer(key, np.uint8))[: sub * sub]
-        blk = blk.reshape(sub, sub).astype(bool)
-        for a, b, c in triples:
-            options.append((blk, (a + 1, b, c)))
-    acc: dict[bytes, dict[tuple, int]] = {}
-    occ = np.zeros((side, side), dtype=bool)
-    for combo in product(options, repeat=M * M):
-        occ[:] = False
-        a = b = 0
-        c = 1
-        for cell, (blk, (aj, bj, cj)) in enumerate(combo):
-            a += aj
-            b += bj
-            c *= cj
-            if blk is not None:
-                r, col = divmod(cell, M)
-                occ[r * sub : (r + 1) * sub, col * sub : (col + 1) * sub] = blk
-        key = np.packbits(occ).tobytes()
-        bucket = acc.setdefault(key, {})
-        bucket[(a, b)] = bucket.get((a, b), 0) + c
-    return tuple(
-        sorted((key, tuple((a, b, c) for (a, b), c in sorted(e.items())))
-               for key, e in acc.items())
-    )
+        keys = np.arange(2**cells, dtype=np.int64)
+        kept = np.bitwise_count(keys).astype(np.int64)
+        blocks = _Blocks(keys, keys, kept, cells - kept, np.ones_like(keys))
+    else:
+        prev = _block_structure(M, n - 1)
+        sub, side = M ** (n - 1), M**n
+        # options of one cell: dropped, or kept with one row of the level below
+        opt_keys = np.concatenate(([0], prev.keys[prev.pattern]))
+        opt_kept = np.concatenate(([0], prev.kept + 1))
+        opt_dropped = np.concatenate(([1], prev.dropped))
+        opt_count = np.concatenate(([1], prev.count))
+        sub_bits = opt_keys[:, None] >> np.arange(sub * sub - 1, -1, -1) & 1
+        i, j = np.divmod(np.arange(sub * sub), sub)
+        combo = np.indices((len(opt_keys),) * cells).reshape(cells, -1)
+        key = np.zeros(combo.shape[1], dtype=np.int64)
+        kept = np.zeros_like(key)
+        dropped = np.zeros_like(key)
+        count = np.ones_like(key)
+        for cell, opt in enumerate(combo):
+            r, c = divmod(cell, M)
+            pos = (r * sub + i) * side + c * sub + j  # row-major index in the pattern
+            key += (sub_bits @ (1 << (side * side - 1 - pos)))[opt]
+            kept += opt_kept[opt]
+            dropped += opt_dropped[opt]
+            count *= opt_count[opt]
+        base = _nodes_2d(M, n) + 1  # kept and dropped lie in 0..nodes
+        code, inverse = np.unique((key * base + kept) * base + dropped, return_inverse=True)
+        total = np.zeros(len(code), dtype=np.int64)
+        np.add.at(total, inverse, count)
+        keys, pattern = np.unique(code // (base * base), return_inverse=True)
+        blocks = _Blocks(keys, pattern, code // base % base, code % base, total)
+    for array in blocks:
+        array.flags.writeable = False
+    return blocks
 
 
 @lru_cache(maxsize=None)
 def _pattern_scores_2d(M: int, n: int) -> np.ndarray:
     """Read-only (patterns, 2, 4) window counters in :func:`_block_structure`
-    order: for the pattern (F), then its complement (C), (faces, edges_any,
-    edges_shared, vertices_any), from one geometry kernel call.
+    key order: for the pattern (F), then its complement (C), (faces,
+    edges_any, edges_shared, vertices_any), from one geometry kernel call.
     """
     side = M**n
-    keys = [key for key, _ in _block_structure(M, n)]
-    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), -1)
-    occ = np.unpackbits(packed, axis=1)[:, : side * side].reshape(-1, side, side)
-    counters = geometry._window_counters(occ.view(bool))  # unpacked bits are 0 or 1
+    keys = _block_structure(M, n).keys
+    occ = np.empty((len(keys), side * side), dtype=bool)
+    for cell in range(side * side):  # column by column keeps the temporaries small
+        occ[:, cell] = keys >> (side * side - 1 - cell) & 1
+    counters = geometry._window_counters(occ.reshape(-1, side, side))
     counters.flags.writeable = False
     return counters
 
@@ -338,20 +371,36 @@ def _nodes_2d(M: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _table_2d(M: int, p: Fraction, n: int) -> dict:
-    """All six exact expectations {(functional, target): Fraction}."""
-    structure = _block_structure(M, n)
+def _exponent_sums_2d(M: int, n: int) -> tuple:
+    """p-independent half of :func:`_table_2d`: the distinct (kept, dropped)
+    exponent pairs, and per pair the exact int64 sums of count * score over
+    its rows, shaped (pairs, target, functional) with the integer scores
+    V0, V1 * M^n and V2 * M^2n of F and C.
+    """
+    blocks = _block_structure(M, n)
     faces, edges_any, edges_shared, vertices = np.moveaxis(_pattern_scores_2d(M, n), -1, 0)
-    # integer scores V0, V1 * M^n and V2 * M^2n per pattern (rows) and target (columns)
-    scores = (vertices - edges_any + faces, 2 * faces - edges_shared, faces)
+    scores = np.stack((vertices - edges_any + faces, 2 * faces - edges_shared, faces), axis=-1)
+    base = _nodes_2d(M, n) + 1  # kept and dropped lie in 0..nodes
+    codes, inverse = np.unique(blocks.kept * base + blocks.dropped, return_inverse=True)
+    sums = np.zeros((len(codes),) + scores.shape[1:], dtype=np.int64)
+    np.add.at(sums, inverse, blocks.count[:, None, None] * scores[blocks.pattern])
+    sums.flags.writeable = False
+    return tuple(zip((codes // base).tolist(), (codes % base).tolist())), sums
+
+
+@lru_cache(maxsize=None)
+def _table_2d(M: int, p: Fraction, n: int) -> dict:
+    """All six exact expectations {(functional, target): Fraction}; only the
+    few exponent pairs of :func:`_exponent_sums_2d` meet big-integer weights."""
+    exponents, sums = _exponent_sums_2d(M, n)
     emax = _nodes_2d(M, n)
-    nums = _weight_numerators([e for _, e in structure], p, emax)
+    weights = _weight_numerators([((a, b, 1),) for a, b in exponents], p, emax)
     den = p.denominator**emax
     s1 = Fraction(1, M**n)
     table = {}
-    for t, target in enumerate(("F", "C")):
-        for k, score in enumerate(scores):
-            total = sum(map(operator.mul, nums, score[:, t].tolist()))
+    for t, target in enumerate(TARGETS_2D):
+        for k in range(len(FUNCTIONALS_2D)):
+            total = sum(map(operator.mul, weights, sums[:, t, k].tolist()))
             table[(f"V{k}", target)] = Fraction(total, den) * s1**k
     return table
 
@@ -360,9 +409,9 @@ def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -
     """Exact expectation E V_k at level n for the construction set ("F")
     or its closed complement ("C"); feasible instances only."""
     _check_2d_budget(M, n)
-    if functional not in ("V0", "V1", "V2"):
+    if functional not in FUNCTIONALS_2D:
         raise ValueError(f"functional must be V0, V1 or V2, got {functional!r}")
-    if target not in ("F", "C"):
+    if target not in TARGETS_2D:
         raise ValueError(f"target must be 'F' or 'C', got {target!r}")
     return _table_2d(M, Fraction(p), n)[(functional, target)]
 

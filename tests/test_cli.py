@@ -244,3 +244,45 @@ def test_verify_negative_control(monkeypatch, capsys):
 
 def test_unknown_subcommand_exits_2():
     assert cli.main(["frobnicate"]) == EXIT_CONFIG
+
+
+def test_pair_table_guard_exits_4(capsys):
+    # (4, 2) passes the node budget, but its KK and DD tables would hold
+    # 65,536 x 65,536 pattern pairs
+    for target in ("KK", "DD"):
+        rc = cli.main(["oracle", "-M", "4", "-d", "1", "-n", "2", "-p", "1/2",
+                       "--functional", "V0", "--target", target])
+        assert rc == EXIT_RESOURCE
+    assert "pattern pairs" in capsys.readouterr().err
+
+
+def test_user_input_errors_exit_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("samples=many\n")
+    cfg_d = tmp_path / "d3.cfg"
+    cfg_d.write_text("d=3\n")
+    sim = ["simulate", "-n", "2", "-p", "0.6", "--seed", "1", "--out", str(tmp_path / "s")]
+    for argv in (
+        ["simulate", "--config", str(cfg), "-n", "2", "-p", "0.6", "--out", str(tmp_path)],
+        sim + ["--samples", "1"],
+        sim[:1] + ["-M", "1"] + sim[1:],
+        ["simulate", "-n", "-1", "-p", "0.6", "--seed", "1", "--out", str(tmp_path / "s")],
+        ["render", "-n", "2", "-p", "1.5", "--seed", "1", "--out", str(tmp_path / "r.pbm")],
+        ["thresholds", "--m-list", "1,2"],
+        ["oracle", "--config", str(cfg_d), "-M", "2", "-n", "1", "-p", "1/2"],
+        ["oracle", "-M", "2", "-d", "1", "-n", "1", "-p", "1/2", "--target", "F"],
+        ["oracle", "-M", "2", "-d", "2", "-n", "1", "-p", "1/2", "--functional", "N"],
+    ):
+        assert cli.main(argv) == EXIT_CONFIG, argv
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch):
+    # a ValueError from inside a handler is a bug, not bad user input
+    from fracperc import thresholds
+
+    def broken(M):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(thresholds, "threshold_report", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        cli.main(["thresholds", "--m-list", "2"])

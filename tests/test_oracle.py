@@ -1,5 +1,7 @@
 """The enumeration oracle itself: forced values, bookkeeping, envelope."""
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +56,51 @@ def test_isolated_points_never_exceed_components():
     assert np.all(v0d >= isod)
 
 
+def _interval_scores(mask_a: int, mask_b: int, M: int, n: int) -> tuple:
+    iv = O.interval_set_from_leaves(mask_a, M, n).intersect(O.interval_set_from_leaves(mask_b, M, n))
+    v1 = iv.v1 * M**n
+    assert v1.denominator == 1
+    return iv.v0, int(v1), iv.isolated_count
+
+
+def test_pair_scores_match_interval_sets():
+    # the mask popcounts against IntervalSet1D.intersect: every pair of the
+    # small instances, a seeded sample of 2,000 pairs of the two largest
+    rng = np.random.default_rng(11)
+    for M, n in ((2, 0), (2, 1), (2, 2), (3, 1), (4, 1), (2, 3), (3, 2)):
+        masks = [mask for mask, _ in O._leaf_structure(M, n)]
+        full = (1 << M**n) - 1
+        size = len(masks)
+        if size <= 16:
+            pairs = [(i, j) for i in range(size) for j in range(size)]
+        else:
+            pairs = rng.integers(0, size, (2000, 2)).tolist()
+        for family in ("KK", "DD"):
+            tables = O._pair_scores_1d(M, n, family)
+            assert all(t.dtype == np.int64 and t.shape == (size, size) for t in tables)
+            keys = masks if family == "KK" else [m ^ full for m in masks]
+            for i, j in pairs:
+                got = tuple(int(t[i, j]) for t in tables)
+                assert got == _interval_scores(keys[i], keys[j], M, n), (M, n, family, i, j)
+
+
+def test_pair_table_budget():
+    # (4, 2) has 20 nodes and 65,536 patterns: K and D are enumerable, but a
+    # pair table would hold 2^32 entries and is refused before it is built
+    O._leaf_structure(4, 2)
+    tracemalloc.start()
+    try:
+        for family in ("KK", "DD"):
+            with pytest.raises(InstanceTooLargeError):
+                O.enumerate_1d(4, F(1, 2), 2, "V0", family)
+            with pytest.raises(InstanceTooLargeError):
+                O._pair_scores_1d(4, 2, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_interval_set_machinery():
     a = IntervalSet1D(((F(0), F(1, 2)),))
     b = IntervalSet1D(((F(1, 2), F(1)),))
@@ -94,20 +141,58 @@ def test_2d_trivial_cases():
     assert O.enumerate_2d(2, F(1, 3), 2, "V2", "F") == F(1, 9)
 
 
+def _pattern_cells(key: int, side: int) -> np.ndarray:
+    """Unpack a block-structure key: row-major cells from the most significant bit."""
+    bits = [(key >> (side * side - 1 - c)) & 1 for c in range(side * side)]
+    return np.array(bits, dtype=bool).reshape(side, side)
+
+
 def test_pattern_counters_match_audit_per_pattern():
-    # the batched kernel call scores each pattern and its complement exactly
-    for M, n in ((2, 1), (3, 1)):
+    # the batched kernel call scores each pattern and its complement exactly;
+    # every pattern of (2, 1) and (3, 1), a seeded sample of (2, 2)
+    rng = np.random.default_rng(5)
+    for M, n in ((2, 1), (3, 1), (2, 2)):
         side = M**n
-        structure = O._block_structure(M, n)
+        keys = O._block_structure(M, n).keys
         scores = O._pattern_scores_2d(M, n)
-        assert len(structure) == 2 ** (side * side)
-        assert scores.shape == (len(structure), 2, 4)
-        for (key, _), row in zip(structure, scores):
-            bits = np.unpackbits(np.frombuffer(key, np.uint8))[: side * side]
-            occ = bits.reshape(side, side).astype(bool)
-            for target_occ, got in zip((occ, ~occ), row.tolist()):
+        # each pattern once, in increasing key order
+        assert keys.tolist() == list(range(2 ** (side * side)))
+        assert scores.shape == (len(keys), 2, 4)
+        rows = range(len(keys)) if n == 1 else rng.choice(len(keys), 300, replace=False)
+        for i in rows:
+            occ = _pattern_cells(int(keys[i]), side)
+            for target_occ, got in zip((occ, ~occ), scores[i].tolist()):
                 mv = G.minkowski_audit(target_occ)
                 assert got == [mv.faces, mv.edges_any, mv.edges_shared, mv.vertices_any]
+
+
+def test_block_structure_digest_pinned():
+    # canonical text: per pattern in key order, its row-major cells packed by
+    # numpy.packbits in hex, then its (kept, dropped, count) rows; digests
+    # measured on the per-combination enumeration this table replaced
+    pinned = {
+        (2, 1): "6debee381cb20b54ba120565789f13eb0e2624bbb954ad6b0357ce58f7f7f159",
+        (2, 2): "b9510d424b9941cefdae60f948b2672811e78dfa50c56d1f4b8248a271da9368",
+        (3, 1): "5364a3db9071b44936a0279ebbb291abee5b4c146ec00e13e800ebbc1bef46b0",
+    }
+    for (M, n), want in pinned.items():
+        blocks = O._block_structure(M, n)
+        side = M**n
+        rows = {}
+        for i, a, b, c in zip(blocks.pattern.tolist(), blocks.kept.tolist(),
+                              blocks.dropped.tolist(), blocks.count.tolist()):
+            rows.setdefault(i, []).append(f"{a},{b},{c}")
+        digest = hashlib.sha256()
+        for i, key in enumerate(blocks.keys.tolist()):
+            packed = np.packbits(_pattern_cells(key, side)).tobytes().hex()
+            digest.update(f"{packed}:{';'.join(rows[i])}\n".encode())
+        assert digest.hexdigest() == want, (M, n)
+        # the keep/drop weights of every instance sum to one
+        x, y, nodes = 2, 7, O._nodes_2d(M, n)
+        total = sum(c * x**a * (y - x) ** b * y ** (nodes - a - b)
+                    for a, b, c in zip(blocks.kept.tolist(), blocks.dropped.tolist(),
+                                       blocks.count.tolist()))
+        assert total == y**nodes
 
 
 def test_2d_envelope_guard():
