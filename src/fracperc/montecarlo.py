@@ -1,4 +1,4 @@
-"""Batch estimation of lattice functionals with mergeable statistics.
+"""Batch estimation of lattice functionals with streaming statistics.
 
 Estimates are accumulated with Welford's algorithm. Because the sampler
 hashes ``(seed, sample index, tree position)`` rather than keeping
@@ -29,7 +29,7 @@ _FUNCTIONAL_INDEX = {"V0": 0, "V1": 1, "V2": 2}
 @dataclass
 class McEstimate:
     """Streaming mean/variance accumulator (count, mean, sum of squared
-    deviations); merge is associative and commutative up to rounding."""
+    deviations), fed one value at a time in replicate order."""
 
     count: int = 0
     mean: float = 0.0
@@ -40,19 +40,6 @@ class McEstimate:
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "McEstimate") -> "McEstimate":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        return self
 
     @property
     def variance(self) -> float:

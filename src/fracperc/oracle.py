@@ -7,29 +7,33 @@ are never expanded (their outcome weights marginalize to one exactly).
 All arithmetic is exact and every returned expectation is a
 :class:`fractions.Fraction`; pass ``p`` as a Fraction.
 
-The enumeration is organized for reuse: the tree structure (surviving-leaf
+The enumeration is organized for reuse: the tree structure (occupancy
 patterns with their decision-exponent multiplicities, and the geometric
 scores of each pattern) does not depend on ``p`` and is cached; evaluating
 an expectation for a concrete ``p = x/y`` then reduces to exact integer
 polynomial evaluation over a common denominator ``y^nodes``.
 
-One-dimensional realizations are sorted lists of closed components with
-rational endpoints (:class:`IntervalSet1D`), which score single patterns.
-Intersections of two copies are scored for all pattern pairs at once from
-integer leaf masks: grid point k lies in the closed set exactly when bit k
-of ``mask | mask << 1`` is set, so the shared cells, their runs and the
-isolated touching points of each pair are popcounts of bitwise
-expressions. Two-dimensional patterns are integer keys built as arrays
-from the per-cell options of the level below; one geometry window pass
-over the stack of all patterns counts each pattern and its complement,
-and the scores are summed per (kept, dropped) exponent pair before any
-big-integer weight is formed.
+Both dimensions share one engine. A level-n pattern is an integer key
+whose bits read its M^n (d = 1) or M^n x M^n (d = 2) cells row-major from
+the most significant bit. One builder makes the patterns of level n as
+arrays from the per-cell options of level n - 1 (a dropped cell, or a kept
+cell holding any pattern of the level below). One geometry window pass
+over the stack of all patterns, a 1-d pattern being a 1 x M^n row, counts
+each pattern and its complement, and the scores are summed per (kept,
+dropped) exponent pair before any big-integer weight is formed.
+
+Intersections of two independent 1-d copies are scored for all pattern
+pairs at once from integer masks: grid point k lies in the closed set
+exactly when bit k of ``mask | mask << 1`` is set, so the shared cells,
+their runs and the isolated touching points of each pair are popcounts
+of bitwise expressions (every score is mirror-symmetric, so the bit order
+of the keys does not matter).
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -54,145 +58,196 @@ TARGETS_1D = ("K", "D", "KK", "DD")
 FUNCTIONALS_2D = ("V0", "V1", "V2")
 TARGETS_2D = ("F", "C")
 
+#: Functionals and single-set targets of the pattern tables, by dimension.
+_FUNCTIONALS = {1: FUNCTIONALS_1D, 2: FUNCTIONALS_2D}
+_TARGETS = {1: TARGETS_1D[:2], 2: TARGETS_2D}
+
 
 class InstanceTooLargeError(ValueError):
     """The requested instance lies outside the enumeration envelope."""
 
 
-def _tree_nodes(M: int, n: int) -> int:
-    return sum(M**k for k in range(1, n + 1))
+def _tree_nodes(cells: int, n: int) -> int:
+    """Decision nodes of levels 1..n of a tree with ``cells`` children per node."""
+    return sum(cells**k for k in range(1, n + 1))
 
 
-def _weight_numerators(exponents, p: Fraction, emax: int):
-    """Exact weights scaled by den(p)^emax: one integer per pattern.
-
-    ``exponents[i]`` lists (kept, dropped, count) triples of pattern i.
-    """
+def _weight_numerators(exponents, p: Fraction, emax: int) -> list:
+    """Exact weights p^kept (1-p)^dropped scaled by den(p)^emax, one integer
+    per (kept, dropped) pair of ``exponents``."""
     x, y = p.numerator, p.denominator
-    xq = y - x
-    nums = []
-    for triples in exponents:
-        total = 0
-        for a, b, c in triples:
-            total += c * x**a * xq**b * y ** (emax - a - b)
-        nums.append(total)
-    return nums
+    return [x**a * (y - x) ** b * y ** (emax - a - b) for a, b in exponents]
+
+
+# ---------------------------------------------------------------------------
+# Pattern tables (both dimensions)
+# ---------------------------------------------------------------------------
+
+class _Blocks(NamedTuple):
+    """Occupancy patterns of one instance with their decision exponents.
+
+    ``keys`` holds every pattern once, in increasing order, as an integer
+    whose bits read the cells row-major from the most significant bit (a
+    1-d pattern is one row). Row r of the other arrays says that
+    ``count[r]`` keep/drop assignments with ``kept[r]`` kept and
+    ``dropped[r]`` dropped nodes produce the pattern ``keys[pattern[r]]``;
+    rows are sorted by (pattern, kept, dropped).
+    """
+
+    keys: np.ndarray
+    pattern: np.ndarray
+    kept: np.ndarray
+    dropped: np.ndarray
+    count: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _block_structure(M: int, n: int, d: int) -> _Blocks:
+    """p-independent enumeration of the level-n occupancy patterns in
+    dimension d as read-only int64 arrays (see :class:`_Blocks`)."""
+    if n == 0:
+        one, zero = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        blocks = _Blocks(one, zero, zero, zero, one)  # the single full cell
+    else:
+        prev = _block_structure(M, n - 1, d)
+        cells, sub = M**d, M ** (n - 1)
+        size = (M * sub) ** d
+        # options of one cell: dropped, or kept with one row of the level below
+        opt_keys = np.concatenate(([0], prev.keys[prev.pattern]))
+        opt_kept = np.concatenate(([0], prev.kept + 1))
+        opt_dropped = np.concatenate(([1], prev.dropped))
+        opt_count = np.concatenate(([1], prev.count))
+        sub_bits = opt_keys[:, None] >> np.arange(sub**d - 1, -1, -1) & 1
+        # pos[c, k]: row-major index in the pattern of sub-cell k of child cell c
+        evens, odds = tuple(range(0, 2 * d, 2)), tuple(range(1, 2 * d, 2))
+        pos = np.arange(size).reshape((M, sub) * d).transpose(evens + odds).reshape(cells, sub**d)
+        cell_keys = sub_bits @ (1 << (size - 1 - pos)).T  # (option, child cell) -> key bits
+        rest = np.arange(len(opt_keys) ** cells)  # one combination of options per entry
+        key = np.zeros_like(rest)
+        kept = np.zeros_like(rest)
+        dropped = np.zeros_like(rest)
+        count = np.ones_like(rest)
+        for cell in range(cells):
+            rest, opt = np.divmod(rest, len(opt_keys))
+            key += cell_keys[opt, cell]
+            kept += opt_kept[opt]
+            dropped += opt_dropped[opt]
+            count *= opt_count[opt]
+        base = _tree_nodes(cells, n) + 1  # kept and dropped lie in 0..nodes
+        code, inverse = np.unique((key * base + kept) * base + dropped, return_inverse=True)
+        total = np.zeros(len(code), dtype=np.int64)
+        np.add.at(total, inverse, count)
+        keys, pattern = np.unique(code // (base * base), return_inverse=True)
+        blocks = _Blocks(keys, pattern, code // base % base, code % base, total)
+    for array in blocks:
+        array.flags.writeable = False
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _pattern_scores(M: int, n: int, d: int) -> np.ndarray:
+    """Read-only (patterns, 2, 6) int64 counters in :func:`_block_structure`
+    key order: for the pattern, then its complement, the window counters
+    (faces, edges_any, edges_shared, vertices_any) from one geometry kernel
+    call, then the occupancy of its first and of its last cell.
+    """
+    side = M**n
+    size = side**d
+    keys = _block_structure(M, n, d).keys
+    occ = np.empty((len(keys), size), dtype=bool)
+    for cell in range(size):  # column by column keeps the temporaries small
+        occ[:, cell] = keys >> (size - 1 - cell) & 1
+    counters = geometry._window_counters(occ.reshape(len(keys), -1, side))
+    ends = occ[:, [0, -1]]
+    scores = np.concatenate((counters, np.stack((ends, ~ends), axis=1)), axis=-1)
+    scores.flags.writeable = False
+    return scores
+
+
+@lru_cache(maxsize=None)
+def _exponent_sums(M: int, n: int, d: int) -> tuple:
+    """p-independent half of :func:`_table`: the distinct (kept, dropped)
+    exponent pairs, and per pair the exact int64 sums of count * score over
+    its rows, shaped (pairs, target, functional) with the integer scores
+    V0, V1 * M^n and V2 * M^2n of F and C (d = 2), or V0, V1 * M^n, N and
+    the two endpoint memberships of K and D (d = 1).
+    """
+    blocks = _block_structure(M, n, d)
+    faces, edges_any, edges_shared, vertices, first, last = np.moveaxis(
+        _pattern_scores(M, n, d), -1, 0
+    )
+    v0 = vertices - edges_any + faces  # a 1 x L row too: one per run of cells
+    if d == 2:
+        scores = (v0, 2 * faces - edges_shared, faces)
+    else:  # a union of whole cells has no isolated points
+        scores = (v0, faces, np.zeros_like(faces), first, last)
+    scores = np.stack(scores, axis=-1)
+    base = _tree_nodes(M**d, n) + 1  # kept and dropped lie in 0..nodes
+    codes, inverse = np.unique(blocks.kept * base + blocks.dropped, return_inverse=True)
+    sums = np.zeros((len(codes),) + scores.shape[1:], dtype=np.int64)
+    np.add.at(sums, inverse, blocks.count[:, None, None] * scores[blocks.pattern])
+    sums.flags.writeable = False
+    return tuple(zip((codes // base).tolist(), (codes % base).tolist())), sums
+
+
+@lru_cache(maxsize=None)
+def _table(M: int, p: Fraction, n: int, d: int) -> dict:
+    """All exact single-set expectations {(functional, target): Fraction};
+    only the few exponent pairs of :func:`_exponent_sums` meet big-integer
+    weights."""
+    exponents, sums = _exponent_sums(M, n, d)
+    emax = _tree_nodes(M**d, n)
+    weights = _weight_numerators(exponents, p, emax)
+    den = p.denominator**emax
+    table = {}
+    for t, target in enumerate(_TARGETS[d]):
+        for f, functional in enumerate(_FUNCTIONALS[d]):
+            total = sum(map(operator.mul, weights, sums[:, t, f].tolist()))
+            k = int(functional[1]) if functional[0] == "V" else 0  # V_k scales by M^-nk
+            table[(functional, target)] = Fraction(total, den * M ** (n * k))
+    return table
 
 
 # ---------------------------------------------------------------------------
 # One dimension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalSet1D:
-    """Disjoint sorted closed components of [0, 1] with rational endpoints."""
-
-    components: tuple
-
-    @property
-    def v0(self) -> int:
-        return len(self.components)
-
-    @property
-    def v1(self) -> Fraction:
-        return sum((b - a for a, b in self.components), Fraction(0))
-
-    @property
-    def isolated_count(self) -> int:
-        return sum(1 for a, b in self.components if a == b)
-
-    def contains(self, x) -> bool:
-        return any(a <= x <= b for a, b in self.components)
-
-    def intersect(self, other: "IntervalSet1D") -> "IntervalSet1D":
-        out = []
-        i = j = 0
-        a_list, b_list = self.components, other.components
-        while i < len(a_list) and j < len(b_list):
-            lo = max(a_list[i][0], b_list[j][0])
-            hi = min(a_list[i][1], b_list[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a_list[i][1] < b_list[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet1D(tuple(out))
-
-
-def interval_set_from_leaves(mask: int, M: int, n: int) -> IntervalSet1D:
-    """Merge the surviving level-n cells encoded in ``mask`` into components."""
-    L = M**n
-    s = Fraction(1, L)
-    comps = []
-    i = 0
-    while i < L:
-        if (mask >> i) & 1:
-            j = i
-            while j + 1 < L and (mask >> (j + 1)) & 1:
-                j += 1
-            comps.append((i * s, (j + 1) * s))
-            i = j + 1
-        else:
-            i += 1
-    return IntervalSet1D(tuple(comps))
-
-
-@lru_cache(maxsize=None)
-def _leaf_structure(M: int, n: int) -> tuple:
-    """p-independent enumeration of K_n: ((mask, ((kept, dropped, count), ...)), ...)."""
+def _check_1d(M: int, n) -> int:
+    """The level as an int, once M is a positive and n a non-negative
+    integer within the node budget."""
+    if not isinstance(M, numbers.Integral) or M < 1:
+        raise ValueError(f"subdivision count M must be a positive integer, got {M!r}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"level n must be a non-negative integer, got {n!r}")
+    n = int(n)
     if _tree_nodes(M, n) > MAX_NODES_1D:
         raise InstanceTooLargeError(
             f"1d tree with {_tree_nodes(M, n)} nodes exceeds the budget of {MAX_NODES_1D}"
         )
-    if n == 0:
-        return ((1, ((0, 0, 1),)),)
-    prev = _leaf_structure(M, n - 1)
-    prev_bits = M ** (n - 1)
-    options = [(0, (0, 1, 1))]  # dropped child: empty pattern, one dropped node
-    for mask, triples in prev:
-        for a, b, c in triples:
-            options.append((mask, (a + 1, b, c)))
-    acc: dict[int, dict[tuple, int]] = {}
-    for combo in product(options, repeat=M):
-        mask = 0
-        a = b = 0
-        c = 1
-        for j, (mj, (aj, bj, cj)) in enumerate(combo):
-            mask |= mj << (j * prev_bits)
-            a += aj
-            b += bj
-            c *= cj
-        bucket = acc.setdefault(mask, {})
-        bucket[(a, b)] = bucket.get((a, b), 0) + c
-    return tuple(
-        sorted((mask, tuple((a, b, c) for (a, b), c in sorted(e.items())))
-               for mask, e in acc.items())
-    )
+    return n
+
+
+def _pattern_weights(M: int, p: Fraction, n: int) -> list:
+    """Exact weight of each 1-d pattern scaled by den(p)^nodes, in key order."""
+    blocks = _block_structure(M, n, 1)
+    rows = list(zip(blocks.pattern.tolist(), blocks.kept.tolist(),
+                    blocks.dropped.tolist(), blocks.count.tolist()))
+    pairs = sorted({(a, b) for _, a, b, _ in rows})
+    weight = dict(zip(pairs, _weight_numerators(pairs, p, _tree_nodes(M, n))))
+    nums = [0] * len(blocks.keys)
+    for i, a, b, c in rows:
+        nums[i] += c * weight[a, b]
+    return nums
 
 
 def leaf_distribution(M: int, p, n: int) -> tuple:
-    """Exact surviving-leaf distribution of K_n as ((mask, Fraction), ...)."""
+    """Exact surviving-leaf distribution of K_n as ((key, Fraction), ...) in
+    increasing key order; bit M^n - 1 - i of a key says whether leaf i survives."""
+    n = _check_1d(M, n)
     p = Fraction(p)
-    emax = _tree_nodes(M, n)
-    structure = _leaf_structure(M, n)
-    nums = _weight_numerators([e for _, e in structure], p, emax)
-    den = p.denominator**emax
-    return tuple((mask, Fraction(num, den)) for (mask, _), num in zip(structure, nums))
-
-
-def _score_set(iv: IntervalSet1D, functional: str) -> Fraction:
-    if functional == "V0":
-        return Fraction(iv.v0)
-    if functional == "V1":
-        return iv.v1
-    if functional == "N":
-        return Fraction(iv.isolated_count)
-    if functional == "contains0":
-        return Fraction(1 if iv.contains(Fraction(0)) else 0)
-    if functional == "contains1":
-        return Fraction(1 if iv.contains(Fraction(1)) else 0)
-    raise ValueError(f"unknown functional {functional!r}")
+    den = p.denominator ** _tree_nodes(M, n)
+    keys = _block_structure(M, n, 1).keys.tolist()
+    return tuple((key, Fraction(num, den)) for key, num in zip(keys, _pattern_weights(M, p, n)))
 
 
 @lru_cache(maxsize=None)
@@ -200,19 +255,19 @@ def _pair_scores_1d(M: int, n: int, family: str) -> tuple:
     """Score matrices of pairwise intersections for "KK" or "DD".
 
     Returns (v0, v1_scaled, isolated) as read-only int64 arrays over pattern
-    pairs, with v1 scaled by M^n to stay integral. Raises
+    pairs in key order, with v1 scaled by M^n to stay integral. Raises
     :class:`InstanceTooLargeError` when the tables would exceed
     ``MAX_PATTERN_PAIRS_1D`` entries.
     """
-    structure = _leaf_structure(M, n)
-    size = len(structure)
+    keys = _block_structure(M, _check_1d(M, n), 1).keys
+    size = len(keys)
     if size * size > MAX_PATTERN_PAIRS_1D:
         raise InstanceTooLargeError(
             f"1d {family} table of {size} x {size} pattern pairs exceeds the budget of "
             f"{MAX_PATTERN_PAIRS_1D}"
         )
     # unsigned masks over the M^n + 1 grid points, at most 22 under MAX_NODES_1D
-    masks = np.array([mask for mask, _ in structure], dtype=np.uint32)
+    masks = keys.astype(np.uint32)
     if family != "KK":
         masks ^= (1 << M**n) - 1
     a, b = masks[:, None], masks[None, :]
@@ -251,32 +306,19 @@ def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -
         raise ValueError(f"functional must be one of {FUNCTIONALS_1D}, got {functional!r}")
     if target not in TARGETS_1D:
         raise ValueError(f"target must be one of {TARGETS_1D}, got {target!r}")
+    n = _check_1d(M, n)
     p = Fraction(p)
-    if target in ("KK", "DD"):
-        if functional in ("contains0", "contains1"):
-            # membership of an endpoint in the intersection factorizes over copies
-            single = enumerate_1d(M, p, n, functional, target[0])
-            return single * single
-        v0, v1, iso = _pair_scores_1d(M, n, target)  # refuses oversized tables first
-        matrix = {"V0": v0, "V1": v1, "N": iso}[functional]
-    structure = _leaf_structure(M, n)
-    emax = _tree_nodes(M, n)
-    nums = _weight_numerators([e for _, e in structure], p, emax)
-    den = p.denominator**emax
     if target in ("K", "D"):
-        full = (1 << (M**n)) - 1
-        total = Fraction(0)
-        for (mask, _), num in zip(structure, nums):
-            if target == "D":
-                mask ^= full
-            score = _score_set(interval_set_from_leaves(mask, M, n), functional)
-            total += Fraction(num, den) * score
-        return total
-    total = _quadratic_form(nums, matrix)
-    value = Fraction(total, den * den)
-    if functional == "V1":
-        value /= M**n
-    return value
+        return _table(M, p, n, 1)[(functional, target)]
+    if functional in ("contains0", "contains1"):
+        # membership of an endpoint in the intersection factorizes over copies
+        single = enumerate_1d(M, p, n, functional, target[0])
+        return single * single
+    v0, v1, iso = _pair_scores_1d(M, n, target)  # refuses oversized tables first
+    matrix = {"V0": v0, "V1": v1, "N": iso}[functional]
+    den = p.denominator ** _tree_nodes(M, n)
+    scale = M**n if functional == "V1" else 1
+    return Fraction(_quadratic_form(_pattern_weights(M, p, n), matrix), den * den * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -290,121 +332,6 @@ def _check_2d_budget(M: int, n: int) -> None:
         )
 
 
-class _Blocks(NamedTuple):
-    """Occupancy patterns of one 2-d instance with their decision exponents.
-
-    ``keys`` holds every M^n x M^n pattern once, in increasing order, as an
-    integer whose bits read the cells row-major from the most significant
-    bit. Row r of the other arrays says that ``count[r]`` keep/drop
-    assignments with ``kept[r]`` kept and ``dropped[r]`` dropped nodes
-    produce the pattern ``keys[pattern[r]]``; rows are sorted by
-    (pattern, kept, dropped).
-    """
-
-    keys: np.ndarray
-    pattern: np.ndarray
-    kept: np.ndarray
-    dropped: np.ndarray
-    count: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _block_structure(M: int, n: int) -> _Blocks:
-    """p-independent enumeration of the M^n x M^n occupancy patterns as
-    read-only int64 arrays (see :class:`_Blocks`)."""
-    cells = M * M
-    if n == 1:
-        keys = np.arange(2**cells, dtype=np.int64)
-        kept = np.bitwise_count(keys).astype(np.int64)
-        blocks = _Blocks(keys, keys, kept, cells - kept, np.ones_like(keys))
-    else:
-        prev = _block_structure(M, n - 1)
-        sub, side = M ** (n - 1), M**n
-        # options of one cell: dropped, or kept with one row of the level below
-        opt_keys = np.concatenate(([0], prev.keys[prev.pattern]))
-        opt_kept = np.concatenate(([0], prev.kept + 1))
-        opt_dropped = np.concatenate(([1], prev.dropped))
-        opt_count = np.concatenate(([1], prev.count))
-        sub_bits = opt_keys[:, None] >> np.arange(sub * sub - 1, -1, -1) & 1
-        i, j = np.divmod(np.arange(sub * sub), sub)
-        combo = np.indices((len(opt_keys),) * cells).reshape(cells, -1)
-        key = np.zeros(combo.shape[1], dtype=np.int64)
-        kept = np.zeros_like(key)
-        dropped = np.zeros_like(key)
-        count = np.ones_like(key)
-        for cell, opt in enumerate(combo):
-            r, c = divmod(cell, M)
-            pos = (r * sub + i) * side + c * sub + j  # row-major index in the pattern
-            key += (sub_bits @ (1 << (side * side - 1 - pos)))[opt]
-            kept += opt_kept[opt]
-            dropped += opt_dropped[opt]
-            count *= opt_count[opt]
-        base = _nodes_2d(M, n) + 1  # kept and dropped lie in 0..nodes
-        code, inverse = np.unique((key * base + kept) * base + dropped, return_inverse=True)
-        total = np.zeros(len(code), dtype=np.int64)
-        np.add.at(total, inverse, count)
-        keys, pattern = np.unique(code // (base * base), return_inverse=True)
-        blocks = _Blocks(keys, pattern, code // base % base, code % base, total)
-    for array in blocks:
-        array.flags.writeable = False
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _pattern_scores_2d(M: int, n: int) -> np.ndarray:
-    """Read-only (patterns, 2, 4) window counters in :func:`_block_structure`
-    key order: for the pattern (F), then its complement (C), (faces,
-    edges_any, edges_shared, vertices_any), from one geometry kernel call.
-    """
-    side = M**n
-    keys = _block_structure(M, n).keys
-    occ = np.empty((len(keys), side * side), dtype=bool)
-    for cell in range(side * side):  # column by column keeps the temporaries small
-        occ[:, cell] = keys >> (side * side - 1 - cell) & 1
-    counters = geometry._window_counters(occ.reshape(-1, side, side))
-    counters.flags.writeable = False
-    return counters
-
-
-def _nodes_2d(M: int, n: int) -> int:
-    return sum((M * M) ** k for k in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _exponent_sums_2d(M: int, n: int) -> tuple:
-    """p-independent half of :func:`_table_2d`: the distinct (kept, dropped)
-    exponent pairs, and per pair the exact int64 sums of count * score over
-    its rows, shaped (pairs, target, functional) with the integer scores
-    V0, V1 * M^n and V2 * M^2n of F and C.
-    """
-    blocks = _block_structure(M, n)
-    faces, edges_any, edges_shared, vertices = np.moveaxis(_pattern_scores_2d(M, n), -1, 0)
-    scores = np.stack((vertices - edges_any + faces, 2 * faces - edges_shared, faces), axis=-1)
-    base = _nodes_2d(M, n) + 1  # kept and dropped lie in 0..nodes
-    codes, inverse = np.unique(blocks.kept * base + blocks.dropped, return_inverse=True)
-    sums = np.zeros((len(codes),) + scores.shape[1:], dtype=np.int64)
-    np.add.at(sums, inverse, blocks.count[:, None, None] * scores[blocks.pattern])
-    sums.flags.writeable = False
-    return tuple(zip((codes // base).tolist(), (codes % base).tolist())), sums
-
-
-@lru_cache(maxsize=None)
-def _table_2d(M: int, p: Fraction, n: int) -> dict:
-    """All six exact expectations {(functional, target): Fraction}; only the
-    few exponent pairs of :func:`_exponent_sums_2d` meet big-integer weights."""
-    exponents, sums = _exponent_sums_2d(M, n)
-    emax = _nodes_2d(M, n)
-    weights = _weight_numerators([((a, b, 1),) for a, b in exponents], p, emax)
-    den = p.denominator**emax
-    s1 = Fraction(1, M**n)
-    table = {}
-    for t, target in enumerate(TARGETS_2D):
-        for k in range(len(FUNCTIONALS_2D)):
-            total = sum(map(operator.mul, weights, sums[:, t, k].tolist()))
-            table[(f"V{k}", target)] = Fraction(total, den) * s1**k
-    return table
-
-
 def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -> Fraction:
     """Exact expectation E V_k at level n for the construction set ("F")
     or its closed complement ("C"); feasible instances only."""
@@ -413,7 +340,7 @@ def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -
         raise ValueError(f"functional must be V0, V1 or V2, got {functional!r}")
     if target not in TARGETS_2D:
         raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    return _table_2d(M, Fraction(p), n)[(functional, target)]
+    return _table(M, Fraction(p), n, 2)[(functional, target)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,30 +372,25 @@ def enumerate_corner_intersection_2d(M: int, p, n: int, ell: int, k: int, target
 
 
 def enumerate_side_intersection_2d(M: int, p, n: int, k: int, target: str = "F") -> Fraction:
-    """Exact E V_k of a side pair of first-level cells at level n.
+    """Exact E V_k (k = 0, 1) of a side pair of first-level cells at level n.
 
     The two neighbouring copies restrict to their shared segment as two
     independent one-dimensional trees at level n-1, each preceded by one
     extra survival decision ("F": empty on failure; "C": the whole segment
-    on failure). V_k scales by M^-k under the embedding of the segment.
+    on failure), so the pair is a mixture over the two decisions. V_k
+    scales by M^-k under the embedding of the segment.
     """
     p = Fraction(p)
     if n < 1:
         raise ValueError("side intersections exist for n >= 1")
-    dist = leaf_distribution(M, p, n - 1)
-    full = (1 << (M ** (n - 1))) - 1
-    whole = IntervalSet1D(((Fraction(0), Fraction(1)),))
-    empty = IntervalSet1D(())
-    hat = []
-    for mask, w in dist:
-        if target == "C":
-            mask ^= full
-        hat.append((p * w, interval_set_from_leaves(mask, M, n - 1)))
-    hat.append((1 - p, empty if target == "F" else whole))
-    total = Fraction(0)
-    for w1, s1 in hat:
-        for w2, s2 in hat:
-            iv = s1.intersect(s2)
-            value = Fraction(iv.v0) if k == 0 else iv.v1
-            total += w1 * w2 * value
-    return total / M**k
+    if target not in TARGETS_2D:
+        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
+    functional = f"V{k}"
+    if target == "F":
+        value = p * p * enumerate_1d(M, p, n - 1, functional, "KK")
+    else:
+        # both alive: D meets D'; one alive: D meets the segment; none: the segment
+        value = (p * p * enumerate_1d(M, p, n - 1, functional, "DD")
+                 + 2 * p * (1 - p) * enumerate_1d(M, p, n - 1, functional, "D")
+                 + (1 - p) ** 2)
+    return value / M**k

@@ -75,13 +75,15 @@ def test_acceptance_1_formula_oracle_equivalence():
                     assert A.ev(exact, n, k, target) == want, (M, n, p, functional, target)
                     assert _close_rel(float(A.ev(approx, n, k, target)), float(want))
                     checks += 1
-    # per-level intersection terms: corners and side pairs, both targets
-    for M, n in ((2, 1), (2, 2), (3, 1)):
+    # per-level intersection terms, both targets: corners up to level 2 (the
+    # corner oracle enumerates 2^(ell n) chains), side pairs up to level 3
+    for M, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        corners = ((2, "corner2"), (3, "corner3"), (4, "corner4")) if n <= 2 else ()
         for p in ORACLE_PS:
             exact = ModelParams(M, p, 2)
             approx = ModelParams(M, float(p), 2)
             for target in ("F", "C"):
-                for ell, name in ((2, "corner2"), (3, "corner3"), (4, "corner4")):
+                for ell, name in corners:
                     want = O.enumerate_corner_intersection_2d(M, p, n, ell, 0, target)
                     assert A.intersection_series_terms_2d(exact, name, n, 0, target) == want
                     assert _close_rel(

@@ -1,4 +1,4 @@
-"""Accumulator algebra, merge invariance, coupling, CSV output."""
+"""Accumulator statistics, shard invariance, coupling, CSV output."""
 
 import csv
 import math
@@ -24,28 +24,11 @@ def test_estimate_matches_numpy():
     assert est.stderr == pytest.approx(data.std(ddof=1) / math.sqrt(500), rel=1e-10)
 
 
-def test_estimate_merge_equals_pooled():
-    rng = np.random.default_rng(1)
-    data = rng.exponential(1.0, size=999)
-    pooled = McEstimate()
-    for x in data:
-        pooled.push(float(x))
-    parts = [McEstimate() for _ in range(7)]
-    for i, x in enumerate(data):
-        parts[i % 7].push(float(x))
-    merged = McEstimate()
-    for part in parts:
-        merged.merge(part)
-    assert merged.count == pooled.count
-    assert merged.mean == pytest.approx(pooled.mean, rel=1e-13)
-    assert merged.m2 == pytest.approx(pooled.m2, rel=1e-10)
-
-
 def test_empty_estimate():
     est = McEstimate()
-    assert math.isnan(est.stderr)
-    est.merge(McEstimate())
-    assert est.count == 0
+    assert est.count == 0 and math.isnan(est.stderr)
+    est.push(1.0)
+    assert est.count == 1 and math.isnan(est.stderr)
 
 
 def test_stderr_scales_like_inverse_sqrt_count():
