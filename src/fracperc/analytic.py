@@ -156,8 +156,7 @@ def dims(params: ModelParams) -> DimensionReport:
     Dprime = 1 + 2 * math.log(p) / logM
     if d == 1:
         return DimensionReport(d, D, Dprime, params.non_empty_regime)
-    c2 = 4 * M * (1 - p) / (M - p)
-    c3 = -2 * M * (M - 1) * p * (1 - p * p) / ((M - p) * (M - p * p))
+    c2, c3 = _sub_amplitudes(M, p)
     return DimensionReport(
         d,
         D,
@@ -427,11 +426,17 @@ def _vc0_2d_limit_expr(M: int, p: Number) -> Number:
     return M * M * (1 - p) * num / _frac((M * M - p**3) * (M - p), p)
 
 
-def _ev_vc0_terms(M: int, p: Number, m: int):
-    """The six exact scale components of E V_0(C_m), m >= 1."""
+def _sub_amplitudes(M: int, p: Number):
+    """Amplitudes c2, c3 of the terms (Mp)^m and (Mp^2)^m of E V_0(C_m)."""
     c2 = 4 * M * (1 - p) / (M - p)
     c3 = -2 * M * (M - 1) * p * (1 - p * p) / _frac((M - p) * (M - p * p), p)
-    ct = -((M - 1) ** 2) * p**3 * (M + p * p) / _frac((M - p * p) * (M * M - p**3), p)
+    return c2, c3
+
+
+def _ev_vc0_terms(M: int, p: Number, m: int):
+    """The six exact scale components of E V_0(C_m), m >= 1."""
+    c2, c3 = _sub_amplitudes(M, p)
+    ct = -_v0_2d_brackets(M, p)[3]  # the p^{4m} amplitude of F_n, negated
     leading = _vc0_2d_limit_expr(M, p) * (M * M * p) ** m
     sub2 = c2 * (M * p) ** m
     sub3 = c3 * (M * p * p) ** m

@@ -183,14 +183,14 @@ def _require_seed(config: RunConfig) -> tuple:
 def _p_grid(config: RunConfig) -> list:
     lo_domain = 1.0 / config.M**config.d
     step = config.p_step if config.p_step is not None else 0.02
+    if step <= 0:
+        raise ConfigError("p_step must be positive")
     stop = config.p_stop if config.p_stop is not None else 0.99
     if config.p_start is not None:
         start = config.p_start
     else:
         k = int(lo_domain / step) + 1
         start = round(k * step, 12)
-    if step <= 0:
-        raise ConfigError("p_step must be positive")
     if start <= lo_domain:
         raise ConfigError(
             f"p grid start {start} violates the open domain p > {lo_domain} for M = {config.M}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,8 +62,6 @@ class ExperimentResult:
     connectivity: int
     estimates: dict
     spanning: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    shards: int = 1
 
     def rescaled_mean(self, target: str, functional: str) -> float | None:
         """Mean scaled by r^{n(D-k)}, attached only in the nonempty regime."""
@@ -108,14 +105,13 @@ class ExperimentResult:
         return rows
 
 
-def _new_estimates(functionals, targets):
-    return {(t, f) for t in targets for f in functionals}
+def _new_estimates(functionals):
+    return {(t, f) for t in ("F", "C") for f in functionals}
 
 
 def _run_shard(args):
-    (params, n, seed, start, count, functionals, targets, connectivity, axes,
-     budget_bytes) = args
-    estimates = {key: [] for key in _new_estimates(functionals, targets)}
+    params, n, seed, start, count, functionals, connectivity, axes, budget_bytes = args
+    estimates = {key: [] for key in _new_estimates(functionals)}
     spanning = {axis: [] for axis in axes}
     for i in range(start, start + count):
         grid = sampler.sample(params, n, seed, i, budget_bytes=budget_bytes)
@@ -147,7 +143,6 @@ def run_experiment(
     samples: int,
     seed: int,
     functionals: tuple = ("V0", "V1", "V2"),
-    targets: tuple = ("F", "C"),
     connectivity: int = 8,
     spanning_axes: tuple = (),
     workers: int = 1,
@@ -155,7 +150,7 @@ def run_experiment(
     budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES,
 ) -> ExperimentResult:
     """Sample ``samples`` replicates of F_n and accumulate the requested
-    functionals on the requested targets.
+    functionals on F and on C.
 
     The replicate set is fully determined by (params, n, seed), and every
     replicate's values are pushed in replicate order, so the result is
@@ -169,10 +164,9 @@ def run_experiment(
         if _FUNCTIONAL_INDEX[f] > params.d:
             raise ValueError(f"{f} undefined for d = {params.d}")
     shards = shards or max(1, workers)
-    t0 = time.perf_counter()
     shard_args = [
-        (params, n, seed, start, count, tuple(functionals), tuple(targets),
-         connectivity, tuple(spanning_axes), budget_bytes)
+        (params, n, seed, start, count, tuple(functionals), connectivity,
+         tuple(spanning_axes), budget_bytes)
         for start, count in _shard_plan(samples, shards)
     ]
     if workers > 1 and len(shard_args) > 1:
@@ -180,7 +174,7 @@ def run_experiment(
             partials = list(pool.map(_run_shard, shard_args))
     else:
         partials = [_run_shard(a) for a in shard_args]
-    estimates = {key: McEstimate() for key in _new_estimates(functionals, targets)}
+    estimates = {key: McEstimate() for key in _new_estimates(functionals)}
     spanning = {axis: McEstimate() for axis in spanning_axes}
     for est_part, span_part in partials:
         for key, values in est_part.items():
@@ -189,10 +183,7 @@ def run_experiment(
         for axis, values in span_part.items():
             for x in values:
                 spanning[axis].push(x)
-    return ExperimentResult(
-        params, n, seed, samples, connectivity, estimates, spanning,
-        elapsed=time.perf_counter() - t0, shards=len(shard_args),
-    )
+    return ExperimentResult(params, n, seed, samples, connectivity, estimates, spanning)
 
 
 def spanning_probability(
@@ -209,7 +200,7 @@ def spanning_probability(
     boundaries along ``axis`` (binomial standard error)."""
     result = run_experiment(
         params, n, samples, seed,
-        functionals=(), targets=(), connectivity=connectivity,
+        functionals=(), connectivity=connectivity,
         spanning_axes=(axis,), workers=workers, budget_bytes=budget_bytes,
     )
     return result.spanning[axis]

@@ -27,7 +27,10 @@ pairs at once from integer masks: grid point k lies in the closed set
 exactly when bit k of ``mask | mask << 1`` is set, so the shared cells,
 their runs and the isolated touching points of each pair are popcounts
 of bitwise expressions (every score is mirror-symmetric, so the bit order
-of the keys does not matter).
+of the keys does not matter). They too are summed per pair of exponent
+classes before any big-integer weight is formed, and a corner point of
+first-level cells is the end of its chain of nested cells, the 1-d tree
+with M = 1: every expectation is one weighting of class sums.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import numbers
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +52,7 @@ FEASIBLE_2D = ((2, 1), (2, 2), (3, 1))
 MAX_NODES_1D = 21
 
 #: Budget on pattern pairs of one 1-d intersection table ("KK" or "DD"):
-#: three int64 arrays of this many entries are cached per instance.
+#: three int64 arrays of this many entries are built per instance.
 MAX_PATTERN_PAIRS_1D = 2**20
 
 FUNCTIONALS_1D = ("V0", "V1", "N", "contains0", "contains1")
@@ -165,14 +167,26 @@ def _pattern_scores(M: int, n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _exponent_sums(M: int, n: int, d: int) -> tuple:
-    """p-independent half of :func:`_table`: the distinct (kept, dropped)
-    exponent pairs, and per pair the exact int64 sums of count * score over
-    its rows, shaped (pairs, target, functional) with the integer scores
-    V0, V1 * M^n and V2 * M^2n of F and C (d = 2), or V0, V1 * M^n, N and
-    the two endpoint memberships of K and D (d = 1).
+def _classes(M: int, n: int, d: int) -> tuple:
+    """The distinct (kept, dropped) exponent pairs of :func:`_block_structure`
+    in increasing order, and the read-only index into them of each row."""
+    blocks = _block_structure(M, n, d)
+    base = _tree_nodes(M**d, n) + 1  # kept and dropped lie in 0..nodes
+    codes, inverse = np.unique(blocks.kept * base + blocks.dropped, return_inverse=True)
+    inverse.flags.writeable = False
+    return tuple(zip((codes // base).tolist(), (codes % base).tolist())), inverse
+
+
+@lru_cache(maxsize=None)
+def _exponent_sums(M: int, n: int, d: int) -> np.ndarray:
+    """p-independent half of :func:`_table`: per exponent class of
+    :func:`_classes` the exact int64 sums of count * score over its rows,
+    shaped (classes, target, functional) with the integer scores V0,
+    V1 * M^n and V2 * M^2n of F and C (d = 2), or V0, V1 * M^n, N and the
+    two endpoint memberships of K and D (d = 1).
     """
     blocks = _block_structure(M, n, d)
+    exponents, inverse = _classes(M, n, d)
     faces, edges_any, edges_shared, vertices, first, last = np.moveaxis(
         _pattern_scores(M, n, d), -1, 0
     )
@@ -182,22 +196,20 @@ def _exponent_sums(M: int, n: int, d: int) -> tuple:
     else:  # a union of whole cells has no isolated points
         scores = (v0, faces, np.zeros_like(faces), first, last)
     scores = np.stack(scores, axis=-1)
-    base = _tree_nodes(M**d, n) + 1  # kept and dropped lie in 0..nodes
-    codes, inverse = np.unique(blocks.kept * base + blocks.dropped, return_inverse=True)
-    sums = np.zeros((len(codes),) + scores.shape[1:], dtype=np.int64)
+    sums = np.zeros((len(exponents),) + scores.shape[1:], dtype=np.int64)
     np.add.at(sums, inverse, blocks.count[:, None, None] * scores[blocks.pattern])
     sums.flags.writeable = False
-    return tuple(zip((codes // base).tolist(), (codes % base).tolist())), sums
+    return sums
 
 
 @lru_cache(maxsize=None)
 def _table(M: int, p: Fraction, n: int, d: int) -> dict:
     """All exact single-set expectations {(functional, target): Fraction};
-    only the few exponent pairs of :func:`_exponent_sums` meet big-integer
+    only the few exponent classes of :func:`_classes` meet big-integer
     weights."""
-    exponents, sums = _exponent_sums(M, n, d)
+    sums = _exponent_sums(M, n, d)
     emax = _tree_nodes(M**d, n)
-    weights = _weight_numerators(exponents, p, emax)
+    weights = _weight_numerators(_classes(M, n, d)[0], p, emax)
     den = p.denominator**emax
     table = {}
     for t, target in enumerate(_TARGETS[d]):
@@ -227,37 +239,29 @@ def _check_1d(M: int, n) -> int:
     return n
 
 
-def _pattern_weights(M: int, p: Fraction, n: int) -> list:
-    """Exact weight of each 1-d pattern scaled by den(p)^nodes, in key order."""
-    blocks = _block_structure(M, n, 1)
-    rows = list(zip(blocks.pattern.tolist(), blocks.kept.tolist(),
-                    blocks.dropped.tolist(), blocks.count.tolist()))
-    pairs = sorted({(a, b) for _, a, b, _ in rows})
-    weight = dict(zip(pairs, _weight_numerators(pairs, p, _tree_nodes(M, n))))
-    nums = [0] * len(blocks.keys)
-    for i, a, b, c in rows:
-        nums[i] += c * weight[a, b]
-    return nums
-
-
 def leaf_distribution(M: int, p, n: int) -> tuple:
     """Exact surviving-leaf distribution of K_n as ((key, Fraction), ...) in
     increasing key order; bit M^n - 1 - i of a key says whether leaf i survives."""
     n = _check_1d(M, n)
     p = Fraction(p)
-    den = p.denominator ** _tree_nodes(M, n)
-    keys = _block_structure(M, n, 1).keys.tolist()
-    return tuple((key, Fraction(num, den)) for key, num in zip(keys, _pattern_weights(M, p, n)))
+    nodes = _tree_nodes(M, n)
+    blocks = _block_structure(M, n, 1)
+    exponents, inverse = _classes(M, n, 1)
+    weights = _weight_numerators(exponents, p, nodes)
+    nums = [0] * len(blocks.keys)
+    for i, c, w in zip(blocks.pattern.tolist(), blocks.count.tolist(), inverse.tolist()):
+        nums[i] += c * weights[w]
+    den = p.denominator**nodes
+    return tuple((key, Fraction(num, den)) for key, num in zip(blocks.keys.tolist(), nums))
 
 
-@lru_cache(maxsize=None)
-def _pair_scores_1d(M: int, n: int, family: str) -> tuple:
+def _pair_scores_1d(M: int, n: int, family: str) -> np.ndarray:
     """Score matrices of pairwise intersections for "KK" or "DD".
 
-    Returns (v0, v1_scaled, isolated) as read-only int64 arrays over pattern
-    pairs in key order, with v1 scaled by M^n to stay integral. Raises
-    :class:`InstanceTooLargeError` when the tables would exceed
-    ``MAX_PATTERN_PAIRS_1D`` entries.
+    Returns the stacked (v0, v1_scaled, isolated) as one (3, patterns,
+    patterns) int64 array over pattern pairs in key order, with v1 scaled
+    by M^n to stay integral. Raises :class:`InstanceTooLargeError` when the
+    tables would exceed ``MAX_PATTERN_PAIRS_1D`` entries.
     """
     keys = _block_structure(M, _check_1d(M, n), 1).keys
     size = len(keys)
@@ -276,27 +280,22 @@ def _pair_scores_1d(M: int, n: int, family: str) -> tuple:
     isolated = (a | a << 1) & (b | b << 1) & ~cover  # grid points in both sets, on no shared cell
     runs = both & ~(both << 1)  # first cell of each run of shared cells
     iso = np.bitwise_count(isolated).astype(np.int64)
-    v0 = np.bitwise_count(runs) + iso
-    v1 = np.bitwise_count(both).astype(np.int64)
-    for table in (v0, v1, iso):
-        table.flags.writeable = False
-    return v0, v1, iso
+    return np.stack((np.bitwise_count(runs) + iso, np.bitwise_count(both), iso))
 
 
-def _quadratic_form(weights: list, matrix: np.ndarray) -> int:
-    """Exact sum_{ij} w_i w_j m_ij for integer weights, safe fallback included."""
-    size = len(weights)
-    wmax = max(abs(w) for w in weights)
-    mmax = int(np.abs(matrix).max(initial=0))
-    if wmax and wmax * mmax * size < 2**62:
-        warr = np.asarray(weights, dtype=np.int64)
-        inner = matrix @ warr
-        return sum(int(w) * int(v) for w, v in zip(weights, inner.tolist()))
-    return sum(
-        int(weights[i]) * int(weights[j]) * int(matrix[i, j])
-        for i in range(size)
-        for j in range(size)
-    )
+@lru_cache(maxsize=None)
+def _pair_sums(M: int, n: int, family: str) -> np.ndarray:
+    """Read-only (3, classes, classes) int64 sums of count * count * score
+    over the row pairs of each two exponent classes of :func:`_classes`;
+    counts total at most 2^nodes and scores M^n + 1, so entries stay < 2^47."""
+    tables = _pair_scores_1d(M, n, family)  # refuses oversized tables first
+    blocks = _block_structure(M, n, 1)
+    exponents, inverse = _classes(M, n, 1)
+    counts = np.zeros((len(exponents), len(blocks.keys)), dtype=np.int64)
+    np.add.at(counts, (inverse, blocks.pattern), blocks.count)
+    sums = counts @ tables @ counts.T
+    sums.flags.writeable = False
+    return sums
 
 
 def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -> Fraction:
@@ -314,11 +313,12 @@ def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -
         # membership of an endpoint in the intersection factorizes over copies
         single = enumerate_1d(M, p, n, functional, target[0])
         return single * single
-    v0, v1, iso = _pair_scores_1d(M, n, target)  # refuses oversized tables first
-    matrix = {"V0": v0, "V1": v1, "N": iso}[functional]
-    den = p.denominator ** _tree_nodes(M, n)
+    sums = _pair_sums(M, n, target)[("V0", "V1", "N").index(functional)].tolist()
+    nodes = _tree_nodes(M, n)
+    weights = _weight_numerators(_classes(M, n, 1)[0], p, nodes)
+    total = sum(w * sum(map(operator.mul, weights, row)) for w, row in zip(weights, sums))
     scale = M**n if functional == "V1" else 1
-    return Fraction(_quadratic_form(_pattern_weights(M, p, n), matrix), den * den * scale)
+    return Fraction(total, p.denominator ** (2 * nodes) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +349,22 @@ def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -
 
 def enumerate_corner_intersection_2d(M: int, p, n: int, ell: int, k: int, target: str = "F") -> Fraction:
     """Exact E V_k of ell construction sets (or complements) meeting at a
-    first-level corner, by enumerating the ell survival chains of length n.
+    first-level corner, from the survival chains of length n.
 
     The intersection is the corner point itself; it belongs to copy j
     exactly when every node of the chain of cells containing the corner
-    survives ("C": when at least one node died).
+    survives ("C": when at least one node died): the first end of the 1-d
+    tree with M = 1, once per independent copy.
     """
-    p = Fraction(p)
+    if target not in TARGETS_2D:
+        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
+    if k not in (0, 1, 2):
+        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
+    if not isinstance(ell, numbers.Integral) or ell < 0:
+        raise ValueError(f"ell must be a non-negative integer, got {ell!r}")
     if k >= 1:
         return Fraction(0)
-    if ell * n > 24:
-        raise InstanceTooLargeError("corner chains too deep to enumerate")
-    total = Fraction(0)
-    for bits in product((0, 1), repeat=ell * n):
-        w = Fraction(1)
-        for b in bits:
-            w *= p if b else 1 - p
-        alive = [all(bits[j * n : (j + 1) * n]) for j in range(ell)]
-        present = all(alive) if target == "F" else not any(alive)
-        total += w * (1 if present else 0)
-    return total
+    return enumerate_1d(1, p, n, "contains0", "K" if target == "F" else "D") ** ell
 
 
 def enumerate_side_intersection_2d(M: int, p, n: int, k: int, target: str = "F") -> Fraction:

@@ -75,10 +75,9 @@ def test_acceptance_1_formula_oracle_equivalence():
                     assert A.ev(exact, n, k, target) == want, (M, n, p, functional, target)
                     assert _close_rel(float(A.ev(approx, n, k, target)), float(want))
                     checks += 1
-    # per-level intersection terms, both targets: corners up to level 2 (the
-    # corner oracle enumerates 2^(ell n) chains), side pairs up to level 3
+    # per-level intersection terms, both targets: corners and side pairs
     for M, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        corners = ((2, "corner2"), (3, "corner3"), (4, "corner4")) if n <= 2 else ()
+        corners = ((2, "corner2"), (3, "corner3"), (4, "corner4"))
         for p in ORACLE_PS:
             exact = ModelParams(M, p, 2)
             approx = ModelParams(M, float(p), 2)

@@ -272,6 +272,9 @@ def test_user_input_errors_exit_2(tmp_path):
         ["oracle", "--config", str(cfg_d), "-M", "2", "-n", "1", "-p", "1/2"],
         ["oracle", "-M", "2", "-d", "1", "-n", "1", "-p", "1/2", "--target", "F"],
         ["oracle", "-M", "2", "-d", "2", "-n", "1", "-p", "1/2", "--functional", "N"],
+        ["curves", "--p-step", "0", "--out", str(tmp_path / "c")],
+        ["simulate", "-n", "2", "--samples", "2", "--seed", "1", "--p-step", "0",
+         "--out", str(tmp_path / "s")],
     ):
         assert cli.main(argv) == EXIT_CONFIG, argv
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracperc import analytic as A
 from fracperc import geometry as G
 from fracperc import oracle as O
 from fracperc.oracle import InstanceTooLargeError
@@ -192,6 +193,12 @@ def test_argument_validation():
         O.enumerate_2d(2, F(1, 2), 1, "V0", "X")
     with pytest.raises(ValueError):
         O.enumerate_2d(2, F(1, 2), 1, "V3", "F")
+    with pytest.raises(ValueError):
+        O.enumerate_corner_intersection_2d(2, F(1, 2), 1, 2, 0, "X")
+    with pytest.raises(ValueError):
+        O.enumerate_corner_intersection_2d(2, F(1, 2), 1, 2, 7, "F")
+    with pytest.raises(ValueError):
+        O.enumerate_corner_intersection_2d(2, F(1, 2), 1, -1, 0, "F")
     # a level that is not a non-negative integer, or a subdivision count that
     # is not a positive integer, fails before any build
     for n in (-1, 1.5):
@@ -310,12 +317,30 @@ def test_2d_envelope_guard():
 
 
 def test_corner_oracle_matches_independence():
+    # a chain of n nodes is the 1-d tree with M = 1: every level of its
+    # 21-node budget, and one beyond
     for p in (F(1, 5), F(1, 2)):
-        for n in (1, 2):
+        for n in range(1, 22):
             for ell in (2, 3, 4):
                 assert O.enumerate_corner_intersection_2d(2, p, n, ell, 0, "F") == p ** (ell * n)
                 assert O.enumerate_corner_intersection_2d(2, p, n, ell, 0, "C") == (1 - p**n) ** ell
                 assert O.enumerate_corner_intersection_2d(2, p, n, ell, 1, "F") == 0
+    for ell in (2, 3, 4):
+        with pytest.raises(InstanceTooLargeError):
+            O.enumerate_corner_intersection_2d(2, F(1, 2), 22, ell, 0, "F")
+
+
+def test_pair_expectations_with_large_weights():
+    # p close to 1 or with a large denominator gives exact weights far
+    # beyond int64; only the per-class score sums are int64
+    for M, n in ((2, 3), (3, 2)):
+        for p in (F(999, 1000), F(12345, 99991)):
+            exact = A.ModelParams(M, p, 1)
+            assert O.enumerate_1d(M, p, n, "V0", "KK") == A.ev_vk_intersect_1d(exact, n, 0)
+            assert O.enumerate_1d(M, p, n, "V1", "KK") == A.ev_vk_intersect_1d(exact, n, 1)
+            assert O.enumerate_1d(M, p, n, "N", "KK") == A.ev_n_isolated_1d(exact, n)
+            assert O.enumerate_1d(M, p, n, "V0", "DD") == A.ev_vk_complement_1d(exact, n, 0, True)
+            assert O.enumerate_1d(M, p, n, "V1", "DD") == A.ev_vk_complement_1d(exact, n, 1, True)
 
 
 def test_side_oracle_level1():
