@@ -163,6 +163,10 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigError(f"axis must be x or y, got {config.axis!r}")
     if config.spanning not in _SPANNING_AXES:
         raise ConfigError(f"spanning must be one of {tuple(_SPANNING_AXES)}, got {config.spanning!r}")
+    if config.d == 1 and "y" in _SPANNING_AXES[config.spanning]:
+        raise ConfigError(f"spanning {config.spanning!r} needs d = 2: a d = 1 lattice has one row")
+    if config.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {config.workers}")
 
 
 def _model_params(M, p, d) -> ModelParams:

@@ -44,8 +44,9 @@ _EIGHT = np.ones((3, 3), dtype=int)
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 
 
-#: Lattices per offset ``bincount``; bounds the (block, 81) histogram of a stack.
-_BLOCK = 1024
+#: Windows per offset ``bincount``, each lattice of a block also charged its
+#: 81 histogram bins: bounds the int64 codes and histograms of one block.
+_BLOCK_WINDOWS = 1 << 20
 
 
 def _window_table() -> np.ndarray:
@@ -117,20 +118,30 @@ def _window_counters(occ: np.ndarray) -> np.ndarray:
     """Counters of F and C for one lattice or a stack on leading axes.
 
     Returns int64 of shape ``occ.shape[:-2] + (2, 4)``: F, then C, each
-    (faces, edges_any, edges_shared, vertices_any).
+    (faces, edges_any, edges_shared, vertices_any). Small lattices are
+    grouped into blocks of about ``_BLOCK_WINDOWS`` windows; a lattice with
+    more windows is split into bands of window rows, whose slices of the
+    padded lattice overlap by one row, so each window is counted once.
     """
     occ = np.asarray(occ, dtype=bool)
-    stack = occ.reshape((math.prod(occ.shape[:-2]),) + occ.shape[-2:])
+    H, W = occ.shape[-2:]
+    stack = occ.reshape((math.prod(occ.shape[:-2]), H, W))
     out = np.empty((len(stack), 8), dtype=np.int64)
-    for start in range(0, len(stack), _BLOCK):
-        block = stack[start : start + _BLOCK]
+    group = max(1, _BLOCK_WINDOWS // ((H + 1) * (W + 1) + 81))
+    rows = max(1, _BLOCK_WINDOWS // (W + 1))
+    for start in range(0, len(stack), group):
+        block = stack[start : start + group]
         size = len(block)
         P = np.pad(block.view(np.uint8), ((0, 0), (1, 1), (1, 1)), constant_values=2)
-        codes = P[:, :-1, :-1] + 3 * P[:, :-1, 1:] + 9 * P[:, 1:, :-1] + 27 * P[:, 1:, 1:]
+        offsets = 81 * np.arange(size)[:, None]
+        hist = np.zeros(81 * size, dtype=np.int64)
+        for top in range(0, H + 1, rows):
+            band = P[:, top : top + rows + 1]
+            codes = (band[:, :-1, :-1] + 3 * band[:, :-1, 1:]
+                     + 9 * band[:, 1:, :-1] + 27 * band[:, 1:, 1:])
+            hist += np.bincount((codes.reshape(size, -1) + offsets).ravel(), minlength=81 * size)
         del P
-        codes = codes.reshape(size, -1) + 81 * np.arange(size)[:, None]
-        hist = np.bincount(codes.ravel(), minlength=81 * size).reshape(size, 81)
-        counts4 = hist @ _WINDOW_TABLE
+        counts4 = hist.reshape(size, 81) @ _WINDOW_TABLE
         assert not (counts4 % 4).any()
         out[start : start + size] = counts4 // 4
     return out.reshape(occ.shape[:-2] + (2, 4))
@@ -164,8 +175,16 @@ def minkowski_pair(grid) -> tuple[MinkowskiValues, MinkowskiValues]:
     """Functionals of the occupied cells (F) and of their closed complement
     (C) from one window pass; ``grid`` may also be a raw boolean array."""
     occ, cell_size, d = _as_occupancy(grid)
-    f, c = _window_counters(occ).tolist()
-    return _values(d, cell_size, *f), _values(d, cell_size, *c)
+    return minkowski_pairs(occ[None], cell_size, d)[0]
+
+
+def minkowski_pairs(stack: np.ndarray, cell_size: Number, d: int = 2) -> list:
+    """:func:`minkowski_pair` of every lattice of a ``(B, H, W)`` stack of
+    one cell size, from one window pass over the stack."""
+    return [
+        (_values(d, cell_size, *f), _values(d, cell_size, *c))
+        for f, c in _window_counters(stack).tolist()
+    ]
 
 
 def minkowski_audit(grid) -> MinkowskiValues:

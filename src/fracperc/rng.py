@@ -9,8 +9,11 @@ bit for bit. Because the survival probability does not enter the hash,
 grids drawn for different ``p`` from the same seed are coupled through
 shared uniforms (cell-wise monotone in ``p``).
 
-The mixer is the 64-bit xor-shift-multiply finalizer used by splitmix-style
-generators, applied after each key word is folded in.
+The hash runs in two steps: ``node_key`` folds (seed, sample index, level)
+into one key per level of a replicate, and ``cell_uniforms`` hashes each
+cell index under its key, so a stack of replicates hashes its keys once
+per level. The mixer is the 64-bit xor-shift-multiply finalizer used by
+splitmix-style generators, applied after each key word is folded in.
 """
 
 from __future__ import annotations
@@ -45,6 +48,18 @@ def node_key(seed: int, sample_index, level: int):
     return z
 
 
+def cell_uniforms(key, cell_indices) -> np.ndarray:
+    """Uniforms in [0, 1) of the given cells under level keys from :func:`node_key`.
+
+    ``key`` may be one key or an array of keys broadcastable against
+    ``cell_indices`` (one key per cell serves a stack of replicates).
+    """
+    idx = np.asarray(cell_indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = _mix(_mix(key ^ (idx + np.uint64(1)) * _GOLDEN))
+    return (z >> np.uint64(11)).astype(np.float64) * _U53_INV
+
+
 def node_uniforms(seed: int, sample_index, level: int, cell_indices) -> np.ndarray:
     """Uniforms in [0, 1) for the given cells of one subdivision level.
 
@@ -52,11 +67,7 @@ def node_uniforms(seed: int, sample_index, level: int, cell_indices) -> np.ndarr
     ``sample_index`` may be a scalar or an array broadcastable against
     them (the vector form serves bulk statistical tests).
     """
-    idx = np.asarray(cell_indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = node_key(seed, sample_index, level)
-        z = _mix(_mix(base ^ (idx + np.uint64(1)) * _GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * _U53_INV
+    return cell_uniforms(node_key(seed, sample_index, level), cell_indices)
 
 
 def derive_seed(seed: int, tag: str) -> int:

@@ -10,6 +10,12 @@ bit, in any traversal order and on any machine.
 
 Grids are stored as row-major boolean arrays, one byte per cell; for
 d = 1 the array has a single row so the 2-d code paths are shared.
+``sample_stack`` draws a block of replicates as one ``(B, rows, columns)``
+stack: each level hashes one key per replicate, and one pass over the
+stack's living candidates splits each flat position into (replicate,
+cell) and draws its uniform from that replicate's key, so every lattice
+of the stack equals the one ``sample`` draws for its index. ``sample`` is
+the one-replicate stack.
 """
 
 from __future__ import annotations
@@ -21,12 +27,18 @@ import numpy as np
 from . import rng
 from .analytic import ModelParams
 
-#: Default memory budget for one realization (2 GiB).
+#: Default memory budget for one realization or stack (2 GiB).
 DEFAULT_BUDGET_BYTES = 2 << 30
 
-#: Modelled peak bytes per cell of one replicate: under tracemalloc ``sample``
-#: peaks at 41.5 at p = 1, the F+C window pass at 11 and ``label`` at 5.
+#: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
+#: at p = 1, ``sample`` peaks at 18 at n = 8 and ``sample_stack`` at 24 for
+#: a block of 256 lattices at n = 4; the F+C window pass peaks at 11 at
+#: n = 8 and 17 for that block, and ``label`` at 5.
 PEAK_BYTES_PER_CELL = 48
+
+#: Candidates hashed per call: bounds the hash's temporaries (about 40 bytes
+#: per candidate) to a constant.
+_HASH_CHUNK = 1 << 14
 
 
 class MemoryBudgetError(RuntimeError):
@@ -61,11 +73,59 @@ class GridRealization:
 
 
 def _expand(occ: np.ndarray, M: int, d: int) -> np.ndarray:
-    """Blow each cell up into its M^d children."""
-    out = np.repeat(occ, M, axis=1)
+    """Blow each cell up into its M^d children (on the last two axes)."""
+    out = np.repeat(occ, M, axis=-1)
     if d == 2:
-        out = np.repeat(out, M, axis=0)
+        out = np.repeat(out, M, axis=-2)
     return out
+
+
+def sample_stack(
+    params: ModelParams,
+    n: int,
+    seed: int,
+    indices,
+    budget_bytes: int = DEFAULT_BUDGET_BYTES,
+) -> np.ndarray:
+    """Draw the replicates ``indices`` of F_n as one boolean stack.
+
+    Returns shape ``(B, M^n, M^n)``, or ``(B, 1, M^n)`` for d = 1, whose
+    k-th lattice is replicate ``indices[k]``. Each level hashes one key per
+    replicate, then draws the uniforms of the whole stack's living
+    candidates together, ``_HASH_CHUNK`` at a time.
+
+    Raises :class:`MemoryBudgetError` when the stack's modelled peak,
+    ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    M, d = params.M, params.d
+    cells = M ** (d * n)
+    need = len(indices) * cells * PEAK_BYTES_PER_CELL
+    if need > budget_bytes:
+        raise MemoryBudgetError(
+            f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
+        )
+    p = float(params.p)
+    occ = np.ones((len(indices), 1, 1), dtype=bool)
+    for level in range(1, n + 1):
+        candidates = _expand(occ, M, d)
+        idx = np.flatnonzero(candidates)
+        keys = rng.node_key(seed, indices, level)
+        level_cells = M ** (d * level)
+        keep = np.empty(len(idx), dtype=bool)
+        for lo in range(0, len(idx), _HASH_CHUNK):
+            part = idx[lo : lo + _HASH_CHUNK]
+            if len(indices) == 1:  # one replicate: the flat position is the cell
+                key, cell = keys[0], part
+            else:
+                replicate = part // level_cells
+                key, cell = keys[replicate], part - replicate * level_cells
+            keep[lo : lo + _HASH_CHUNK] = rng.cell_uniforms(key, cell) < p
+        occ = candidates
+        occ.flat[idx] = keep
+    return occ
 
 
 def sample(
@@ -75,28 +135,13 @@ def sample(
     sample_index: int = 0,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> GridRealization:
-    """Draw one realization of F_n.
+    """Draw one realization of F_n: the one-replicate :func:`sample_stack`.
 
     Raises :class:`MemoryBudgetError` when the lattice's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    M, d = params.M, params.d
-    cells = M ** (d * n)
-    if cells * PEAK_BYTES_PER_CELL > budget_bytes:
-        raise MemoryBudgetError(
-            f"lattice of {cells} cells needs {cells * PEAK_BYTES_PER_CELL} bytes, over {budget_bytes}"
-        )
-    p = float(params.p)
-    occ = np.ones((1, 1), dtype=bool)
-    for level in range(1, n + 1):
-        candidates = _expand(occ, M, d)
-        idx = np.flatnonzero(candidates)
-        keep = rng.node_uniforms(seed, sample_index, level, idx) < p
-        occ = np.zeros(candidates.shape, dtype=bool)
-        occ.flat[idx[keep]] = True
-    return GridRealization(M, p, d, n, seed, sample_index, "F", occ)
+    occ = sample_stack(params, n, seed, [sample_index], budget_bytes)[0]
+    return GridRealization(params.M, float(params.p), params.d, n, seed, sample_index, "F", occ)
 
 
 def complement(grid: GridRealization) -> GridRealization:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from fracperc import cli
+from fracperc import cli, montecarlo, sampler
+from fracperc.analytic import ModelParams
 from fracperc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, RunConfig
 
 
@@ -71,6 +72,38 @@ def test_simulation_csv_digest_pinned(tmp_path):
     assert rc == EXIT_OK
     digest = hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest()
     assert digest == "3a575c2348bc93c5d4c6310f9c63f4c007fefe24715b870e84bd7b49b5cd4bfd"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["-M", "2", "-d", "1", "-n", "6", "--p-start", "0.6", "--p-stop", "0.9", "--samples", "100",
+      "--seed", "5", "--spanning", "x"],
+     "ee632a9073e7269297a037fa0b2d4d5de826cf0c6e98d9bc894dcbfcb610b6c6"),
+    (["-M", "3", "-n", "3", "--p-start", "0.5", "--p-stop", "0.8", "--samples", "100",
+      "--seed", "3", "--spanning", "x"],
+     "7796c7440cc1580fdeff6d4cc33520c46d20efd031f44c79d736f27b3c2a1736"),
+], ids=["d1", "M3"])
+def test_simulation_csv_digest_pinned_small_lattices(tmp_path, argv, expected):
+    # many replicates per block of the batched sampler: one 1-d and one M = 3 command
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", *argv, "--workers", "1", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest() == expected
+
+
+def test_budget_below_default_block_keeps_csv(tmp_path):
+    # a budget that fits three lattices but not a default block runs smaller blocks
+    params, cells = ModelParams(2, 0.6, 2), 4**4
+    small = 3 * cells * sampler.PEAK_BYTES_PER_CELL
+    assert montecarlo._block_size(params, 4, sampler.DEFAULT_BUDGET_BYTES) > 3
+    assert montecarlo._block_size(params, 4, small) == 3
+    csv_bytes = []
+    for budget in (sampler.DEFAULT_BUDGET_BYTES, small):
+        out = tmp_path / f"b{budget}"
+        rc = cli.main(["simulate", "-M", "2", "-n", "4", "-p", "0.6", "--samples", "50",
+                       "--seed", "7", "--spanning", "x", "--budget-bytes", str(budget),
+                       "--out", str(out)])
+        assert rc == EXIT_OK
+        csv_bytes.append((out / "simulation.csv").read_bytes())
+    assert csv_bytes[0] == csv_bytes[1]
 
 
 def test_curves_outputs(tmp_path):
@@ -275,6 +308,10 @@ def test_user_input_errors_exit_2(tmp_path):
         ["curves", "--p-step", "0", "--out", str(tmp_path / "c")],
         ["simulate", "-n", "2", "--samples", "2", "--seed", "1", "--p-step", "0",
          "--out", str(tmp_path / "s")],
+        sim + ["--workers", "0"],
+        sim + ["--workers", "-1"],
+        sim[:1] + ["-d", "1"] + sim[1:] + ["--spanning", "y"],
+        sim[:1] + ["-d", "1"] + sim[1:] + ["--spanning", "both"],
     ):
         assert cli.main(argv) == EXIT_CONFIG, argv
 

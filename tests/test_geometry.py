@@ -71,11 +71,29 @@ def test_lookup_equals_audit_and_crosscheck():
         assert a.v1 >= 0
     # one stacked kernel call (two leading axes, more lattices than one
     # bincount block) equals the per-slice calls
-    stack = rng.random((2, G._BLOCK // 2 + 3, 4, 5)) < 0.5
+    group = G._BLOCK_WINDOWS // (5 * 6 + 81)
+    stack = rng.random((2, group // 2 + 3, 4, 5)) < 0.5
     stacked = G._window_counters(stack)
     assert stacked.shape == stack.shape[:2] + (2, 4)
     for index in np.ndindex(*stack.shape[:2]):
         assert np.array_equal(stacked[index], G._window_counters(stack[index]))
+
+
+def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
+    # tiny window budgets split lattices into overlapping row bands and
+    # stacks into many blocks; the counters stay those of one whole pass
+    rng = np.random.default_rng(77)
+    cases = []
+    for _ in range(60):
+        shape = (int(rng.integers(1, 6)),) + tuple(int(v) for v in rng.integers(1, 30, size=2))
+        cases.append(rng.random(shape) < rng.choice((0.0, 0.3, 0.6, 1.0)))
+    cases += [rng.random((3, 1, 40)) < 0.5, rng.random((2, 40, 1)) < 0.5]
+    whole = [G._window_counters(occ) for occ in cases]
+    for budget in (1, 7, 50, 200, 1000):
+        monkeypatch.setattr(G, "_BLOCK_WINDOWS", budget)
+        for occ, expected in zip(cases, whole):
+            assert np.array_equal(G._window_counters(occ), expected), (budget, occ.shape)
+            assert np.array_equal(G._window_counters(occ[0]), expected[0]), (budget, occ.shape)
 
 
 def test_additivity_on_overlapping_column_splits():

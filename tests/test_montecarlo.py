@@ -42,6 +42,60 @@ def test_stderr_scales_like_inverse_sqrt_count():
     assert ratio == pytest.approx(0.25, rel=0.15)
 
 
+def _per_replicate_reference(params, n, samples, seed, functionals, axes):
+    """The estimates of run_experiment, one sample, window pass and labelling per replicate."""
+    from fracperc import geometry as G
+
+    index = {"V0": 0, "V1": 1, "V2": 2}
+    estimates = {(t, f): McEstimate() for t in ("F", "C") for f in functionals}
+    spanning = {axis: McEstimate() for axis in axes}
+    for i in range(samples):
+        grid = S.sample(params, n, seed, i)
+        pair = dict(zip(("F", "C"), G.minkowski_pair(grid)))
+        for (target, functional), est in estimates.items():
+            est.push(float(pair[target].vk(index[functional])))
+        lab = G.label(grid, 8)
+        for axis, est in spanning.items():
+            est.push(1.0 if (lab.spans_x if axis == "x" else lab.spans_y) else 0.0)
+    return estimates, spanning
+
+
+@pytest.mark.parametrize("M, d, n, p, axes", [
+    (2, 2, 3, 0.7, ("x", "y")),
+    (3, 2, 2, 0.5, ("y",)),
+    (2, 1, 5, 0.8, ("x",)),
+    (3, 1, 3, 0.6, ("x",)),
+])
+def test_blocked_run_matches_per_replicate_reference(monkeypatch, M, d, n, p, axes):
+    params = ModelParams(M, p, d)
+    functionals = ("V0", "V1", "V2")[: d + 1]
+    ref_est, ref_span = _per_replicate_reference(params, n, 137, 41, functionals, axes)
+    cells = M ** (d * n)
+    # one block per shard, then blocks of 5 and 7 replicates with a short last block
+    for shards, block_cells in ((1, MC.BLOCK_CELLS), (3, MC.BLOCK_CELLS), (1, 5 * cells),
+                                (3, 7 * cells + 1)):
+        monkeypatch.setattr(MC, "BLOCK_CELLS", block_cells)
+        result = MC.run_experiment(params, n, 137, 41, functionals=functionals,
+                                   spanning_axes=axes, shards=shards)
+        assert result.samples == 137
+        for got, want in ((result.estimates, ref_est), (result.spanning, ref_span)):
+            assert got.keys() == want.keys()
+            for key, est in want.items():
+                assert (got[key].count, got[key].mean, got[key].m2) == (est.count, est.mean, est.m2)
+
+
+def test_spanning_y_refused_in_one_dimension():
+    pr = ModelParams(2, 0.7, 1)
+    with pytest.raises(ValueError, match="d = 2"):
+        MC.run_experiment(pr, 3, 10, seed=0, functionals=(), spanning_axes=("y",))
+    with pytest.raises(ValueError, match="d = 2"):
+        MC.spanning_probability(pr, 3, 10, seed=0, axis="y")
+    with pytest.raises(ValueError, match="axis"):
+        MC.spanning_probability(ModelParams(2, 0.7, 2), 3, 10, seed=0, axis="z")
+    # spanning along x keeps its meaning: the whole interval survives
+    assert MC.spanning_probability(ModelParams(2, 1.0, 1), 3, 10, seed=0).mean == 1.0
+
+
 def test_merge_invariance_across_shardings():
     pr = ModelParams(2, 0.6, 2)
     base = MC.run_experiment(pr, 3, 800, seed=5, shards=1)

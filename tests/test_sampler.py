@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from fracperc import geometry as G
+from fracperc import montecarlo as MC
 from fracperc import rng
 from fracperc import sampler as S
 from fracperc.analytic import ModelParams
@@ -88,6 +89,45 @@ def test_replicate_peak_memory_within_guard_model():
         finally:
             tracemalloc.stop()
         assert peak <= S.PEAK_BYTES_PER_CELL * cells, (p, peak / cells)
+    # one default block of n = 4 replicates: the stack and its window pass
+    n = 4
+    for p in (0.7, 1.0):
+        params = ModelParams(2, p, 2)
+        block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES)
+        assert block > 1
+        cells = block * 4**n
+        tracemalloc.start()
+        try:
+            stack = S.sample_stack(params, n, 3, np.arange(block))
+            G.minkowski_pairs(stack, 2.0**-n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= S.PEAK_BYTES_PER_CELL * cells, (p, peak / cells)
+
+
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_stack_matches_sample(M, d):
+    indices = [5, 0, 17]
+    for n in (0, 1, 3, 4):
+        for p in (0.0, 0.4, 1.0):
+            params = ModelParams(M, p, d)
+            stack = S.sample_stack(params, n, 21, np.array(indices))
+            side = M**n
+            assert stack.shape == (3, side if d == 2 else 1, side) and stack.dtype == bool
+            for k, i in enumerate(indices):
+                assert np.array_equal(stack[k], S.sample(params, n, 21, i).occupancy), (n, p, i)
+
+
+def test_sample_stack_memory_guard():
+    params = ModelParams(2, 0.5, 2)
+    need = 3 * 4**3 * S.PEAK_BYTES_PER_CELL  # the guard charges the whole stack
+    assert S.sample_stack(params, 3, 0, [4, 5, 6], budget_bytes=need).shape == (3, 8, 8)
+    with pytest.raises(MemoryBudgetError):
+        S.sample_stack(params, 3, 0, [4, 5, 6], budget_bytes=need - 1)
+    with pytest.raises(ValueError):
+        S.sample_stack(params, 2.0, 0, [1])
 
 
 def test_offspring_counts_binomial():
