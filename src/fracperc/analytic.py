@@ -684,6 +684,12 @@ def ev(params: ModelParams, n: int, k: int, target: str = "F") -> Number:
     return _ev_vc0_2d(M, p, n) if k == 0 else _ev_vc1_2d(M, p, n)
 
 
+def rescale_factor(params: ModelParams, n: int, k: int) -> float:
+    """r^{n(D-k)} = (M^k / (M^d p))^n in float arithmetic, the factor taking
+    E V_k at level n to its rescaled value."""
+    return (float(params.M**k) / float(params.M**params.d * params.p)) ** n
+
+
 @dataclass(frozen=True)
 class RescaledSeries:
     """Finite-level rescaled expectations r^{n(D-k)} E V_k and their limit."""
@@ -703,13 +709,10 @@ def rescaled_series(
     finite rescaled limit.
     """
     _check_k(k, params.d)
-    M, p = params.M, params.p
-    mu = M**params.d * p
-    if mu <= 1:
-        raise DomainError("rescaled series needs M^d p > 1", M=M, p=p, k=k)
-    scale = float(M**k) / float(mu)  # r^{D-k} per level
+    if not params.non_empty_regime:
+        raise DomainError("rescaled series needs M^d p > 1", M=params.M, p=params.p, k=k)
     terms = tuple(
-        float(ev(params, n, k, target)) * scale**n for n in range(n_max + 1)
+        float(ev(params, n, k, target)) * rescale_factor(params, n, k) for n in range(n_max + 1)
     )
     limit: float | None
     if params.d == 1:

@@ -285,10 +285,8 @@ def cmd_simulate(config: RunConfig) -> int:
     for p in grid:
         params = _model_params(config.M, p, config.d)
         run_seed = seed if config.coupled else montecarlo.per_p_seed(seed, p)
-        functionals = ("V0", "V1") if config.d == 1 else ("V0", "V1", "V2")
         result = montecarlo.run_experiment(
             params, n, config.samples, run_seed,
-            functionals=functionals,
             connectivity=config.connectivity,
             spanning_axes=axes,
             workers=config.workers,

@@ -8,7 +8,8 @@ complex it spans:
     V0 = #vertices touched - #edges touched + #cells,
 
 the half-perimeter is V1 = s (2 #cells - #shared edges) and the area is
-V2 = s^2 #cells, with s the cell side length.
+V2 = s^2 #cells, with s the cell side length. ``vk_scores`` alone maps
+counters to the integer scores V_k / s^k, for Monte Carlo and the oracle too.
 
 Two independent implementations are kept on purpose. The performance path
 counts the 2x2 windows of the image, one per lattice vertex (Michielsen &
@@ -100,18 +101,24 @@ def _as_occupancy(grid) -> tuple[np.ndarray, Number, int]:
     return np.asarray(grid, bool), 1, 2
 
 
-def _values(d, cell_size, faces, edges_any, edges_shared, vertices_any):
-    if d == 1:
-        runs = faces - edges_shared  # a run of L cells touches L + 1 lattice points
+def vk_scores(counters, d: int) -> np.ndarray:
+    """Integer scores (V0, V1 M^n[, V2 M^2n]) of lattices at level n from their
+    counters (faces, edges_any, edges_shared, vertices_any) on the last axis:
+    shape ``(..., 4)`` -> int64 ``(..., d + 1)``. A d = 1 lattice is one row."""
+    faces, edges_any, edges_shared, vertices_any = np.asarray(counters).T
+    v0 = vertices_any - edges_any + faces  # on a 1 x L row: one per run of cells
+    return np.array((v0, faces) if d == 1 else (v0, 2 * faces - edges_shared, faces)).T
+
+
+def _values(d, cell_size, *counters):
+    faces, _, edges_shared, _ = counters
+    v0, v1, *v2 = vk_scores(counters, d).tolist()
+    if d == 1:  # a run of L cells touches L + 1 lattice points
         return MinkowskiValues(
-            1, cell_size, faces, faces, edges_shared, faces + runs, runs, cell_size * faces, None
+            1, cell_size, faces, faces, edges_shared, faces + v0, v0, cell_size * v1, None
         )
-    v0 = int(vertices_any - edges_any + faces)
-    v1 = cell_size * (2 * faces - edges_shared)
-    v2 = cell_size * cell_size * faces
-    return MinkowskiValues(
-        2, cell_size, int(faces), int(edges_any), int(edges_shared), int(vertices_any), v0, v1, v2
-    )
+    area = cell_size * cell_size * v2[0]
+    return MinkowskiValues(2, cell_size, *counters, v0, cell_size * v1, area)
 
 
 def _window_counters(occ: np.ndarray) -> np.ndarray:
@@ -175,16 +182,14 @@ def minkowski_pair(grid) -> tuple[MinkowskiValues, MinkowskiValues]:
     """Functionals of the occupied cells (F) and of their closed complement
     (C) from one window pass; ``grid`` may also be a raw boolean array."""
     occ, cell_size, d = _as_occupancy(grid)
-    return minkowski_pairs(occ[None], cell_size, d)[0]
+    f, c = _window_counters(occ).tolist()
+    return _values(d, cell_size, *f), _values(d, cell_size, *c)
 
 
-def minkowski_pairs(stack: np.ndarray, cell_size: Number, d: int = 2) -> list:
-    """:func:`minkowski_pair` of every lattice of a ``(B, H, W)`` stack of
-    one cell size, from one window pass over the stack."""
-    return [
-        (_values(d, cell_size, *f), _values(d, cell_size, *c))
-        for f, c in _window_counters(stack).tolist()
-    ]
+def window_scores(stack: np.ndarray, d: int = 2) -> np.ndarray:
+    """:func:`vk_scores` of F, then C, of every lattice of a ``(B, H, W)``
+    stack from one window pass: int64 of shape ``(B, 2, d + 1)``."""
+    return vk_scores(_window_counters(stack), d)
 
 
 def minkowski_audit(grid) -> MinkowskiValues:

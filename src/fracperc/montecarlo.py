@@ -6,13 +6,16 @@ generator state, the same seed always produces the same replicate set
 regardless of the shard plan or worker count. A shard walks its
 replicates in blocks of about ``BLOCK_CELLS`` lattice cells, capped by the
 memory budget: one ``sampler.sample_stack`` call draws a block and one
-window pass measures F and C of all its lattices (spanning labels each
-lattice). Shards return each replicate's values, which are pushed into one
-accumulator per estimate in replicate order, so the estimates (and
-``simulation.csv``) are bit-identical for every shard plan, block size and
-worker count. A sweep over a p grid
-reuses one shared set of uniforms per seed (coupled mode: grids are
-cell-wise monotone in p). Independent per-p streams are derived on request.
+``geometry.window_scores`` call gives the integer V_k scores of F and C of
+all its lattices (spanning labels each lattice). A shard returns one
+float64 array, a row per replicate: per (target, functional) the score
+times s^k with s = M^-n the cell side, then a 0/1 column per spanning
+axis. The shards' rows are concatenated in replicate order and each column
+is pushed into its accumulator, so the estimates (and ``simulation.csv``)
+are bit-identical for every shard plan, block size and worker count. A
+sweep over a p grid reuses one shared set of uniforms per seed (coupled
+mode: grids are cell-wise monotone in p). Independent per-p streams are
+derived on request.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, rng, sampler
-from .analytic import ModelParams
+from .analytic import ModelParams, rescale_factor
 
 _FUNCTIONAL_INDEX = {"V0": 0, "V1": 1, "V2": 2}
 
@@ -40,10 +43,11 @@ _FUNCTIONAL_INDEX = {"V0": 0, "V1": 1, "V2": 2}
 #: n = 9 5087 at B = 1 (B = 2 and 4 up to 14 % slower at p >= 0.7).
 BLOCK_CELLS = 1 << 18
 
-#: Replicates per block at most: a block also holds about 1 KB of Python
-#: values per replicate, which outweighs its cells below n = 4. At n = 1 and
-#: 100,000 replicates, blocks of 65,536 peaked 27 MB higher than blocks of
-#: 4,096, at the same speed.
+#: Replicates per block at most: below n = 4 a block's int64 window
+#: histograms, counters and scores outweigh its cells. Traced peak of one
+#: block at M = 2, p = 1, n = 0 (sampling and window pass): 5.8 MB at this
+#: cap, 38 MB at the 262,144 replicates of BLOCK_CELLS alone; 100,000
+#: replicates at n = 0, 1 and 2 run at the same speed either way.
 BLOCK_REPLICATES = 4096
 
 
@@ -89,46 +93,19 @@ class ExperimentResult:
         """Mean scaled by r^{n(D-k)}, attached only in the nonempty regime."""
         if not self.params.non_empty_regime:
             return None
-        k = _FUNCTIONAL_INDEX[functional]
-        mu = self.params.M**self.params.d * float(self.params.p)
-        scale = (self.params.M**k / mu) ** self.n
+        scale = rescale_factor(self.params, self.n, _FUNCTIONAL_INDEX[functional])
         return self.estimates[(target, functional)].mean * scale
 
     def to_rows(self) -> list:
-        rows = []
-        for (target, functional), est in sorted(self.estimates.items()):
-            rows.append(
-                {
-                    "M": self.params.M,
-                    "p": float(self.params.p),
-                    "n": self.n,
-                    "functional": functional,
-                    "target": target,
-                    "mean": est.mean,
-                    "stderr": est.stderr,
-                    "count": est.count,
-                    "rescaled_mean": self.rescaled_mean(target, functional),
-                }
-            )
-        for axis, est in sorted(self.spanning.items()):
-            rows.append(
-                {
-                    "M": self.params.M,
-                    "p": float(self.params.p),
-                    "n": self.n,
-                    "functional": f"span_{axis}",
-                    "target": "F",
-                    "mean": est.mean,
-                    "stderr": est.stderr,
-                    "count": est.count,
-                    "rescaled_mean": None,
-                }
-            )
-        return rows
-
-
-def _new_estimates(functionals):
-    return {(t, f) for t in ("F", "C") for f in functionals}
+        estimates = sorted(self.estimates.items())
+        items = [(t, f, est, self.rescaled_mean(t, f)) for (t, f), est in estimates]
+        items += [("F", f"span_{axis}", est, None) for axis, est in sorted(self.spanning.items())]
+        return [
+            {"M": self.params.M, "p": float(self.params.p), "n": self.n, "functional": functional,
+             "target": target, "mean": est.mean, "stderr": est.stderr, "count": est.count,
+             "rescaled_mean": rescaled}
+            for target, functional, est, rescaled in items
+        ]
 
 
 def _block_size(params: ModelParams, n: int, budget_bytes: int) -> int:
@@ -140,27 +117,25 @@ def _block_size(params: ModelParams, n: int, budget_bytes: int) -> int:
 
 
 def _run_shard(args):
-    params, n, seed, start, count, functionals, connectivity, axes, budget_bytes = args
-    estimates = {key: [] for key in _new_estimates(functionals)}
-    spanning = {axis: [] for axis in axes}
-    cell_size = float(params.M) ** -n
-    stop = start + count
+    """Values of replicates start .. start + count - 1, one row each: a
+    column per (target, functional) of ``keys``, then a 0/1 column per axis."""
+    params, n, seed, start, count, keys, connectivity, axes, budget_bytes = args
+    d = params.d
+    s = float(params.M) ** -n  # cell side: V_k is the integer score times s^k
+    scale = np.array((1.0, s, s * s)[: d + 1])
+    flat = [("F", "C").index(target) * (d + 1) + _FUNCTIONAL_INDEX[f] for target, f in keys]
+    values = np.empty((count, len(flat) + len(axes)))
     step = _block_size(params, n, budget_bytes)
-    for first in range(start, stop, step):
-        indices = np.arange(first, min(first + step, stop))
-        stack = sampler.sample_stack(params, n, seed, indices, budget_bytes)
-        if estimates:
-            for f, c in geometry.minkowski_pairs(stack, cell_size, params.d):
-                pair = {"F": f, "C": c}
-                for (target, functional), values in estimates.items():
-                    values.append(float(pair[target].vk(_FUNCTIONAL_INDEX[functional])))
-        if axes:
-            for occ in stack:
-                lab = geometry.label(occ, connectivity)
-                for axis in axes:
-                    hit = lab.spans_x if axis == "x" else lab.spans_y
-                    spanning[axis].append(1.0 if hit else 0.0)
-    return estimates, spanning
+    for first in range(0, count, step):
+        rows = np.arange(first, min(first + step, count))
+        stack = sampler.sample_stack(params, n, seed, start + rows, budget_bytes)
+        if flat:
+            scores = geometry.window_scores(stack, d) * scale
+            values[rows, : len(flat)] = scores.reshape(len(rows), -1)[:, flat]
+        for row, occ in zip(rows, stack if axes else ()):
+            lab = geometry.label(occ, connectivity)
+            values[row, len(flat) :] = [getattr(lab, f"spans_{axis}") for axis in axes]
+    return values
 
 
 def _shard_plan(samples: int, shards: int):
@@ -178,7 +153,7 @@ def run_experiment(
     n: int,
     samples: int,
     seed: int,
-    functionals: tuple = ("V0", "V1", "V2"),
+    functionals: tuple | None = None,
     connectivity: int = 8,
     spanning_axes: tuple = (),
     workers: int = 1,
@@ -186,7 +161,7 @@ def run_experiment(
     budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES,
 ) -> ExperimentResult:
     """Sample ``samples`` replicates of F_n and accumulate the requested
-    functionals on F and on C.
+    functionals (by default every V_k with k <= d) on F and on C.
 
     The replicate set is fully determined by (params, n, seed), and every
     replicate's values are pushed in replicate order, so the result is
@@ -194,6 +169,13 @@ def run_experiment(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    shards = workers if shards is None else shards
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
+    if functionals is None:
+        functionals = tuple(_FUNCTIONAL_INDEX)[: params.d + 1]
     for f in functionals:
         if f not in _FUNCTIONAL_INDEX:
             raise ValueError(f"unknown functional {f!r}")
@@ -204,10 +186,11 @@ def run_experiment(
             raise ValueError(f"spanning axis must be 'x' or 'y', got {axis!r}")
         if axis == "y" and params.d == 1:
             raise ValueError("spanning along y needs d = 2: a d = 1 lattice has one row")
-    shards = shards or max(1, workers)
+    estimates = {(t, f): McEstimate() for t in ("F", "C") for f in functionals}
+    spanning = {axis: McEstimate() for axis in spanning_axes}
     shard_args = [
-        (params, n, seed, start, count, tuple(functionals), connectivity,
-         tuple(spanning_axes), budget_bytes)
+        (params, n, seed, start, count, tuple(estimates), connectivity, tuple(spanning),
+         budget_bytes)
         for start, count in _shard_plan(samples, shards)
     ]
     if workers > 1 and len(shard_args) > 1:
@@ -215,15 +198,10 @@ def run_experiment(
             partials = list(pool.map(_run_shard, shard_args))
     else:
         partials = [_run_shard(a) for a in shard_args]
-    estimates = {key: McEstimate() for key in _new_estimates(functionals)}
-    spanning = {axis: McEstimate() for axis in spanning_axes}
-    for est_part, span_part in partials:
-        for key, values in est_part.items():
-            for x in values:
-                estimates[key].push(x)
-        for axis, values in span_part.items():
-            for x in values:
-                spanning[axis].push(x)
+    values = np.concatenate(partials)
+    for est, column in zip([*estimates.values(), *spanning.values()], values.T):
+        for x in column.tolist():
+            est.push(x)
     return ExperimentResult(params, n, seed, samples, connectivity, estimates, spanning)
 
 

@@ -187,15 +187,10 @@ def _exponent_sums(M: int, n: int, d: int) -> np.ndarray:
     """
     blocks = _block_structure(M, n, d)
     exponents, inverse = _classes(M, n, d)
-    faces, edges_any, edges_shared, vertices, first, last = np.moveaxis(
-        _pattern_scores(M, n, d), -1, 0
-    )
-    v0 = vertices - edges_any + faces  # a 1 x L row too: one per run of cells
-    if d == 2:
-        scores = (v0, 2 * faces - edges_shared, faces)
-    else:  # a union of whole cells has no isolated points
-        scores = (v0, faces, np.zeros_like(faces), first, last)
-    scores = np.stack(scores, axis=-1)
+    counters, ends = np.split(_pattern_scores(M, n, d), [4], axis=-1)
+    scores = geometry.vk_scores(counters, d)
+    if d == 1:  # a union of whole cells has no isolated points
+        scores = np.concatenate((scores, np.zeros_like(ends[..., :1]), ends), axis=-1)
     sums = np.zeros((len(exponents),) + scores.shape[1:], dtype=np.int64)
     np.add.at(sums, inverse, blocks.count[:, None, None] * scores[blocks.pattern])
     sums.flags.writeable = False

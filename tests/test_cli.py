@@ -256,6 +256,14 @@ def test_verify_passes(capsys):
     }
 
 
+def test_verify_stdout_digest_pinned(capsys):
+    # byte identity of the verify report (default seed) across changes to
+    # the oracle, the geometry kernel and the Monte Carlo engine
+    assert cli.main(["verify"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ba4c084ecb755e00e9e3c87a8c92cf8db86d9929de91cc8244747660b3376600"
+
+
 def test_verify_negative_control(monkeypatch, capsys):
     # a tampered closed form must make verification fail with exit code 3
     from fracperc import analytic

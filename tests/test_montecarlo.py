@@ -180,6 +180,26 @@ def test_sample_count_validation():
         MC.run_experiment(ModelParams(2, 0.5, 2), 2, 1, seed=0)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_refused(workers):
+    with pytest.raises(ValueError, match="workers"):
+        MC.run_experiment(ModelParams(2, 0.6, 2), 2, 10, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("shards", [0, -2])
+def test_shards_below_one_refused(shards):
+    with pytest.raises(ValueError, match="shards"):
+        MC.run_experiment(ModelParams(2, 0.6, 2), 2, 10, seed=1, shards=shards)
+
+
+def test_default_functionals_cover_every_k_up_to_d():
+    res = MC.run_experiment(ModelParams(3, 0.7, 1), 3, 20, seed=4)
+    assert set(res.estimates) == {(t, f) for t in ("F", "C") for f in ("V0", "V1")}
+    assert all(est.count == 20 for est in res.estimates.values())
+    res = MC.run_experiment(ModelParams(2, 0.7, 2), 2, 20, seed=4)
+    assert {f for _, f in res.estimates} == {"V0", "V1", "V2"}
+
+
 def test_oracle_bridge_at_level_one():
     # sample means meet the exact enumeration values at 4 sigma
     from fractions import Fraction

@@ -99,7 +99,7 @@ def test_replicate_peak_memory_within_guard_model():
         tracemalloc.start()
         try:
             stack = S.sample_stack(params, n, 3, np.arange(block))
-            G.minkowski_pairs(stack, 2.0**-n)
+            G.window_scores(stack)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -146,10 +146,11 @@ def test_offspring_counts_binomial():
 def test_population_mean_matches_branching_mean():
     # E (number of level-n cells) = (M^2 p)^n, checked at 4 sigma
     pr = ModelParams(2, 0.7, 2)
-    n, samples = 8, 10_000
+    n, samples, block = 8, 10_000, 16
     counts = np.empty(samples)
-    for i in range(samples):
-        counts[i] = S.sample(pr, n, seed=999, sample_index=i).occupied_count
+    for first in range(0, samples, block):
+        indices = np.arange(first, min(first + block, samples))
+        counts[indices] = S.sample_stack(pr, n, 999, indices).sum(axis=(1, 2))
     mean = counts.mean()
     stderr = counts.std(ddof=1) / np.sqrt(samples)
     expected = (4 * 0.7) ** n
