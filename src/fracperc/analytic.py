@@ -1,11 +1,15 @@
 """Closed-form expectations and rescaled limits for fractal percolation.
 
 All functions accept probabilities either as floats or as
-:class:`fractions.Fraction`. With a ``Fraction`` every formula is evaluated
-in exact rational arithmetic (every expression here is a rational function
-of ``p`` and ``M``), which is what the enumeration oracle compares against.
-With floats, the bracketed geometric sums are accumulated with
-``math.fsum`` to keep cancellation in check.
+:class:`fractions.Fraction`. ``_mp`` is the one place that picks the
+arithmetic: with a ``Fraction`` p it returns M as a ``Fraction`` too, so
+every formula, written once as the plain expression in M and p, is
+evaluated in exact rational arithmetic (every expression here is a rational
+function of ``p`` and ``M``), which is what the enumeration oracle compares
+against. With a float p, M stays an int and the same expressions run in
+IEEE arithmetic. ``_sum`` accumulates the bracketed geometric sums with
+``math.fsum`` when a term is a float, to keep cancellation in check, and
+exactly otherwise, so an empty or all-integer sum stays exact.
 
 Conventions: ``F_n`` is the union of level-``n`` cells whose whole ancestry
 survived, ``C_n`` the closed complement of ``F_n`` in the unit cube,
@@ -76,26 +80,19 @@ class ModelParams:
         return Fraction(1, self.M)
 
 
+def _mp(params: ModelParams) -> tuple[Number, Number]:
+    """(M, p) in the arithmetic of p: M as a ``Fraction`` when p is one, so
+    that every quotient stays exact, and the int M otherwise."""
+    M, p = params.M, params.p
+    return (Fraction(M) if isinstance(p, Fraction) else M), p
+
+
 def _sum(terms) -> Number:
-    """Compensated float summation, exact summation for rational input."""
+    """Compensated summation when a term is a float, exact summation otherwise."""
     terms = list(terms)
-    if any(isinstance(t, Fraction) for t in terms):
-        return sum(terms, Fraction(0))
-    return math.fsum(terms)
-
-
-def _ratpow(num: Number, den: Number, n: int) -> Number:
-    """(num/den)^n, exact for rational input."""
-    if isinstance(num, Fraction) or isinstance(den, Fraction):
-        return (Fraction(num) / Fraction(den)) ** n
-    return (num / den) ** n
-
-
-def _invpow(den: int, n: int, like: Number) -> Number:
-    """(1/den)^n in the arithmetic mode of ``like``."""
-    if isinstance(like, Fraction):
-        return Fraction(1, den) ** n
-    return (1.0 / den) ** n
+    if any(isinstance(t, float) for t in terms):
+        return math.fsum(terms)
+    return sum(terms)
 
 
 def _geom(x: Number, m: int) -> Number:
@@ -150,13 +147,13 @@ def dims(params: ModelParams) -> DimensionReport:
     """Dimension report for the given parameters; requires p > 0."""
     M, p, d = params.M, params.p, params.d
     if p <= 0:
-        raise DomainError("dimension formulas need p > 0", M=M, p=p)
+        raise DomainError("dimension formulas need p > 0", M=params.M, p=p)
     logM = math.log(M)
     D = d - math.log(1 / p) / logM
     Dprime = 1 + 2 * math.log(p) / logM
     if d == 1:
         return DimensionReport(d, D, Dprime, params.non_empty_regime)
-    c2, c3 = _sub_amplitudes(M, p)
+    c2, c3 = _sub_amplitudes(*_mp(params))
     return DimensionReport(
         d,
         D,
@@ -182,10 +179,10 @@ def ev_vk_1d(params: ModelParams, n: int, k: int) -> Number:
     _check_dim(params, 1, "ev_vk_1d")
     _check_k(k, 1)
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if k == 1:
         return p**n
-    return (M * p) ** n * (1 - (M - 1) * p / (M - p) * (1 - _ratpow(p, M, n)))
+    return (M * p) ** n * (1 - (M - 1) * p / (M - p) * (1 - (p / M) ** n))
 
 
 def ev_vk_intersect_1d(params: ModelParams, n: int, k: int) -> Number:
@@ -193,15 +190,15 @@ def ev_vk_intersect_1d(params: ModelParams, n: int, k: int) -> Number:
     _check_dim(params, 1, "ev_vk_intersect_1d")
     _check_k(k, 1)
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if k == 1:
         return p ** (2 * n)
     return (M * p * p) ** n * _sum(
         [
             3,
-            -2 * _invpow(M, n, p),
-            -4 * p * (M - 1) / (M - p) * (1 - _ratpow(p, M, n)),
-            (M - 1) * p * p / (M - p * p) * (1 - _ratpow(p * p, M, n)),
+            -2 * (1 / M) ** n,
+            -4 * p * (M - 1) / (M - p) * (1 - (p / M) ** n),
+            (M - 1) * p * p / (M - p * p) * (1 - (p * p / M) ** n),
         ]
     )
 
@@ -210,13 +207,13 @@ def ev_n_isolated_1d(params: ModelParams, n: int) -> Number:
     """Expected number of isolated points of the intersection of two copies of K_n."""
     _check_dim(params, 1, "ev_n_isolated_1d")
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     return (M * p * p) ** n * _sum(
         [
             2,
-            -2 * _invpow(M, n, p),
-            -4 * p * (M - 1) / (M - p) * (1 - _ratpow(p, M, n)),
-            2 * p * p * (M - 1) / (M - p * p) * (1 - _ratpow(p * p, M, n)),
+            -2 * (1 / M) ** n,
+            -4 * p * (M - 1) / (M - p) * (1 - (p / M) ** n),
+            2 * p * p * (M - 1) / (M - p * p) * (1 - (p * p / M) ** n),
         ]
     )
 
@@ -231,23 +228,19 @@ def ev_vk_complement_1d(
     _check_dim(params, 1, "ev_vk_complement_1d")
     _check_k(k, 1)
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if not intersect:
         if k == 1:
             return 1 - p**n
-        return (
-            (M * p) ** n * (1 - p * (M - 1) / (M - p) * (1 - _ratpow(p, M, n)))
-            + 1
-            - 2 * p**n
-        )
+        return ev_vk_1d(params, n, 0) + 1 - 2 * p**n
     if k == 1:
         return 1 - 2 * p**n + p ** (2 * n)
     return _sum(
         [
-            2 * (M * p) ** n * (1 - p * (M - 1) / (M - p) * (1 - _ratpow(p, M, n))),
+            2 * ev_vk_1d(params, n, 0),
             1 - 4 * p**n + 2 * p ** (2 * n),
             (M * p * p) ** n
-            * (-1 + p * p * (M - 1) / (M - p * p) * (1 - _ratpow(p * p, M, n))),
+            * (-1 + p * p * (M - 1) / (M - p * p) * (1 - (p * p / M) ** n)),
         ]
     )
 
@@ -256,9 +249,9 @@ def limit_vk_1d(params: ModelParams, k: int) -> Number:
     """Rescaled limit of E V_k(K_n): 1 for k = 1, M(1-p)/(M-p) for k = 0."""
     _check_dim(params, 1, "limit_vk_1d")
     _check_k(k, 1)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * p <= 1:
-        raise DomainError("rescaled 1d limits need p > 1/M", M=M, p=p, k=k)
+        raise DomainError("rescaled 1d limits need p > 1/M", M=params.M, p=p, k=k)
     if k == 1:
         return 1
     return M * (1 - p) / (M - p)
@@ -268,7 +261,7 @@ def limit_vk_intersect_1d(params: ModelParams, k: int) -> Number:
     """Rescaled limit for the intersection of two independent 1d copies."""
     _check_dim(params, 1, "limit_vk_intersect_1d")
     _check_k(k, 1)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if k == 1:
         return 1
     return 3 - 4 * p * (M - 1) / (M - p) + p * p * (M - 1) / (M - p * p)
@@ -285,9 +278,9 @@ def limit_vck_1d(params: ModelParams, k: int) -> Number:
     """
     _check_dim(params, 1, "limit_vck_1d")
     _check_k(k, 1)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * p <= 1:
-        raise DomainError("rescaled 1d complement limits need p > 1/M", M=M, p=p, k=k)
+        raise DomainError("rescaled 1d complement limits need p > 1/M", M=params.M, p=p, k=k)
     if k == 1:
         return 0
     return 1 - p * (M - 1) / (M - p)
@@ -305,19 +298,12 @@ def _v0_2d_brackets(M: int, p: Number):
         * p
         * (M - 1) ** 2
         / (M - p)
-        * (3 / _frac(M - 1, p) - 4 * p / (M - p) + p * p / (M - p * p))
+        * (3 / (M - 1) - 4 * p / (M - p) + p * p / (M - p * p))
     )
-    B2 = 2 * p * (M * M - 1) / _frac(M * M - p, p)
-    B3 = 4 * p * p * (M - 1) ** 2 / _frac((M - p) ** 2, p)
-    B4 = p**3 * (M - 1) ** 2 * (M + p * p) / _frac((M - p * p) * (M * M - p**3), p)
+    B2 = 2 * p * (M * M - 1) / (M * M - p)
+    B3 = 4 * p * p * (M - 1) ** 2 / (M - p) ** 2
+    B4 = p**3 * (M - 1) ** 2 * (M + p * p) / ((M - p * p) * (M * M - p**3))
     return B1, B2, B3, B4
-
-
-def _frac(x: Number, like: Number) -> Number:
-    """Keep integer denominators exact when the probability is rational."""
-    if isinstance(like, Fraction) and isinstance(x, int):
-        return Fraction(x)
-    return x
 
 
 def _v0_2d_limit_expr(M: int, p: Number) -> Number:
@@ -352,17 +338,17 @@ def vbar0_2d_finite(params: ModelParams, n: int) -> Number:
     """
     _check_dim(params, 2, "vbar0_2d_finite")
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M^2", M=M, p=p, k=0)
+        raise DomainError("rescaling needs p > 1/M^2", M=params.M, p=p, k=0)
     B1, B2, B3, B4 = _v0_2d_brackets(M, p)
     return _sum(
         [
             1,
-            -B1 * (1 - _ratpow(p, M, n)),
-            B2 * (1 - _ratpow(p, M * M, n)),
-            -B3 * (1 - _ratpow(p * p, M * M, n)),
-            B4 * (1 - _ratpow(p**3, M * M, n)),
+            -B1 * (1 - (p / M) ** n),
+            B2 * (1 - (p / (M * M)) ** n),
+            -B3 * (1 - (p * p / (M * M)) ** n),
+            B4 * (1 - (p**3 / (M * M)) ** n),
         ]
     )
 
@@ -374,14 +360,14 @@ def vbar0_2d_tail(params: ModelParams, n: int) -> Number:
     """
     _check_dim(params, 2, "vbar0_2d_tail")
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     B1, B2, B3, B4 = _v0_2d_brackets(M, p)
     return _sum(
         [
-            B1 * _ratpow(p, M, n),
-            -B2 * _ratpow(p, M * M, n),
-            B3 * _ratpow(p * p, M * M, n),
-            -B4 * _ratpow(p**3, M * M, n),
+            B1 * (p / M) ** n,
+            -B2 * (p / (M * M)) ** n,
+            B3 * (p * p / (M * M)) ** n,
+            -B4 * (p**3 / (M * M)) ** n,
         ]
     )
 
@@ -389,17 +375,17 @@ def vbar0_2d_tail(params: ModelParams, n: int) -> Number:
 def convergence_amplitude_2d(params: ModelParams) -> Number:
     """Amplitude c of the leading (p/M)^n term of vbar0_2d_finite(n) - limit."""
     _check_dim(params, 2, "convergence_amplitude_2d")
-    return _v0_2d_brackets(params.M, params.p)[0]
+    return _v0_2d_brackets(*_mp(params))[0]
 
 
 def vbar1_2d_finite(params: ModelParams, n: int) -> Number:
     """Rescaled expected half-perimeter r^{n(D-1)} E V_1(F_n), exact in n."""
     _check_dim(params, 2, "vbar1_2d_finite")
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M^2", M=M, p=p, k=1)
-    return 2 - 2 * p * (M - 1) / (M - p) * (1 - _ratpow(p, M, n))
+        raise DomainError("rescaling needs p > 1/M^2", M=params.M, p=p, k=1)
+    return 2 - 2 * p * (M - 1) / (M - p) * (1 - (p / M) ** n)
 
 
 def limit_vk_2d(params: ModelParams, k: int) -> Number:
@@ -407,9 +393,9 @@ def limit_vk_2d(params: ModelParams, k: int) -> Number:
     rational Euler-characteristic expression, for k = 2, 1, 0."""
     _check_dim(params, 2, "limit_vk_2d")
     _check_k(k, 2)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * M * p <= 1:
-        raise DomainError("planar limits need p > 1/M^2", M=M, p=p, k=k)
+        raise DomainError("planar limits need p > 1/M^2", M=params.M, p=p, k=k)
     if k == 2:
         return 1
     if k == 1:
@@ -423,13 +409,13 @@ def limit_vk_2d(params: ModelParams, k: int) -> Number:
 
 def _vc0_2d_limit_expr(M: int, p: Number) -> Number:
     num = p**3 + (M - 1) * p * p + (M - 1) * p - M
-    return M * M * (1 - p) * num / _frac((M * M - p**3) * (M - p), p)
+    return M * M * (1 - p) * num / ((M * M - p**3) * (M - p))
 
 
 def _sub_amplitudes(M: int, p: Number):
     """Amplitudes c2, c3 of the terms (Mp)^m and (Mp^2)^m of E V_0(C_m)."""
     c2 = 4 * M * (1 - p) / (M - p)
-    c3 = -2 * M * (M - 1) * p * (1 - p * p) / _frac((M - p) * (M - p * p), p)
+    c3 = -2 * M * (M - 1) * p * (1 - p * p) / ((M - p) * (M - p * p))
     return c2, c3
 
 
@@ -473,19 +459,19 @@ def limit_vck_2d(params: ModelParams, k: int) -> Number:
     """
     _check_dim(params, 2, "limit_vck_2d")
     _check_k(k, 2)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if k == 2:
-        raise DomainError("the area of C_n admits no r^{n(D-2)} rescaling", M=M, p=p, k=2)
+        raise DomainError("the area of C_n admits no r^{n(D-2)} rescaling", M=params.M, p=p, k=2)
     if k == 1:
         if M * p <= 1:
-            raise DomainError("k = 1 complement limit needs p > 1/M", M=M, p=p, k=1)
-        boundary = 2 * M * (1 - p) / _frac(M * p - 1, p)
+            raise DomainError("k = 1 complement limit needs p > 1/M", M=params.M, p=p, k=1)
+        boundary = 2 * M * (1 - p) / (M * p - 1)
         side_series = 2 * (M - 1) * (
-            1 / _frac(M * p - 1, p) - 2 / _frac(M - 1, p) + p / (M - p)
+            1 / (M * p - 1) - 2 / (M - 1) + p / (M - p)
         )
         return boundary - side_series
     if M * M * p <= 1:
-        raise DomainError("k = 0 complement limit needs p > 1/M^2", M=M, p=p, k=0)
+        raise DomainError("k = 0 complement limit needs p > 1/M^2", M=params.M, p=p, k=0)
     return _vc0_2d_limit_expr(M, p)
 
 
@@ -521,15 +507,15 @@ def vbarc0_2d_finite(params: ModelParams, m: int) -> ComplementEulerExpansion:
     """
     _check_dim(params, 2, "vbarc0_2d_finite")
     _check_level(m)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M^2", M=M, p=p, k=0)
+        raise DomainError("rescaling needs p > 1/M^2", M=params.M, p=p, k=0)
     if m == 0:
-        zero = Fraction(0) if isinstance(p, Fraction) else 0.0
+        zero = 0 * p
         return ComplementEulerExpansion(zero, zero, zero, zero, zero, zero, (zero, zero, zero))
     leading, sub2, sub3, vanishing = _ev_vc0_terms(M, p, m)
     ev_value = _sum([leading, sub2, sub3, 1, *vanishing])
-    vbar = ev_value * _ratpow(1, M * M * p, m)
+    vbar = ev_value * (1 / (M * M * p)) ** m
     return ComplementEulerExpansion(vbar, ev_value, leading, sub2, sub3, 1, vanishing)
 
 
@@ -537,10 +523,10 @@ def vbarc1_2d_finite(params: ModelParams, m: int) -> Number:
     """Rescaled expected half-perimeter r^{m(D-1)} E V_1(C_m), exact in m."""
     _check_dim(params, 2, "vbarc1_2d_finite")
     _check_level(m)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M", M=M, p=p, k=1)
-    return _ev_vc1_2d(M, p, m) * _ratpow(1, M * p, m)
+        raise DomainError("rescaling needs p > 1/M", M=params.M, p=p, k=1)
+    return _ev_vc1_2d(M, p, m) * (1 / (M * p)) ** m
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +573,7 @@ def intersection_series_terms_2d(
         raise ValueError(f"target must be 'F' or 'C', got {target!r}")
     if n < 1:
         raise ValueError("intersection terms are defined for n >= 1")
-    M, p = params.M, params.p
+    M, p = _mp(params)
     ell = INTERSECTION_CONFIGURATIONS[configuration][0]
     if k == 2:
         return 0  # every configuration lies in a line segment
@@ -598,7 +584,7 @@ def intersection_series_terms_2d(
             return p ** (ell * n)
         return (1 - p**n) ** ell
     if target == "F":
-        inner = ev_vk_intersect_1d(ModelParams(M, p, d=1), n - 1, k)
+        inner = ev_vk_intersect_1d(ModelParams(params.M, p, d=1), n - 1, k)
         return p * p * inner / M**k if k else p * p * inner
     if k == 1:
         return (1 - p**n) ** 2 / M
@@ -606,12 +592,12 @@ def intersection_series_terms_2d(
         [
             2
             * (M * p) ** n
-            * ((1 - p) / (M - p) + (M - 1) / _frac(M - p, p) * _ratpow(p, M, n)),
+            * ((1 - p) / (M - p) + (M - 1) / (M - p) * (p / M) ** n),
             1 - 4 * p**n + 2 * p ** (2 * n),
             -((M * p * p) ** n)
             * (
                 (1 - p * p) / (M - p * p)
-                + (M - 1) / _frac(M - p * p, p) * _ratpow(p * p, M, n)
+                + (M - 1) / (M - p * p) * (p * p / M) ** n
             ),
         ]
     )
@@ -629,16 +615,16 @@ def vbar_2d_truncated(params: ModelParams, m: int, k: int, target: str = "F") ->
     _check_level(m)
     if target not in ("F", "C"):
         raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if target == "F":
         if M * M * p <= 1:
-            raise DomainError("series rescaling needs p > 1/M^2", M=M, p=p, k=k)
+            raise DomainError("series rescaling needs p > 1/M^2", M=params.M, p=p, k=k)
     elif M ** (2 - k) * p <= 1:
-        raise DomainError("complement series needs p > 1/M^{2-k}", M=M, p=p, k=k)
-    x = _ratpow(M**k, M * M * p, 1)  # r^{D-k} per level
+        raise DomainError("complement series needs p > 1/M^{2-k}", M=params.M, p=p, k=k)
+    x = M**k / (M * M * p)  # r^{D-k} per level
     q = UNIT_CUBE_VK[(2, k)]
     if target == "F":
-        acc = q
+        acc = q * x**0  # the n = 0 term, in the arithmetic of x
     else:
         acc = q * (1 - p) / p * _geom(x, m)
     per_level = [
@@ -650,13 +636,6 @@ def vbar_2d_truncated(params: ModelParams, m: int, k: int, target: str = "F") ->
         for n in range(1, m + 1)
     ]
     return acc + _sum(per_level)
-
-
-def limit_vk_2d_series(
-    params: ModelParams, k: int, target: str = "F", n_terms: int = 200
-) -> float:
-    """Numeric series evaluation of the rescaled limits (independent route)."""
-    return float(vbar_2d_truncated(params, n_terms, k, target))
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +651,7 @@ def ev(params: ModelParams, n: int, k: int, target: str = "F") -> Number:
         raise ValueError(f"target must be 'F' or 'C', got {target!r}")
     _check_k(k, params.d)
     _check_level(n)
-    M, p = params.M, params.p
+    M, p = _mp(params)
     if params.d == 1:
         if target == "F":
             return ev_vk_1d(params, n, k)

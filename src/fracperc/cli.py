@@ -147,6 +147,8 @@ def _merge_config(cli_values: dict, config_path: str | None) -> RunConfig:
 
 def _check_config(config: RunConfig) -> None:
     """Refuse option values that the library would reject deeper down."""
+    if config.M < 1:
+        raise ConfigError(f"M must be at least 1, got {config.M}")
     if config.d not in (1, 2):
         raise ConfigError(f"d must be 1 or 2, got {config.d}")
     if config.n is not None and config.n < 0:

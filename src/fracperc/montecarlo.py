@@ -1,6 +1,7 @@
-"""Batch estimation of lattice functionals with streaming statistics.
+"""Batch estimation of lattice functionals with Welford statistics.
 
-Estimates are accumulated with Welford's algorithm. Because the sampler
+Each estimate is Welford's recurrence run once over a column of replicate
+values in replicate order (``McEstimate.of``). Because the sampler
 hashes ``(seed, sample index, tree position)`` rather than keeping
 generator state, the same seed always produces the same replicate set
 regardless of the shard plan or worker count. A shard walks its
@@ -11,8 +12,8 @@ all its lattices (spanning labels each lattice). A shard returns one
 float64 array, a row per replicate: per (target, functional) the score
 times s^k with s = M^-n the cell side, then a 0/1 column per spanning
 axis. The shards' rows are concatenated in replicate order and each column
-is pushed into its accumulator, so the estimates (and ``simulation.csv``)
-are bit-identical for every shard plan, block size and worker count. A
+becomes one estimate, so the estimates (and ``simulation.csv``) are
+bit-identical for every shard plan, block size and worker count. A
 sweep over a p grid reuses one shared set of uniforms per seed (coupled
 mode: grids are cell-wise monotone in p). Independent per-p streams are
 derived on request.
@@ -51,20 +52,25 @@ BLOCK_CELLS = 1 << 18
 BLOCK_REPLICATES = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class McEstimate:
-    """Streaming mean/variance accumulator (count, mean, sum of squared
-    deviations), fed one value at a time in replicate order."""
+    """Mean/variance summary of a sequence of values: count, mean and sum of
+    squared deviations."""
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
 
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+    @classmethod
+    def of(cls, values) -> McEstimate:
+        """Welford's recurrence over ``values`` (a sequence or an array) in order."""
+        count, mean, m2 = 0, 0.0, 0.0
+        for x in np.asarray(values, dtype=np.float64).tolist():
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+        return cls(count, mean, m2)
 
     @property
     def variance(self) -> float:
@@ -164,7 +170,7 @@ def run_experiment(
     functionals (by default every V_k with k <= d) on F and on C.
 
     The replicate set is fully determined by (params, n, seed), and every
-    replicate's values are pushed in replicate order, so the result is
+    replicate's values are taken in replicate order, so the result is
     bit-identical for any shard plan and worker count.
     """
     if samples < 2:
@@ -186,11 +192,10 @@ def run_experiment(
             raise ValueError(f"spanning axis must be 'x' or 'y', got {axis!r}")
         if axis == "y" and params.d == 1:
             raise ValueError("spanning along y needs d = 2: a d = 1 lattice has one row")
-    estimates = {(t, f): McEstimate() for t in ("F", "C") for f in functionals}
-    spanning = {axis: McEstimate() for axis in spanning_axes}
+    keys = tuple(dict.fromkeys((t, f) for t in ("F", "C") for f in functionals))
+    axes = tuple(dict.fromkeys(spanning_axes))
     shard_args = [
-        (params, n, seed, start, count, tuple(estimates), connectivity, tuple(spanning),
-         budget_bytes)
+        (params, n, seed, start, count, keys, connectivity, axes, budget_bytes)
         for start, count in _shard_plan(samples, shards)
     ]
     if workers > 1 and len(shard_args) > 1:
@@ -198,10 +203,9 @@ def run_experiment(
             partials = list(pool.map(_run_shard, shard_args))
     else:
         partials = [_run_shard(a) for a in shard_args]
-    values = np.concatenate(partials)
-    for est, column in zip([*estimates.values(), *spanning.values()], values.T):
-        for x in column.tolist():
-            est.push(x)
+    summaries = [McEstimate.of(column) for column in np.concatenate(partials).T]
+    estimates = dict(zip(keys, summaries))
+    spanning = dict(zip(axes, summaries[len(keys) :]))
     return ExperimentResult(params, n, seed, samples, connectivity, estimates, spanning)
 
 
@@ -247,19 +251,13 @@ def format_float(x) -> str:
 
 
 def write_csv(rows: list, path) -> None:
-    """Rows are dicts with the CSV_COLUMNS keys; floats get 17 digits."""
+    """Rows are dicts with the CSV_COLUMNS keys; strings are written as they
+    are and every other field through ``format_float``."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fields = []
-            for col in CSV_COLUMNS:
-                value = row.get(col)
-                if col in ("M", "n", "count"):
-                    fields.append("" if value is None else str(value))
-                elif col in ("functional", "target"):
-                    fields.append(str(value))
-                else:
-                    fields.append(format_float(value))
+            values = (row.get(col) for col in CSV_COLUMNS)
+            fields = (v if isinstance(v, str) else format_float(v) for v in values)
             fh.write(",".join(fields) + "\n")
 
 

@@ -292,7 +292,7 @@ def test_limit_vck_2d_values():
 
 def test_limit_vck_2d_vs_series():
     pr = params(2, 0.5)
-    series = A.limit_vk_2d_series(pr, 0, "C", 200)
+    series = A.vbar_2d_truncated(pr, 200, 0, "C")
     assert series == pytest.approx(A.limit_vck_2d(pr, 0), abs=1e-10)
 
 
@@ -419,3 +419,53 @@ def test_float_and_rational_modes_agree():
         exact = A.ev(params(M, p), 5, 0, "C")
         approx = A.ev(params(M, float(p)), 5, 0, "C")
         assert approx == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_fraction_input_gives_exact_results():
+    # an exact p gives an int or a Fraction from every closed form, never a float
+    def results(f, *args):
+        try:
+            value = f(*args)
+        except DomainError:
+            return []
+        if isinstance(value, A.ComplementEulerExpansion):
+            return [value.vbar, value.ev, value.leading, value.sub2, value.sub3, value.constant,
+                    *value.vanishing]
+        return [value]
+
+    for M in (2, 3, 5):
+        for p in (F(1, 5), F(1, 2), F(4, 5)):
+            one, two = params(M, p, 1), params(M, p)
+            got = []
+            for n in (0, 1, 3):
+                got += results(A.ev_n_isolated_1d, one, n)
+                for k in (0, 1):
+                    got += results(A.ev_vk_1d, one, n, k)
+                    got += results(A.ev_vk_intersect_1d, one, n, k)
+                    for intersect in (False, True):
+                        got += results(A.ev_vk_complement_1d, one, n, k, intersect)
+                for f in (A.vbar0_2d_finite, A.vbar0_2d_tail, A.vbar1_2d_finite,
+                          A.vbarc0_2d_finite, A.vbarc1_2d_finite):
+                    got += results(f, two, n)
+                for target in ("F", "C"):
+                    for k in (0, 1):
+                        got += results(A.ev, one, n, k, target)
+                    for k in (0, 1, 2):
+                        got += results(A.ev, two, n, k, target)
+                        for name in A.INTERSECTION_CONFIGURATIONS:
+                            if n >= 1:
+                                got += results(A.intersection_series_terms_2d, two, name, n, k,
+                                               target)
+            for k in (0, 1):
+                for f in (A.limit_vk_1d, A.limit_vk_intersect_1d, A.limit_vck_1d):
+                    got += results(f, one, k)
+            for k in (0, 1, 2):
+                got += results(A.limit_vk_2d, two, k)
+                got += results(A.limit_vck_2d, two, k)
+                for m in (0, 1, 4):
+                    for target in ("F", "C"):
+                        got += results(A.vbar_2d_truncated, two, m, k, target)
+            got += results(A.convergence_amplitude_2d, two)
+            assert len(got) > 100
+            floats = [value for value in got if not isinstance(value, (int, Fraction))]
+            assert not floats, (M, p, floats)

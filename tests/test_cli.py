@@ -89,6 +89,24 @@ def test_simulation_csv_digest_pinned_small_lattices(tmp_path, argv, expected):
     assert hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["-M", "2"],
+     {"curves_f.csv": "2553e5af48cee5ba1acf8d58093564b6a2ec6254f9c3e96a7c8068edab9a5bb6",
+      "curves_c.csv": "c5f371f14cc1a6536518915adfe3a7b3191d283ad9418971084a2a02aabe6b9a",
+      "limits.csv": "60b6e1b579853a17ec9e4b358b4f7b17886c1c6202f2fea48bebdc931b6856ca"}),
+    (["-M", "3", "--p-step", "0.01", "--n-list", "1,2,5,40"],
+     {"curves_f.csv": "4b729c919e615c9cc4bdc8d976837413fec2c8459b8da286461c8bae5eb66b27",
+      "curves_c.csv": "876101b975e2a6068f8d12a250a7217adb44cdc64c37e6ef0a4061ed190bc1ef",
+      "limits.csv": "db0b305890199514e2094b8adb201710d99b752a9174df2b5847366c5e6dccf6"}),
+], ids=["M2", "M3"])
+def test_curves_csv_digest_pinned(tmp_path, argv, expected):
+    # the float bits of the finite-level and limit closed forms behind curves
+    out = tmp_path / "curves"
+    assert cli.main(["curves", *argv, "--out", str(out)]) == EXIT_OK
+    for name, digest in expected.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_budget_below_default_block_keeps_csv(tmp_path):
     # a budget that fits three lattices but not a default block runs smaller blocks
     params, cells = ModelParams(2, 0.6, 2), 4**4
@@ -320,6 +338,10 @@ def test_user_input_errors_exit_2(tmp_path):
         sim + ["--workers", "-1"],
         sim[:1] + ["-d", "1"] + sim[1:] + ["--spanning", "y"],
         sim[:1] + ["-d", "1"] + sim[1:] + ["--spanning", "both"],
+        ["simulate", "-M", "0", "-n", "2", "--samples", "2", "--seed", "1",
+         "--out", str(tmp_path / "s")],
+        ["curves", "-M", "0", "--out", str(tmp_path / "c")],
+        ["oracle", "-M", "0", "-d", "1", "-n", "1", "-p", "1/2", "--target", "K"],
     ):
         assert cli.main(argv) == EXIT_CONFIG, argv
 

@@ -15,9 +15,7 @@ from fracperc.montecarlo import McEstimate
 def test_estimate_matches_numpy():
     rng = np.random.default_rng(0)
     data = rng.normal(3.0, 2.0, size=500)
-    est = McEstimate()
-    for x in data:
-        est.push(float(x))
+    est = McEstimate.of(data)
     assert est.count == 500
     assert est.mean == pytest.approx(data.mean(), rel=1e-12)
     assert est.variance == pytest.approx(data.var(ddof=1), rel=1e-10)
@@ -25,19 +23,16 @@ def test_estimate_matches_numpy():
 
 
 def test_empty_estimate():
-    est = McEstimate()
+    est = McEstimate.of([])
     assert est.count == 0 and math.isnan(est.stderr)
-    est.push(1.0)
+    est = McEstimate.of([1.0])
     assert est.count == 1 and math.isnan(est.stderr)
 
 
 def test_stderr_scales_like_inverse_sqrt_count():
     rng = np.random.default_rng(3)
-    small, large = McEstimate(), McEstimate()
-    for x in rng.normal(size=2000):
-        small.push(float(x))
-    for x in rng.normal(size=32000):
-        large.push(float(x))
+    small = McEstimate.of(rng.normal(size=2000))
+    large = McEstimate.of(rng.normal(size=32000))
     ratio = large.stderr / small.stderr
     assert ratio == pytest.approx(0.25, rel=0.15)
 
@@ -47,16 +42,18 @@ def _per_replicate_reference(params, n, samples, seed, functionals, axes):
     from fracperc import geometry as G
 
     index = {"V0": 0, "V1": 1, "V2": 2}
-    estimates = {(t, f): McEstimate() for t in ("F", "C") for f in functionals}
-    spanning = {axis: McEstimate() for axis in axes}
+    values = {(t, f): [] for t in ("F", "C") for f in functionals}
+    spans = {axis: [] for axis in axes}
     for i in range(samples):
         grid = S.sample(params, n, seed, i)
         pair = dict(zip(("F", "C"), G.minkowski_pair(grid)))
-        for (target, functional), est in estimates.items():
-            est.push(float(pair[target].vk(index[functional])))
+        for (target, functional), column in values.items():
+            column.append(float(pair[target].vk(index[functional])))
         lab = G.label(grid, 8)
-        for axis, est in spanning.items():
-            est.push(1.0 if (lab.spans_x if axis == "x" else lab.spans_y) else 0.0)
+        for axis, column in spans.items():
+            column.append(1.0 if (lab.spans_x if axis == "x" else lab.spans_y) else 0.0)
+    estimates = {key: McEstimate.of(column) for key, column in values.items()}
+    spanning = {axis: McEstimate.of(column) for axis, column in spans.items()}
     return estimates, spanning
 
 
