@@ -20,9 +20,9 @@ from .analytic import (
     vbarc0_2d_finite,
 )
 from .geometry import ClusterLabeling, MinkowskiValues, euler_crosscheck, label, minkowski
-from .montecarlo import McEstimate, run_experiment, spanning_probability
+from .montecarlo import McEstimate, run_experiment
 from .oracle import InstanceTooLargeError, enumerate_1d, enumerate_2d
-from .sampler import GridRealization, MemoryBudgetError, complement, sample
+from .sampler import GridRealization, MemoryBudgetError, sample
 from .thresholds import (
     BracketingError,
     ThresholdReport,
@@ -48,7 +48,6 @@ __all__ = [
     "ModelParams",
     "RescaledSeries",
     "ThresholdReport",
-    "complement",
     "dims",
     "enumerate_1d",
     "enumerate_2d",
@@ -69,7 +68,6 @@ __all__ = [
     "rescaled_series",
     "run_experiment",
     "sample",
-    "spanning_probability",
     "threshold_report",
     "vbar0_2d_finite",
     "vbarc0_2d_finite",

@@ -74,11 +74,6 @@ class ModelParams:
         """True when M^d p > 1, the regime where the limit set can be nonempty."""
         return self.M**self.d * self.p > 1
 
-    @property
-    def r(self) -> Fraction:
-        """Contraction ratio 1/M of one subdivision step."""
-        return Fraction(1, self.M)
-
 
 def _mp(params: ModelParams) -> tuple[Number, Number]:
     """(M, p) in the arithmetic of p: M as a ``Fraction`` when p is one, so

@@ -186,8 +186,9 @@ def _require_seed(config: RunConfig) -> tuple:
     return secrets.randbits(63), True
 
 
-def _p_grid(config: RunConfig) -> list:
-    lo_domain = 1.0 / config.M**config.d
+def _p_grid(config: RunConfig, d: int) -> list:
+    """The p grid of a d-dimensional model: it starts above the domain bound 1/M^d."""
+    lo_domain = 1.0 / config.M**d
     step = config.p_step if config.p_step is not None else 0.02
     if step <= 0:
         raise ConfigError("p_step must be positive")
@@ -220,7 +221,7 @@ def _p_grid(config: RunConfig) -> list:
 def cmd_curves(config: RunConfig) -> int:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid = _p_grid(config)
+    grid = _p_grid(config, 2)
     n_list = tuple(config.n_list)
     headers = ["p"] + [f"n{n}" for n in n_list] + ["ninf"]
     for target, fname in (("F", "curves_f.csv"), ("C", "curves_c.csv")):
@@ -269,6 +270,8 @@ def cmd_curves(config: RunConfig) -> int:
 
 def _default_level(M: int, cap: int = 4096) -> int:
     """Largest level whose lattice side M^n stays within the desk-scale cap."""
+    if M < 2:
+        raise ConfigError(f"simulate needs M >= 2, got {M}")
     n = 0
     while M ** (n + 1) <= cap:
         n += 1
@@ -280,7 +283,7 @@ def cmd_simulate(config: RunConfig) -> int:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     seed, generated = _require_seed(config)
-    grid = [config.p] if config.p is not None else _p_grid(config)
+    grid = [config.p] if config.p is not None else _p_grid(config, config.d)
     axes = _SPANNING_AXES[config.spanning]
     t0 = time.perf_counter()
     rows = []

@@ -9,14 +9,14 @@ replicates in blocks of about ``BLOCK_CELLS`` lattice cells, capped by the
 memory budget: one ``sampler.sample_stack`` call draws a block and one
 ``geometry.window_scores`` call gives the integer V_k scores of F and C of
 all its lattices (spanning labels each lattice). A shard returns one
-float64 array, a row per replicate: per (target, functional) the score
-times s^k with s = M^-n the cell side, then a 0/1 column per spanning
-axis. The shards' rows are concatenated in replicate order and each column
-becomes one estimate, so the estimates (and ``simulation.csv``) are
-bit-identical for every shard plan, block size and worker count. A
-sweep over a p grid reuses one shared set of uniforms per seed (coupled
-mode: grids are cell-wise monotone in p). Independent per-p streams are
-derived on request.
+float64 array, a row per replicate: V_0 .. V_d of F, then of C (each
+score times s^k with s = M^-n the cell side), then a 0/1 column per
+spanning axis. The shards' rows are concatenated in replicate order and
+each column becomes one estimate, so the estimates (and
+``simulation.csv``) are bit-identical for every shard plan, block size
+and worker count. A sweep over a p grid reuses one shared set of uniforms
+per seed (coupled mode: grids are cell-wise monotone in p). Independent
+per-p streams are derived on request.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +89,9 @@ class ExperimentResult:
 
     params: ModelParams
     n: int
-    seed: int
     samples: int
-    connectivity: int
     estimates: dict
-    spanning: dict = field(default_factory=dict)
+    spanning: dict
 
     def rescaled_mean(self, target: str, functional: str) -> float | None:
         """Mean scaled by r^{n(D-k)}, attached only in the nonempty regime."""
@@ -123,24 +121,23 @@ def _block_size(params: ModelParams, n: int, budget_bytes: int) -> int:
 
 
 def _run_shard(args):
-    """Values of replicates start .. start + count - 1, one row each: a
-    column per (target, functional) of ``keys``, then a 0/1 column per axis."""
-    params, n, seed, start, count, keys, connectivity, axes, budget_bytes = args
+    """Values of replicates start .. start + count - 1, one row each: V_0 ..
+    V_d of F, then of C, then a 0/1 column per spanning axis."""
+    params, n, seed, start, count, connectivity, axes, budget_bytes = args
     d = params.d
     s = float(params.M) ** -n  # cell side: V_k is the integer score times s^k
     scale = np.array((1.0, s, s * s)[: d + 1])
-    flat = [("F", "C").index(target) * (d + 1) + _FUNCTIONAL_INDEX[f] for target, f in keys]
-    values = np.empty((count, len(flat) + len(axes)))
+    width = 2 * (d + 1)
+    values = np.empty((count, width + len(axes)))
     step = _block_size(params, n, budget_bytes)
     for first in range(0, count, step):
         rows = np.arange(first, min(first + step, count))
         stack = sampler.sample_stack(params, n, seed, start + rows, budget_bytes)
-        if flat:
-            scores = geometry.window_scores(stack, d) * scale
-            values[rows, : len(flat)] = scores.reshape(len(rows), -1)[:, flat]
+        scores = geometry.window_scores(stack, d) * scale
+        values[rows, :width] = scores.reshape(len(rows), width)
         for row, occ in zip(rows, stack if axes else ()):
             lab = geometry.label(occ, connectivity)
-            values[row, len(flat) :] = [getattr(lab, f"spans_{axis}") for axis in axes]
+            values[row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]
     return values
 
 
@@ -159,15 +156,16 @@ def run_experiment(
     n: int,
     samples: int,
     seed: int,
-    functionals: tuple | None = None,
     connectivity: int = 8,
     spanning_axes: tuple = (),
     workers: int = 1,
     shards: int | None = None,
     budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES,
 ) -> ExperimentResult:
-    """Sample ``samples`` replicates of F_n and accumulate the requested
-    functionals (by default every V_k with k <= d) on F and on C.
+    """Sample ``samples`` replicates of F_n and estimate every V_k with
+    k <= d on F and on C, keyed by (target, functional), and for each of
+    ``spanning_axes`` the probability that a component joins the opposite
+    sides along it (binomial standard error), keyed by axis.
 
     The replicate set is fully determined by (params, n, seed), and every
     replicate's values are taken in replicate order, so the result is
@@ -180,22 +178,15 @@ def run_experiment(
     shards = workers if shards is None else shards
     if shards < 1:
         raise ValueError(f"shards must be at least 1, got {shards}")
-    if functionals is None:
-        functionals = tuple(_FUNCTIONAL_INDEX)[: params.d + 1]
-    for f in functionals:
-        if f not in _FUNCTIONAL_INDEX:
-            raise ValueError(f"unknown functional {f!r}")
-        if _FUNCTIONAL_INDEX[f] > params.d:
-            raise ValueError(f"{f} undefined for d = {params.d}")
     for axis in spanning_axes:
         if axis not in ("x", "y"):
             raise ValueError(f"spanning axis must be 'x' or 'y', got {axis!r}")
         if axis == "y" and params.d == 1:
             raise ValueError("spanning along y needs d = 2: a d = 1 lattice has one row")
-    keys = tuple(dict.fromkeys((t, f) for t in ("F", "C") for f in functionals))
+    keys = [(t, f) for t in ("F", "C") for f in list(_FUNCTIONAL_INDEX)[: params.d + 1]]
     axes = tuple(dict.fromkeys(spanning_axes))
     shard_args = [
-        (params, n, seed, start, count, keys, connectivity, axes, budget_bytes)
+        (params, n, seed, start, count, connectivity, axes, budget_bytes)
         for start, count in _shard_plan(samples, shards)
     ]
     if workers > 1 and len(shard_args) > 1:
@@ -206,27 +197,7 @@ def run_experiment(
     summaries = [McEstimate.of(column) for column in np.concatenate(partials).T]
     estimates = dict(zip(keys, summaries))
     spanning = dict(zip(axes, summaries[len(keys) :]))
-    return ExperimentResult(params, n, seed, samples, connectivity, estimates, spanning)
-
-
-def spanning_probability(
-    params: ModelParams,
-    n: int,
-    samples: int,
-    seed: int,
-    connectivity: int = 8,
-    axis: str = "x",
-    workers: int = 1,
-    budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES,
-) -> McEstimate:
-    """Fraction of replicates with a component joining the opposite
-    boundaries along ``axis`` (binomial standard error)."""
-    result = run_experiment(
-        params, n, samples, seed,
-        functionals=(), connectivity=connectivity,
-        spanning_axes=(axis,), workers=workers, budget_bytes=budget_bytes,
-    )
-    return result.spanning[axis]
+    return ExperimentResult(params, n, samples, estimates, spanning)
 
 
 def per_p_seed(master_seed: int, p) -> int:

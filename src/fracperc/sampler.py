@@ -15,7 +15,9 @@ stack: each level hashes one key per replicate, and one pass over the
 stack's living candidates splits each flat position into (replicate,
 cell) and draws its uniform from that replicate's key, so every lattice
 of the stack equals the one ``sample`` draws for its index. ``sample`` is
-the one-replicate stack.
+the one-replicate stack. Only ``F_n`` is drawn: the functionals of its
+closed complement ``C_n`` come from the same lattice through the window
+pass of :mod:`fracperc.geometry`.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class GridRealization:
     n: int
     seed: int
     sample_index: int
-    target: str  # "F" for the construction step, "C" for its closed complement
     occupancy: np.ndarray
 
     @property
@@ -67,10 +68,6 @@ class GridRealization:
     def cell_size(self) -> float:
         return float(self.M) ** -self.n
 
-    @property
-    def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
-
 
 def _expand(occ: np.ndarray, M: int, d: int) -> np.ndarray:
     """Blow each cell up into its M^d children (on the last two axes)."""
@@ -78,6 +75,20 @@ def _expand(occ: np.ndarray, M: int, d: int) -> np.ndarray:
     if d == 2:
         out = np.repeat(out, M, axis=-2)
     return out
+
+
+def _replicate_indices(indices) -> np.ndarray:
+    """``indices`` as a flat uint64 array; ValueError unless each is an integer in [0, 2^64)."""
+    flat = np.asarray(indices).reshape(-1)
+    if not isinstance(indices, np.ndarray) or flat.dtype.kind not in "iu":
+        # each value as given: numpy would cast bools to int and big ints to float
+        flat = np.asarray(indices, dtype=object).reshape(-1)
+    integers = flat.dtype.kind in "iu" or all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in flat
+    )
+    if not integers or (flat.size and (flat.min() < 0 or flat.max() >= 1 << 64)):
+        raise ValueError(f"sample indices must be integers in [0, 2^64), got {indices!r}")
+    return flat.astype(np.uint64)
 
 
 def sample_stack(
@@ -90,16 +101,17 @@ def sample_stack(
     """Draw the replicates ``indices`` of F_n as one boolean stack.
 
     Returns shape ``(B, M^n, M^n)``, or ``(B, 1, M^n)`` for d = 1, whose
-    k-th lattice is replicate ``indices[k]``. Each level hashes one key per
-    replicate, then draws the uniforms of the whole stack's living
-    candidates together, ``_HASH_CHUNK`` at a time.
+    k-th lattice is replicate ``indices[k]``, an integer in [0, 2^64)
+    (ValueError otherwise). Each level hashes one key per replicate, then
+    draws the uniforms of the whole stack's living candidates together,
+    ``_HASH_CHUNK`` at a time.
 
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    indices = _replicate_indices(indices)
     M, d = params.M, params.d
     cells = M ** (d * n)
     need = len(indices) * cells * PEAK_BYTES_PER_CELL
@@ -135,22 +147,10 @@ def sample(
     sample_index: int = 0,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> GridRealization:
-    """Draw one realization of F_n: the one-replicate :func:`sample_stack`.
-
-    Raises :class:`MemoryBudgetError` when the lattice's modelled peak,
-    ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
-    """
+    """Draw one realization of F_n: the one-replicate :func:`sample_stack`,
+    which raises on a bad index and guards the memory budget."""
     occ = sample_stack(params, n, seed, [sample_index], budget_bytes)[0]
-    return GridRealization(params.M, float(params.p), params.d, n, seed, sample_index, "F", occ)
-
-
-def complement(grid: GridRealization) -> GridRealization:
-    """The closed complement within the unit cube: occupancy inverted."""
-    return replace(
-        grid,
-        target="C" if grid.target == "F" else "F",
-        occupancy=~grid.occupancy,
-    )
+    return GridRealization(params.M, float(params.p), params.d, n, seed, sample_index, occ)
 
 
 def to_pbm(grid: GridRealization) -> str:

@@ -32,7 +32,6 @@ def test_model_params_validation():
         ModelParams(2, 0.5, 3)
     assert ModelParams(2, 0.5, 2).non_empty_regime
     assert not ModelParams(2, 0.25, 2).non_empty_regime  # boundary M^2 p = 1
-    assert ModelParams(2, 0.5, 2).r == F(1, 2)
 
 
 def test_dims_full_square():

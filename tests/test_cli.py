@@ -150,6 +150,25 @@ def test_curves_outputs(tmp_path):
         assert float(row["f_inf"]) == pytest.approx(large_m_v(float(row["p"])), abs=1e-15)
 
 
+def test_p_grid_follows_the_model_dimension(tmp_path):
+    # a d = 1 simulation grid starts above 1/M, not 1/M^2
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "-M", "2", "-d", "1", "-n", "1", "--samples", "2",
+                     "--seed", "1", "--out", str(out)]) == EXIT_OK
+    with open(out / "simulation.csv") as fh:
+        assert min(float(row["p"]) for row in csv.DictReader(fh)) == 0.52
+    # curves evaluates d = 2 formulas, so a configured d must not move its p grid
+    cfg = tmp_path / "d1.cfg"
+    cfg.write_text("d=1\n")
+    digests = []
+    for name, extra in (("plain", []), ("d1", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert cli.main(["curves", "-M", "2", "--out", str(out), *extra]) == EXIT_OK
+        digests.append([(out / f).read_bytes() for f in ("curves_f.csv", "curves_c.csv",
+                                                         "limits.csv")])
+    assert digests[0] == digests[1]
+
+
 def test_curves_domain_guard(tmp_path):
     rc = cli.main(["curves", "-M", "2", "--p-start", "0.2", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -342,8 +361,20 @@ def test_user_input_errors_exit_2(tmp_path):
          "--out", str(tmp_path / "s")],
         ["curves", "-M", "0", "--out", str(tmp_path / "c")],
         ["oracle", "-M", "0", "-d", "1", "-n", "1", "-p", "1/2", "--target", "K"],
+        # no lattice level to default to: 1^n never exceeds the side cap
+        ["simulate", "-M", "1", "-p", "0.6", "--samples", "2", "--seed", "1",
+         "--out", str(tmp_path / "s")],
     ):
         assert cli.main(argv) == EXIT_CONFIG, argv
+
+
+def test_public_names_resolve():
+    import fracperc
+
+    assert all(hasattr(fracperc, name) for name in fracperc.__all__)
+    namespace = {}
+    exec("from fracperc import *", namespace)
+    assert set(fracperc.__all__) <= set(namespace)
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch):

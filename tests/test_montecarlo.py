@@ -37,12 +37,12 @@ def test_stderr_scales_like_inverse_sqrt_count():
     assert ratio == pytest.approx(0.25, rel=0.15)
 
 
-def _per_replicate_reference(params, n, samples, seed, functionals, axes):
+def _per_replicate_reference(params, n, samples, seed, axes):
     """The estimates of run_experiment, one sample, window pass and labelling per replicate."""
     from fracperc import geometry as G
 
     index = {"V0": 0, "V1": 1, "V2": 2}
-    values = {(t, f): [] for t in ("F", "C") for f in functionals}
+    values = {(t, f): [] for t in ("F", "C") for f in ("V0", "V1", "V2")[: params.d + 1]}
     spans = {axis: [] for axis in axes}
     for i in range(samples):
         grid = S.sample(params, n, seed, i)
@@ -65,15 +65,13 @@ def _per_replicate_reference(params, n, samples, seed, functionals, axes):
 ])
 def test_blocked_run_matches_per_replicate_reference(monkeypatch, M, d, n, p, axes):
     params = ModelParams(M, p, d)
-    functionals = ("V0", "V1", "V2")[: d + 1]
-    ref_est, ref_span = _per_replicate_reference(params, n, 137, 41, functionals, axes)
+    ref_est, ref_span = _per_replicate_reference(params, n, 137, 41, axes)
     cells = M ** (d * n)
     # one block per shard, then blocks of 5 and 7 replicates with a short last block
     for shards, block_cells in ((1, MC.BLOCK_CELLS), (3, MC.BLOCK_CELLS), (1, 5 * cells),
                                 (3, 7 * cells + 1)):
         monkeypatch.setattr(MC, "BLOCK_CELLS", block_cells)
-        result = MC.run_experiment(params, n, 137, 41, functionals=functionals,
-                                   spanning_axes=axes, shards=shards)
+        result = MC.run_experiment(params, n, 137, 41, spanning_axes=axes, shards=shards)
         assert result.samples == 137
         for got, want in ((result.estimates, ref_est), (result.spanning, ref_span)):
             assert got.keys() == want.keys()
@@ -81,16 +79,20 @@ def test_blocked_run_matches_per_replicate_reference(monkeypatch, M, d, n, p, ax
                 assert (got[key].count, got[key].mean, got[key].m2) == (est.count, est.mean, est.m2)
 
 
+def _spanning(params, n, samples, seed, axis="x"):
+    return MC.run_experiment(params, n, samples, seed, spanning_axes=(axis,)).spanning[axis]
+
+
 def test_spanning_y_refused_in_one_dimension():
     pr = ModelParams(2, 0.7, 1)
     with pytest.raises(ValueError, match="d = 2"):
-        MC.run_experiment(pr, 3, 10, seed=0, functionals=(), spanning_axes=("y",))
+        MC.run_experiment(pr, 3, 10, seed=0, spanning_axes=("y",))
     with pytest.raises(ValueError, match="d = 2"):
-        MC.spanning_probability(pr, 3, 10, seed=0, axis="y")
+        MC.run_experiment(pr, 3, 10, seed=0, spanning_axes=("x", "y"))
     with pytest.raises(ValueError, match="axis"):
-        MC.spanning_probability(ModelParams(2, 0.7, 2), 3, 10, seed=0, axis="z")
+        MC.run_experiment(ModelParams(2, 0.7, 2), 3, 10, seed=0, spanning_axes=("z",))
     # spanning along x keeps its meaning: the whole interval survives
-    assert MC.spanning_probability(ModelParams(2, 1.0, 1), 3, 10, seed=0).mean == 1.0
+    assert _spanning(ModelParams(2, 1.0, 1), 3, 10, seed=0).mean == 1.0
 
 
 def test_merge_invariance_across_shardings():
@@ -136,19 +138,18 @@ def test_coupled_grids_are_monotone_in_p():
             prev = occ
 
 
-def test_coupled_spanning_probability_monotone():
+def test_coupled_spanning_monotone_in_p():
     values = []
     for p in (0.5, 0.65, 0.8, 0.95):
-        est = MC.spanning_probability(ModelParams(2, p, 2), 5, 150, seed=31)
+        est = _spanning(ModelParams(2, p, 2), 5, 150, seed=31)
         values.append(est.mean)
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_spanning_trivial():
-    assert MC.spanning_probability(ModelParams(2, 1.0, 2), 3, 20, seed=0).mean == 1.0
-    assert MC.spanning_probability(ModelParams(2, 0.0, 2), 3, 20, seed=0).mean == 0.0
-    est = MC.spanning_probability(ModelParams(2, 1.0, 2), 3, 20, seed=0, axis="y")
-    assert est.mean == 1.0
+    assert _spanning(ModelParams(2, 1.0, 2), 3, 20, seed=0).mean == 1.0
+    assert _spanning(ModelParams(2, 0.0, 2), 3, 20, seed=0).mean == 0.0
+    assert _spanning(ModelParams(2, 1.0, 2), 3, 20, seed=0, axis="y").mean == 1.0
 
 
 def test_independent_seeds_differ_from_coupled():
@@ -164,12 +165,11 @@ def test_d1_experiment():
     from fracperc import analytic
 
     pr = ModelParams(2, 0.7, 1)
-    res = MC.run_experiment(pr, 4, 1500, seed=13, functionals=("V0", "V1"))
+    res = MC.run_experiment(pr, 4, 1500, seed=13)
     exact = float(analytic.ev_vk_1d(pr, 4, 1))
     est = res.estimates[("F", "V1")]
     assert abs(est.mean - exact) < 4 * est.stderr
-    with pytest.raises(ValueError):
-        MC.run_experiment(pr, 2, 10, seed=0, functionals=("V2",))
+    assert ("F", "V2") not in res.estimates
 
 
 def test_sample_count_validation():
@@ -205,7 +205,7 @@ def test_oracle_bridge_at_level_one():
 
     p = Fraction(3, 5)
     pr = ModelParams(2, float(p), 2)
-    result = MC.run_experiment(pr, 1, 100_000, seed=2718, functionals=("V0",))
+    result = MC.run_experiment(pr, 1, 100_000, seed=2718)
     for target in ("F", "C"):
         est = result.estimates[(target, "V0")]
         exact = float(oracle.enumerate_2d(2, p, 1, "V0", target))

@@ -46,19 +46,16 @@ def test_shape_and_metadata():
     assert grid.occupancy.shape == (1, 9)
     assert grid.side == 9
     assert grid.cell_size == pytest.approx(1 / 9)
-    assert grid.target == "F"
     assert grid.sample_index == 9
 
 
-def test_complement_involution_and_area_partition():
-    pr = ModelParams(2, 0.55, 2)
-    grid = S.sample(pr, 5, seed=4)
-    comp = S.complement(grid)
-    assert comp.target == "C"
-    assert np.array_equal(S.complement(comp).occupancy, grid.occupancy)
+def test_f_and_c_areas_partition_the_unit_square():
     # V2(F_n) + V2(C_n) = 1 for every realization
-    total = grid.occupied_count + comp.occupied_count
-    assert total == grid.side**2
+    grid = S.sample(ModelParams(2, 0.55, 2), 5, seed=4)
+    f, c = G.minkowski_pair(grid)
+    assert f.faces == np.count_nonzero(grid.occupancy)
+    assert f.faces + c.faces == grid.side**2
+    assert f.v2 + c.v2 == 1.0
 
 
 def test_memory_guard():
@@ -130,12 +127,34 @@ def test_sample_stack_memory_guard():
         S.sample_stack(params, 2.0, 0, [1])
 
 
+@pytest.mark.parametrize("bad", [1.5, -1, 2**64, True, "3"])
+def test_sample_index_must_be_an_integer_in_range(bad):
+    params = ModelParams(3, 0.6, 1)
+    with pytest.raises(ValueError, match="sample indices"):
+        S.sample(params, 1, 1, bad)
+    with pytest.raises(ValueError, match="sample indices"):
+        S.sample_stack(params, 1, 1, [0, bad])
+    with pytest.raises(ValueError, match="sample indices"):
+        S.sample_stack(params, 1, 1, np.array([0, 1.0]))
+
+
+def test_sample_index_range_ends_are_drawn():
+    params = ModelParams(3, 0.6, 1)
+    top = 2**64 - 1
+    stack = S.sample_stack(params, 2, 1, [0, 2**63, top])
+    assert np.array_equal(stack, S.sample_stack(params, 2, 1, np.array([0, 2**63, top], np.uint64)))
+    assert np.array_equal(stack[2], S.sample(params, 2, 1, top).occupancy)
+    # the int64 blocks that Monte Carlo passes, and numpy integer scalars
+    assert np.array_equal(S.sample_stack(params, 2, 1, np.arange(3, dtype=np.int64))[1],
+                          S.sample(params, 2, 1, np.int64(1)).occupancy)
+
+
 def test_offspring_counts_binomial():
     # level-1 kept counts across many replicates vs Binomial(M^d, p)
     M, p, draws = 2, 0.6, 100_000
     cells = np.arange(M * M, dtype=np.uint64)
     samples = np.arange(draws, dtype=np.uint64)[:, None]
-    u = rng.node_uniforms(31415, samples, 1, cells[None, :])
+    u = rng.cell_uniforms(rng.node_key(31415, samples, 1), cells[None, :])
     counts = (u < p).sum(axis=1)
     observed = np.bincount(counts, minlength=M * M + 1)
     expected = draws * stats.binom.pmf(np.arange(M * M + 1), M * M, p)
@@ -158,22 +177,22 @@ def test_population_mean_matches_branching_mean():
 
 
 def test_uniform_hash_basic_statistics():
-    u = rng.node_uniforms(7, 0, 3, np.arange(200_000, dtype=np.uint64))
+    u = rng.cell_uniforms(rng.node_key(7, 0, 3), np.arange(200_000, dtype=np.uint64))
     assert 0.0 <= u.min() and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     # distinct positions decorrelate
-    v = rng.node_uniforms(7, 0, 4, np.arange(200_000, dtype=np.uint64))
+    v = rng.cell_uniforms(rng.node_key(7, 0, 4), np.arange(200_000, dtype=np.uint64))
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.01
 
 
 def test_vector_sample_index_matches_scalar_calls():
     idx = np.arange(64, dtype=np.uint64)
-    both = rng.node_uniforms(2024, np.array([[3], [11]]), 5, idx[None, :])
+    both = rng.cell_uniforms(rng.node_key(2024, np.array([[3], [11]]), 5), idx[None, :])
     for row, i in enumerate((3, 11)):
-        scalar = rng.node_uniforms(2024, i, 5, idx)
+        scalar = rng.cell_uniforms(rng.node_key(2024, i, 5), idx)
         assert np.array_equal(both[row].view(np.uint64), scalar.view(np.uint64))
-    pair = rng.node_uniforms(2024, np.array([3, 11]), 5, 17)
-    singles = [rng.node_uniforms(2024, i, 5, 17) for i in (3, 11)]
+    pair = rng.cell_uniforms(rng.node_key(2024, np.array([3, 11]), 5), 17)
+    singles = [rng.cell_uniforms(rng.node_key(2024, i, 5), 17) for i in (3, 11)]
     assert np.array_equal(pair.view(np.uint64), np.array(singles).view(np.uint64))
 
 
