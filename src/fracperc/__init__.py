@@ -19,7 +19,7 @@ from .analytic import (
     vbar0_2d_finite,
     vbarc0_2d_finite,
 )
-from .geometry import ClusterLabeling, MinkowskiValues, euler_crosscheck, label, minkowski
+from .geometry import ClusterLabeling, euler_crosscheck, label, minkowski
 from .montecarlo import McEstimate, run_experiment
 from .oracle import InstanceTooLargeError, enumerate_1d, enumerate_2d
 from .sampler import GridRealization, MemoryBudgetError, sample
@@ -44,7 +44,6 @@ __all__ = [
     "InstanceTooLargeError",
     "McEstimate",
     "MemoryBudgetError",
-    "MinkowskiValues",
     "ModelParams",
     "RescaledSeries",
     "ThresholdReport",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import secrets
 import sys
 import time
@@ -159,6 +160,8 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigError(f"m_list entries must be at least 2, got {config.m_list}")
     if config.samples < 2:
         raise ConfigError(f"samples must be at least 2 for a standard error, got {config.samples}")
+    if config.seed is not None and not 0 <= config.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
     if config.connectivity not in (4, 8):
         raise ConfigError(f"connectivity must be 4 or 8, got {config.connectivity}")
     if config.axis not in ("x", "y"):
@@ -167,6 +170,8 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigError(f"spanning must be one of {tuple(_SPANNING_AXES)}, got {config.spanning!r}")
     if config.d == 1 and "y" in _SPANNING_AXES[config.spanning]:
         raise ConfigError(f"spanning {config.spanning!r} needs d = 2: a d = 1 lattice has one row")
+    if config.d == 1 and config.spanning_mask and config.axis == "y":
+        raise ConfigError("a spanning mask along y needs d = 2: a d = 1 lattice has one row")
     if config.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {config.workers}")
 
@@ -188,6 +193,10 @@ def _require_seed(config: RunConfig) -> tuple:
 
 def _p_grid(config: RunConfig, d: int) -> list:
     """The p grid of a d-dimensional model: it starts above the domain bound 1/M^d."""
+    for name in ("p_start", "p_stop", "p_step"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     lo_domain = 1.0 / config.M**d
     step = config.p_step if config.p_step is not None else 0.02
     if step <= 0:

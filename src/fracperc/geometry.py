@@ -9,16 +9,17 @@ complex it spans:
 
 the half-perimeter is V1 = s (2 #cells - #shared edges) and the area is
 V2 = s^2 #cells, with s the cell side length. ``vk_scores`` alone maps
-counters to the integer scores V_k / s^k, for Monte Carlo and the oracle too.
+counters to the integer scores V_k / s^k, ``minkowski`` alone to float V_k.
 
-Two independent implementations are kept on purpose. The performance path
-counts the 2x2 windows of the image, one per lattice vertex (Michielsen &
-De Raedt, Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1 occupied or
-2 outside, so one 81-entry table gives each window's contribution both to
-F, which reads 1 as occupied, and to the closed complement C, which reads 0
-as occupied: one histogram pass measures F and C of a lattice or a stack.
-The audit path computes the same counters with direct boolean reductions.
-A third, structurally different cross-check obtains the Euler
+Two independent implementations are kept on purpose. ``window_counters``,
+the kernel of Monte Carlo, the oracle and verification, counts the 2x2
+windows of the image, one per lattice vertex (Michielsen & De Raedt,
+Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1 occupied or 2 outside,
+so one 81-entry table gives each window's contribution both to F, which
+reads 1 as occupied, and to the closed complement C, which reads 0 as
+occupied: one histogram pass measures F and C of a lattice or a stack.
+``audit_counters`` computes the same counters with direct boolean
+reductions. A third, structurally different cross-check obtains the Euler
 characteristic as components minus holes from connected-component
 labelling (occupied cells 8-connected, complement cells 4-connected,
 matching closed-set semantics). A d = 1 lattice is one row of cells.
@@ -31,15 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 import numpy as np
 from scipy import ndimage
 
 from .sampler import GridRealization
-
-Number = Union[int, float, Fraction]
 
 _EIGHT = np.ones((3, 3), dtype=int)
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
@@ -69,38 +66,6 @@ def _window_table() -> np.ndarray:
 _WINDOW_TABLE = _window_table()
 
 
-@dataclass(frozen=True)
-class MinkowskiValues:
-    """Lattice counts and derived functionals in unit-cube units.
-
-    ``v2`` is None for d = 1 (the top functional there is ``v1``, the
-    total length).
-    """
-
-    d: int
-    cell_size: Number
-    faces: int
-    edges_any: int
-    edges_shared: int
-    vertices_any: int
-    v0: int
-    v1: Number
-    v2: Number | None
-
-    def vk(self, k: int) -> Number:
-        value = (self.v0, self.v1, self.v2)[k] if k <= 2 else None
-        if k < 0 or k > self.d or value is None:
-            raise ValueError(f"V_{k} undefined for d = {self.d}")
-        return value
-
-
-def _as_occupancy(grid) -> tuple[np.ndarray, Number, int]:
-    """(occupancy, cell size, d); a raw boolean array is a d = 2 lattice of unit cells."""
-    if isinstance(grid, GridRealization):
-        return grid.occupancy, grid.cell_size, grid.d
-    return np.asarray(grid, bool), 1, 2
-
-
 def vk_scores(counters, d: int) -> np.ndarray:
     """Integer scores (V0, V1 M^n[, V2 M^2n]) of lattices at level n from their
     counters (faces, edges_any, edges_shared, vertices_any) on the last axis:
@@ -110,18 +75,7 @@ def vk_scores(counters, d: int) -> np.ndarray:
     return np.array((v0, faces) if d == 1 else (v0, 2 * faces - edges_shared, faces)).T
 
 
-def _values(d, cell_size, *counters):
-    faces, _, edges_shared, _ = counters
-    v0, v1, *v2 = vk_scores(counters, d).tolist()
-    if d == 1:  # a run of L cells touches L + 1 lattice points
-        return MinkowskiValues(
-            1, cell_size, faces, faces, edges_shared, faces + v0, v0, cell_size * v1, None
-        )
-    area = cell_size * cell_size * v2[0]
-    return MinkowskiValues(2, cell_size, *counters, v0, cell_size * v1, area)
-
-
-def _window_counters(occ: np.ndarray) -> np.ndarray:
+def window_counters(occ: np.ndarray) -> np.ndarray:
     """Counters of F and C for one lattice or a stack on leading axes.
 
     Returns int64 of shape ``occ.shape[:-2] + (2, 4)``: F, then C, each
@@ -154,48 +108,29 @@ def _window_counters(occ: np.ndarray) -> np.ndarray:
     return out.reshape(occ.shape[:-2] + (2, 4))
 
 
-def _counting_counters(occ: np.ndarray) -> tuple:
-    """(faces, edges_any, edges_shared, vertices_any) by direct boolean reductions."""
-    faces = int(occ.sum())
-    edges_shared = int((occ[:-1, :] & occ[1:, :]).sum()) + int(
-        (occ[:, :-1] & occ[:, 1:]).sum()
-    )
-    P = np.pad(occ, 1)
-    edges_any = int((P[:-1, 1:-1] | P[1:, 1:-1]).sum()) + int(
-        (P[1:-1, :-1] | P[1:-1, 1:]).sum()
-    )
-    vertices_any = int((P[:-1, :-1] | P[:-1, 1:] | P[1:, :-1] | P[1:, 1:]).sum())
-    return faces, edges_any, edges_shared, vertices_any
+def audit_counters(occ: np.ndarray) -> np.ndarray:
+    """The counters of :func:`window_counters` for one lattice by direct
+    boolean reductions (audit route): int64 ``(2, 4)``, F counted from
+    ``occ``, then C from ``~occ``."""
+    occ = np.asarray(occ, dtype=bool)
+    counters = []
+    for cells in (occ, ~occ):
+        P = np.pad(cells, 1)
+        counters.append((
+            cells.sum(),
+            (P[:-1, 1:-1] | P[1:, 1:-1]).sum() + (P[1:-1, :-1] | P[1:-1, 1:]).sum(),
+            (cells[:-1, :] & cells[1:, :]).sum() + (cells[:, :-1] & cells[:, 1:]).sum(),
+            (P[:-1, :-1] | P[:-1, 1:] | P[1:, :-1] | P[1:, 1:]).sum(),
+        ))
+    return np.array(counters, dtype=np.int64)
 
 
-def minkowski_of_array(occ: np.ndarray, cell_size: Number, d: int = 2) -> MinkowskiValues:
-    """Functionals of a raw boolean array (the F half of the window pass)."""
-    return _values(d, cell_size, *_window_counters(np.atleast_2d(occ))[0].tolist())
-
-
-def minkowski(grid: GridRealization) -> MinkowskiValues:
-    """Exact functionals of a sampled grid; single histogram pass."""
-    return minkowski_of_array(*_as_occupancy(grid))
-
-
-def minkowski_pair(grid) -> tuple[MinkowskiValues, MinkowskiValues]:
-    """Functionals of the occupied cells (F) and of their closed complement
-    (C) from one window pass; ``grid`` may also be a raw boolean array."""
-    occ, cell_size, d = _as_occupancy(grid)
-    f, c = _window_counters(occ).tolist()
-    return _values(d, cell_size, *f), _values(d, cell_size, *c)
-
-
-def window_scores(stack: np.ndarray, d: int = 2) -> np.ndarray:
-    """:func:`vk_scores` of F, then C, of every lattice of a ``(B, H, W)``
-    stack from one window pass: int64 of shape ``(B, 2, d + 1)``."""
-    return vk_scores(_window_counters(stack), d)
-
-
-def minkowski_audit(grid) -> MinkowskiValues:
-    """Independent counting-path evaluation (audit route)."""
-    occ, cell_size, d = _as_occupancy(grid)
-    return _values(d, cell_size, *_counting_counters(occ))
+def minkowski(occ: np.ndarray, cell_side: float, d: int = 2) -> np.ndarray:
+    """V_0 .. V_d of F, then of C, of a lattice of cells of side
+    ``cell_side``, or of every lattice of a ``(B, H, W)`` stack, from one
+    window pass: float64 of shape ``occ.shape[:-2] + (2, d + 1)``."""
+    s = cell_side
+    return vk_scores(window_counters(occ), d) * np.array((1.0, s, s * s)[: d + 1])
 
 
 # ---------------------------------------------------------------------------

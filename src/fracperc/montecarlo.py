@@ -7,16 +7,15 @@ generator state, the same seed always produces the same replicate set
 regardless of the shard plan or worker count. A shard walks its
 replicates in blocks of about ``BLOCK_CELLS`` lattice cells, capped by the
 memory budget: one ``sampler.sample_stack`` call draws a block and one
-``geometry.window_scores`` call gives the integer V_k scores of F and C of
-all its lattices (spanning labels each lattice). A shard returns one
-float64 array, a row per replicate: V_0 .. V_d of F, then of C (each
-score times s^k with s = M^-n the cell side), then a 0/1 column per
-spanning axis. The shards' rows are concatenated in replicate order and
-each column becomes one estimate, so the estimates (and
-``simulation.csv``) are bit-identical for every shard plan, block size
-and worker count. A sweep over a p grid reuses one shared set of uniforms
-per seed (coupled mode: grids are cell-wise monotone in p). Independent
-per-p streams are derived on request.
+``geometry.minkowski`` call gives V_0 .. V_d of F and C of all its
+lattices at cell side M^-n (spanning labels each lattice). A shard
+returns one float64 array, a row per replicate: V_0 .. V_d of F, then of
+C, then a 0/1 column per spanning axis. The shards' rows are
+concatenated in replicate order and each column becomes one estimate,
+so the estimates (and ``simulation.csv``) are bit-identical for every
+shard plan, block size and worker count. A sweep over a p grid reuses
+one shared set of uniforms per seed (coupled mode: grids are cell-wise
+monotone in p). Independent per-p streams are derived on request.
 """
 
 from __future__ import annotations
@@ -125,16 +124,14 @@ def _run_shard(args):
     V_d of F, then of C, then a 0/1 column per spanning axis."""
     params, n, seed, start, count, connectivity, axes, budget_bytes = args
     d = params.d
-    s = float(params.M) ** -n  # cell side: V_k is the integer score times s^k
-    scale = np.array((1.0, s, s * s)[: d + 1])
+    side = float(params.M) ** -n
     width = 2 * (d + 1)
     values = np.empty((count, width + len(axes)))
     step = _block_size(params, n, budget_bytes)
     for first in range(0, count, step):
         rows = np.arange(first, min(first + step, count))
         stack = sampler.sample_stack(params, n, seed, start + rows, budget_bytes)
-        scores = geometry.window_scores(stack, d) * scale
-        values[rows, :width] = scores.reshape(len(rows), width)
+        values[rows, :width] = geometry.minkowski(stack, side, d).reshape(len(rows), width)
         for row, occ in zip(rows, stack if axes else ()):
             lab = geometry.label(occ, connectivity)
             values[row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]

@@ -159,7 +159,7 @@ def _pattern_scores(M: int, n: int, d: int) -> np.ndarray:
     occ = np.empty((len(keys), size), dtype=bool)
     for cell in range(size):  # column by column keeps the temporaries small
         occ[:, cell] = keys >> (size - 1 - cell) & 1
-    counters = geometry._window_counters(occ.reshape(len(keys), -1, side))
+    counters = geometry.window_counters(occ.reshape(len(keys), -1, side))
     ends = occ[:, [0, -1]]
     scores = np.concatenate((counters, np.stack((ends, ~ends), axis=1)), axis=-1)
     scores.flags.writeable = False

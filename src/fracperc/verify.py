@@ -144,12 +144,12 @@ def _group_geometry(seed: int, grids: int) -> CheckGroup:
         side = int(rng_local.integers(4, 48))
         occ = rng_local.random((side, side)) < rng_local.choice((0.2, 0.5, 0.8))
         # both halves of the single window pass against the counting path
-        a, a_c = geometry.minkowski_pair(occ)
-        b, b_c = geometry.minkowski_audit(occ), geometry.minkowski_audit(~occ)
+        window, audit = geometry.window_counters(occ), geometry.audit_counters(occ)
+        (v0, v0_c), (b0, b0_c) = geometry.vk_scores((window, audit), 2)[..., 0].tolist()
         c = geometry.euler_crosscheck(occ)
-        if a != b or a_c != b_c or a.v0 != c:
+        if not np.array_equal(window, audit) or v0 != c:
             ok = False
-            worst = max(worst, abs(a.v0 - c), abs(a.v0 - b.v0), abs(a_c.v0 - b_c.v0))
+            worst = max(worst, abs(v0 - c), abs(v0 - b0), abs(v0_c - b0_c))
     return CheckGroup("geometry_duality", ok, float(worst), {"grids": grids})
 
 

@@ -196,14 +196,13 @@ def test_acceptance_6_geometry_duality():
         side = int(rng.integers(8, 65))
         density = (0.2, 0.5, 0.8)[i % 3]
         occ = rng.random((side, side)) < density
-        lookup = G.minkowski_of_array(occ, 1.0)
-        assert lookup.v0 == G.euler_crosscheck(occ)
-        audit = G.minkowski_audit(occ)
-        assert lookup.v1 == audit.cell_size * (2 * audit.faces - audit.edges_shared)
-        assert lookup.v2 == audit.faces
-        assert (lookup.faces, lookup.edges_any, lookup.edges_shared, lookup.vertices_any) == (
-            audit.faces, audit.edges_any, audit.edges_shared, audit.vertices_any
-        )
+        v0, v1, v2 = G.minkowski(occ, 1.0)[0]
+        assert v0 == G.euler_crosscheck(occ)
+        audit = G.audit_counters(occ)
+        faces, _, edges_shared, _ = audit[0]
+        assert v1 == 1.0 * (2 * faces - edges_shared)
+        assert v2 == faces
+        assert np.array_equal(G.window_counters(occ), audit)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"criterion 6 runtime {elapsed:.0f}s exceeds 1 minute"
     print(f"ACCEPTANCE 6 geometry duality: PASS (10000 grids, {elapsed:.0f}s)")

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +366,18 @@ def test_user_input_errors_exit_2(tmp_path):
         # no lattice level to default to: 1^n never exceeds the side cap
         ["simulate", "-M", "1", "-p", "0.6", "--samples", "2", "--seed", "1",
          "--out", str(tmp_path / "s")],
+        # seeds are 64-bit: -3 and 2**64 - 3 would draw the same lattices
+        sim[:-4] + ["--seed", "-3"] + sim[-2:],
+        sim[:-4] + ["--seed", str(2**64)] + sim[-2:],
+        ["verify", "--seed", "-1"],
+        ["curves", "--p-step", "nan", "--out", str(tmp_path / "c")],
+        ["curves", "--p-start", "inf", "--out", str(tmp_path / "c")],
+        ["simulate", "-n", "2", "--samples", "2", "--seed", "1", "--p-step", "nan",
+         "--out", str(tmp_path / "s")],
+        ["simulate", "-n", "2", "--samples", "2", "--seed", "1", "--p-stop", "nan",
+         "--out", str(tmp_path / "s")],
+        ["render", "-d", "1", "-n", "2", "-p", "0.6", "--seed", "1", "--spanning-mask",
+         "--axis", "y", "--out", str(tmp_path / "r.pbm")],
     ):
         assert cli.main(argv) == EXIT_CONFIG, argv
 
@@ -375,6 +389,13 @@ def test_public_names_resolve():
     namespace = {}
     exec("from fracperc import *", namespace)
     assert set(fracperc.__all__) <= set(namespace)
+
+
+def test_readme_quickstart_runs():
+    # the README's python block, run as written, keeps it in step with the API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch):

@@ -12,23 +12,25 @@ from fracperc.analytic import ModelParams
 
 
 def mk(occ, s=1.0):
-    return G.minkowski_of_array(np.asarray(occ, bool), s)
+    """V_0, V_1, V_2 of the occupied cells (F) of a lattice of cell side s."""
+    return G.minkowski(np.asarray(occ, bool), s)[0]
 
 
 def test_single_cell():
     occ = np.zeros((3, 3), bool)
     occ[1, 1] = True
     v = mk(occ, 0.5)
-    assert v.v0 == 1
-    assert v.v1 == pytest.approx(1.0)  # 2s
-    assert v.v2 == pytest.approx(0.25)
-    assert (v.faces, v.edges_shared) == (1, 0)
+    assert v[0] == 1
+    assert v[1] == pytest.approx(1.0)  # 2s
+    assert v[2] == pytest.approx(0.25)
+    faces, _, edges_shared, _ = G.window_counters(occ)[0]
+    assert (faces, edges_shared) == (1, 0)
 
 
 def test_ring_has_zero_euler():
     occ = np.ones((3, 3), bool)
     occ[1, 1] = False
-    assert mk(occ).v0 == 0
+    assert mk(occ)[0] == 0
     assert G.euler_crosscheck(occ) == 0
 
 
@@ -36,19 +38,19 @@ def test_diagonal_pair_connected():
     occ = np.zeros((2, 2), bool)
     occ[0, 0] = occ[1, 1] = True
     v = mk(occ, 0.5)
-    assert v.v0 == 1
-    assert v.v1 == pytest.approx(2.0)  # 4s by inclusion-exclusion
+    assert v[0] == 1
+    assert v[1] == pytest.approx(2.0)  # 4s by inclusion-exclusion
     assert G.euler_crosscheck(occ) == 1
 
 
 def test_full_grid_is_unit_cube():
     v = mk(np.ones((8, 8), bool), 1 / 8)
-    assert (v.v0, v.v1, v.v2) == (1, pytest.approx(2.0), pytest.approx(1.0))
+    assert tuple(v) == (1, pytest.approx(2.0), pytest.approx(1.0))
 
 
 def test_empty_grid():
     v = mk(np.zeros((4, 4), bool))
-    assert (v.v0, v.v1, v.v2) == (0, 0, 0)
+    assert tuple(v) == (0, 0, 0)
     assert G.euler_crosscheck(np.zeros((4, 4), bool)) == 0
 
 
@@ -60,23 +62,20 @@ def test_lookup_equals_audit_and_crosscheck():
                rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))) for _ in range(1000)]
     for shape, density in cases:
         occ = rng.random(shape) < density
-        a = G.minkowski_of_array(occ, 1.0)
-        b = G.minkowski_audit(occ)
-        assert a == b, shape
         # both halves of the single F/C pass against the counting path
-        f, c = G.minkowski_pair(occ)
-        assert f == b and c == G.minkowski_audit(~occ), shape
-        assert a.v0 == G.euler_crosscheck(occ)
-        assert a.v2 == occ.sum()
-        assert a.v1 >= 0
+        assert np.array_equal(G.window_counters(occ), G.audit_counters(occ)), shape
+        v = mk(occ)
+        assert v[0] == G.euler_crosscheck(occ)
+        assert v[2] == occ.sum()
+        assert v[1] >= 0
     # one stacked kernel call (two leading axes, more lattices than one
     # bincount block) equals the per-slice calls
     group = G._BLOCK_WINDOWS // (5 * 6 + 81)
     stack = rng.random((2, group // 2 + 3, 4, 5)) < 0.5
-    stacked = G._window_counters(stack)
+    stacked = G.window_counters(stack)
     assert stacked.shape == stack.shape[:2] + (2, 4)
     for index in np.ndindex(*stack.shape[:2]):
-        assert np.array_equal(stacked[index], G._window_counters(stack[index]))
+        assert np.array_equal(stacked[index], G.window_counters(stack[index]))
 
 
 def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
@@ -88,12 +87,12 @@ def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
         shape = (int(rng.integers(1, 6)),) + tuple(int(v) for v in rng.integers(1, 30, size=2))
         cases.append(rng.random(shape) < rng.choice((0.0, 0.3, 0.6, 1.0)))
     cases += [rng.random((3, 1, 40)) < 0.5, rng.random((2, 40, 1)) < 0.5]
-    whole = [G._window_counters(occ) for occ in cases]
+    whole = [G.window_counters(occ) for occ in cases]
     for budget in (1, 7, 50, 200, 1000):
         monkeypatch.setattr(G, "_BLOCK_WINDOWS", budget)
         for occ, expected in zip(cases, whole):
-            assert np.array_equal(G._window_counters(occ), expected), (budget, occ.shape)
-            assert np.array_equal(G._window_counters(occ[0]), expected[0]), (budget, occ.shape)
+            assert np.array_equal(G.window_counters(occ), expected), (budget, occ.shape)
+            assert np.array_equal(G.window_counters(occ[0]), expected[0]), (budget, occ.shape)
 
 
 def test_additivity_on_overlapping_column_splits():
@@ -110,22 +109,21 @@ def test_additivity_on_overlapping_column_splits():
         meet = np.zeros_like(occ)
         meet[:, c] = occ[:, c]
         for k in (0, 1, 2):
-            lhs = mk(A).vk(k) + mk(B).vk(k)
-            rhs = mk(occ).vk(k) + mk(meet).vk(k)
+            lhs = mk(A)[k] + mk(B)[k]
+            rhs = mk(occ)[k] + mk(meet)[k]
             assert lhs == rhs
 
 
 def test_one_dimensional_counts():
     pr = ModelParams(2, 0.5, 1)
     grid = S.sample(pr, 3, seed=3)
-    v = G.minkowski(grid)
+    v = G.minkowski(grid.occupancy, grid.cell_size, grid.d)
     row = grid.occupancy[0]
     runs = int(np.sum(row[1:] & ~row[:-1])) + int(row[0])
-    assert v.v0 == runs
-    assert v.v1 == pytest.approx(row.sum() / 8)
-    assert v.v2 is None
-    with pytest.raises(ValueError):
-        v.vk(2)
+    assert v[0, 0] == runs
+    assert v[0, 1] == pytest.approx(row.sum() / 8)
+    # V_0 and V_1 of F, then of C: no V_2 on a line
+    assert v.shape == (2, 2)
 
 
 def test_label_connectivity_difference():

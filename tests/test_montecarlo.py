@@ -46,9 +46,9 @@ def _per_replicate_reference(params, n, samples, seed, axes):
     spans = {axis: [] for axis in axes}
     for i in range(samples):
         grid = S.sample(params, n, seed, i)
-        pair = dict(zip(("F", "C"), G.minkowski_pair(grid)))
+        pair = dict(zip(("F", "C"), G.minkowski(grid.occupancy, grid.cell_size, grid.d)))
         for (target, functional), column in values.items():
-            column.append(float(pair[target].vk(index[functional])))
+            column.append(float(pair[target][index[functional]]))
         lab = G.label(grid, 8)
         for axis, column in spans.items():
             column.append(1.0 if (lab.spans_x if axis == "x" else lab.spans_y) else 0.0)

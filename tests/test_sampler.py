@@ -52,10 +52,11 @@ def test_shape_and_metadata():
 def test_f_and_c_areas_partition_the_unit_square():
     # V2(F_n) + V2(C_n) = 1 for every realization
     grid = S.sample(ModelParams(2, 0.55, 2), 5, seed=4)
-    f, c = G.minkowski_pair(grid)
-    assert f.faces == np.count_nonzero(grid.occupancy)
-    assert f.faces + c.faces == grid.side**2
-    assert f.v2 + c.v2 == 1.0
+    f_faces, c_faces = G.window_counters(grid.occupancy)[:, 0]
+    assert f_faces == np.count_nonzero(grid.occupancy)
+    assert f_faces + c_faces == grid.side**2
+    f, c = G.minkowski(grid.occupancy, grid.cell_size, grid.d)
+    assert f[2] + c[2] == 1.0
 
 
 def test_memory_guard():
@@ -80,7 +81,7 @@ def test_replicate_peak_memory_within_guard_model():
         tracemalloc.start()
         try:
             grid = S.sample(ModelParams(2, p, 2), n, seed=3)
-            G.minkowski_pair(grid)
+            G.minkowski(grid.occupancy, grid.cell_size, grid.d)
             G.label(grid, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -96,7 +97,7 @@ def test_replicate_peak_memory_within_guard_model():
         tracemalloc.start()
         try:
             stack = S.sample_stack(params, n, 3, np.arange(block))
-            G.window_scores(stack)
+            G.minkowski(stack, 2.0**-n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
