@@ -16,9 +16,11 @@ survived, ``C_n`` the closed complement of ``F_n`` in the unit cube,
 ``F_0 = [0,1]^d`` and ``C_0`` empty. In one dimension the construction set
 is a union of intervals and its closed complement is again a union of
 level-``n`` intervals. Unrescaled expectations are polynomial identities in
-``p`` and valid on all of [0, 1]; only the rescaled quantities carry domain
-restrictions, and querying them outside raises :class:`DomainError` rather
-than returning NaN.
+``p`` and valid on all of [0, 1]. A quantity rescaled by r^{n(D-k)} at
+exponent j is defined only where M^j p > 1 and raises :class:`DomainError`
+elsewhere rather than returning NaN. ``_gate`` holds the argument and
+domain checks shared by the public closed forms; only checks of one function
+(``dims``' p > 0, the complement area, intersection configurations) stay put.
 """
 
 from __future__ import annotations
@@ -95,19 +97,26 @@ def _geom(x: Number, m: int) -> Number:
     return _sum(x**j for j in range(m))
 
 
-def _check_dim(params: ModelParams, d: int, op: str) -> None:
+_SKIP = object()  # a _gate argument left out; None is itself an invalid n, k or target
+
+
+def _gate(params: ModelParams, op: str, d: int, n=_SKIP, k=_SKIP, target=_SKIP, above=None):
+    """Check the arguments of the closed form ``op``, in this order, and
+    return ``_mp(params)``: d-dimensional model, nonnegative int level n, k in
+    0..d, target "F" or "C", and M^above p > 1 for a rescaled quantity, which
+    alone raises :class:`DomainError`. An argument left out is not checked."""
     if params.d != d:
         raise ValueError(f"{op} requires d = {d}, got d = {params.d}")
-
-
-def _check_k(k: int, d: int) -> None:
-    if k not in range(d + 1):
-        raise ValueError(f"k must be in 0..{d}, got {k}")
-
-
-def _check_level(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if n is not _SKIP and (not isinstance(n, int) or isinstance(n, bool) or n < 0):
         raise ValueError(f"level must be a nonnegative integer, got {n!r}")
+    if k is not _SKIP and k not in range(d + 1):
+        raise ValueError(f"k must be in 0..{d}, got {k}")
+    if target is not _SKIP and target not in ("F", "C"):
+        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
+    M, p = _mp(params)
+    if above is not None and M**above * p <= 1:
+        raise DomainError(f"{op} needs p > 1/M^{above}", M=params.M, p=p, k=k)
+    return M, p
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +180,7 @@ def ev_vk_1d(params: ModelParams, n: int, k: int) -> Number:
     V_1 is total length, E V_1(K_n) = p^n. V_0 counts components:
     E V_0(K_n) = (Mp)^n (1 - (M-1)p/(M-p) [1 - (p/M)^n]).
     """
-    _check_dim(params, 1, "ev_vk_1d")
-    _check_k(k, 1)
-    _check_level(n)
-    M, p = _mp(params)
+    M, p = _gate(params, "ev_vk_1d", 1, n=n, k=k)
     if k == 1:
         return p**n
     return (M * p) ** n * (1 - (M - 1) * p / (M - p) * (1 - (p / M) ** n))
@@ -182,10 +188,7 @@ def ev_vk_1d(params: ModelParams, n: int, k: int) -> Number:
 
 def ev_vk_intersect_1d(params: ModelParams, n: int, k: int) -> Number:
     """E V_k of the intersection of two independent copies of K_n."""
-    _check_dim(params, 1, "ev_vk_intersect_1d")
-    _check_k(k, 1)
-    _check_level(n)
-    M, p = _mp(params)
+    M, p = _gate(params, "ev_vk_intersect_1d", 1, n=n, k=k)
     if k == 1:
         return p ** (2 * n)
     return (M * p * p) ** n * _sum(
@@ -200,9 +203,7 @@ def ev_vk_intersect_1d(params: ModelParams, n: int, k: int) -> Number:
 
 def ev_n_isolated_1d(params: ModelParams, n: int) -> Number:
     """Expected number of isolated points of the intersection of two copies of K_n."""
-    _check_dim(params, 1, "ev_n_isolated_1d")
-    _check_level(n)
-    M, p = _mp(params)
+    M, p = _gate(params, "ev_n_isolated_1d", 1, n=n)
     return (M * p * p) ** n * _sum(
         [
             2,
@@ -220,10 +221,7 @@ def ev_vk_complement_1d(
 
     D_n is the closed complement of K_n in [0, 1]; D_0 is empty.
     """
-    _check_dim(params, 1, "ev_vk_complement_1d")
-    _check_k(k, 1)
-    _check_level(n)
-    M, p = _mp(params)
+    M, p = _gate(params, "ev_vk_complement_1d", 1, n=n, k=k)
     if not intersect:
         if k == 1:
             return 1 - p**n
@@ -242,11 +240,7 @@ def ev_vk_complement_1d(
 
 def limit_vk_1d(params: ModelParams, k: int) -> Number:
     """Rescaled limit of E V_k(K_n): 1 for k = 1, M(1-p)/(M-p) for k = 0."""
-    _check_dim(params, 1, "limit_vk_1d")
-    _check_k(k, 1)
-    M, p = _mp(params)
-    if M * p <= 1:
-        raise DomainError("rescaled 1d limits need p > 1/M", M=params.M, p=p, k=k)
+    M, p = _gate(params, "limit_vk_1d", 1, k=k, above=1)
     if k == 1:
         return 1
     return M * (1 - p) / (M - p)
@@ -254,9 +248,7 @@ def limit_vk_1d(params: ModelParams, k: int) -> Number:
 
 def limit_vk_intersect_1d(params: ModelParams, k: int) -> Number:
     """Rescaled limit for the intersection of two independent 1d copies."""
-    _check_dim(params, 1, "limit_vk_intersect_1d")
-    _check_k(k, 1)
-    M, p = _mp(params)
+    M, p = _gate(params, "limit_vk_intersect_1d", 1, k=k)
     if k == 1:
         return 1
     return 3 - 4 * p * (M - 1) / (M - p) + p * p * (M - 1) / (M - p * p)
@@ -271,11 +263,7 @@ def limit_vck_1d(params: ModelParams, k: int) -> Number:
     reported as 0: the complement length is boundary-dominated and carries
     no mass at the scaling of the limit set.
     """
-    _check_dim(params, 1, "limit_vck_1d")
-    _check_k(k, 1)
-    M, p = _mp(params)
-    if M * p <= 1:
-        raise DomainError("rescaled 1d complement limits need p > 1/M", M=params.M, p=p, k=k)
+    M, p = _gate(params, "limit_vck_1d", 1, k=k, above=1)
     if k == 1:
         return 0
     return 1 - p * (M - 1) / (M - p)
@@ -331,11 +319,7 @@ def vbar0_2d_finite(params: ModelParams, n: int) -> Number:
     Multiplying by (M^2 p)^n recovers E V_0(F_n) exactly; the formula also
     holds at n = 0 where it returns 1.
     """
-    _check_dim(params, 2, "vbar0_2d_finite")
-    _check_level(n)
-    M, p = _mp(params)
-    if M * M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M^2", M=params.M, p=p, k=0)
+    M, p = _gate(params, "vbar0_2d_finite", 2, n=n, k=0, above=2)
     B1, B2, B3, B4 = _v0_2d_brackets(M, p)
     return _sum(
         [
@@ -353,9 +337,7 @@ def vbar0_2d_tail(params: ModelParams, n: int) -> Number:
 
     The leading term is convergence_amplitude_2d(params) * (p/M)^n.
     """
-    _check_dim(params, 2, "vbar0_2d_tail")
-    _check_level(n)
-    M, p = _mp(params)
+    M, p = _gate(params, "vbar0_2d_tail", 2, n=n)
     B1, B2, B3, B4 = _v0_2d_brackets(M, p)
     return _sum(
         [
@@ -369,28 +351,19 @@ def vbar0_2d_tail(params: ModelParams, n: int) -> Number:
 
 def convergence_amplitude_2d(params: ModelParams) -> Number:
     """Amplitude c of the leading (p/M)^n term of vbar0_2d_finite(n) - limit."""
-    _check_dim(params, 2, "convergence_amplitude_2d")
-    return _v0_2d_brackets(*_mp(params))[0]
+    return _v0_2d_brackets(*_gate(params, "convergence_amplitude_2d", 2))[0]
 
 
 def vbar1_2d_finite(params: ModelParams, n: int) -> Number:
     """Rescaled expected half-perimeter r^{n(D-1)} E V_1(F_n), exact in n."""
-    _check_dim(params, 2, "vbar1_2d_finite")
-    _check_level(n)
-    M, p = _mp(params)
-    if M * M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M^2", M=params.M, p=p, k=1)
+    M, p = _gate(params, "vbar1_2d_finite", 2, n=n, k=1, above=2)
     return 2 - 2 * p * (M - 1) / (M - p) * (1 - (p / M) ** n)
 
 
 def limit_vk_2d(params: ModelParams, k: int) -> Number:
     """Rescaled limits for F_n in the plane: 1, 2M(1-p)/(M-p), and the
     rational Euler-characteristic expression, for k = 2, 1, 0."""
-    _check_dim(params, 2, "limit_vk_2d")
-    _check_k(k, 2)
-    M, p = _mp(params)
-    if M * M * p <= 1:
-        raise DomainError("planar limits need p > 1/M^2", M=params.M, p=p, k=k)
+    M, p = _gate(params, "limit_vk_2d", 2, k=k, above=2)
     if k == 2:
         return 1
     if k == 1:
@@ -452,21 +425,16 @@ def limit_vck_2d(params: ModelParams, k: int) -> Number:
     2M(1-p)/(M-p). The complement area admits no such rescaling (k = 2
     is not below the dimension) and raises.
     """
-    _check_dim(params, 2, "limit_vck_2d")
-    _check_k(k, 2)
-    M, p = _mp(params)
+    # k = 0, 1 rescale at 2 - k; an invalid k is left to _gate, k = 2 raises below
+    M, p = _gate(params, "limit_vck_2d", 2, k=k, above=2 - k if k in (0, 1) else None)
     if k == 2:
         raise DomainError("the area of C_n admits no r^{n(D-2)} rescaling", M=params.M, p=p, k=2)
     if k == 1:
-        if M * p <= 1:
-            raise DomainError("k = 1 complement limit needs p > 1/M", M=params.M, p=p, k=1)
         boundary = 2 * M * (1 - p) / (M * p - 1)
         side_series = 2 * (M - 1) * (
             1 / (M * p - 1) - 2 / (M - 1) + p / (M - p)
         )
         return boundary - side_series
-    if M * M * p <= 1:
-        raise DomainError("k = 0 complement limit needs p > 1/M^2", M=params.M, p=p, k=0)
     return _vc0_2d_limit_expr(M, p)
 
 
@@ -500,11 +468,7 @@ def vbarc0_2d_finite(params: ModelParams, m: int) -> ComplementEulerExpansion:
     with c2 = 4M(1-p)/(M-p), c3 = -2M(M-1)p(1-p^2)/((M-p)(M-p^2)) and
     ct = -(M-1)^2 p^3 (M+p^2)/((M-p^2)(M^2-p^3)).
     """
-    _check_dim(params, 2, "vbarc0_2d_finite")
-    _check_level(m)
-    M, p = _mp(params)
-    if M * M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M^2", M=params.M, p=p, k=0)
+    M, p = _gate(params, "vbarc0_2d_finite", 2, n=m, k=0, above=2)
     if m == 0:
         zero = 0 * p
         return ComplementEulerExpansion(zero, zero, zero, zero, zero, zero, (zero, zero, zero))
@@ -516,11 +480,7 @@ def vbarc0_2d_finite(params: ModelParams, m: int) -> ComplementEulerExpansion:
 
 def vbarc1_2d_finite(params: ModelParams, m: int) -> Number:
     """Rescaled expected half-perimeter r^{m(D-1)} E V_1(C_m), exact in m."""
-    _check_dim(params, 2, "vbarc1_2d_finite")
-    _check_level(m)
-    M, p = _mp(params)
-    if M * p <= 1:
-        raise DomainError("rescaling needs p > 1/M", M=params.M, p=p, k=1)
+    M, p = _gate(params, "vbarc1_2d_finite", 2, n=m, k=1, above=1)
     return _ev_vc1_2d(M, p, m) * (1 / (M * p)) ** m
 
 
@@ -560,15 +520,11 @@ def intersection_series_terms_2d(
     contribute (1 - p^n)^ell and the side pair follows the closed forms of
     the one-dimensional complement intersection.
     """
-    _check_dim(params, 2, "intersection_series_terms_2d")
-    _check_k(k, 2)
+    M, p = _gate(params, "intersection_series_terms_2d", 2, k=k, target=target)
     if configuration not in INTERSECTION_CONFIGURATIONS:
         raise ValueError(f"unknown configuration {configuration!r}")
-    if target not in ("F", "C"):
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
     if n < 1:
         raise ValueError("intersection terms are defined for n >= 1")
-    M, p = _mp(params)
     ell = INTERSECTION_CONFIGURATIONS[configuration][0]
     if k == 2:
         return 0  # every configuration lies in a line segment
@@ -605,17 +561,9 @@ def vbar_2d_truncated(params: ModelParams, m: int, k: int, target: str = "F") ->
     exactly with vbar0_2d_finite / vbarc0_2d_finite and the k = 1
     variants, and is kept as an independent code path for cross-checks.
     """
-    _check_dim(params, 2, "vbar_2d_truncated")
-    _check_k(k, 2)
-    _check_level(m)
-    if target not in ("F", "C"):
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    M, p = _mp(params)
-    if target == "F":
-        if M * M * p <= 1:
-            raise DomainError("series rescaling needs p > 1/M^2", M=params.M, p=p, k=k)
-    elif M ** (2 - k) * p <= 1:
-        raise DomainError("complement series needs p > 1/M^{2-k}", M=params.M, p=p, k=k)
+    # the complement series rescales at 2 - k; an invalid k is left to _gate
+    j = 2 - k if target == "C" and k in range(3) else 2
+    M, p = _gate(params, "vbar_2d_truncated", 2, n=m, k=k, target=target, above=j)
     x = M**k / (M * M * p)  # r^{D-k} per level
     q = UNIT_CUBE_VK[(2, k)]
     if target == "F":
@@ -642,11 +590,7 @@ def ev(params: ModelParams, n: int, k: int, target: str = "F") -> Number:
 
     Valid on all of p in [0, 1]; these are polynomial identities in p.
     """
-    if target not in ("F", "C"):
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    _check_k(k, params.d)
-    _check_level(n)
-    M, p = _mp(params)
+    M, p = _gate(params, "ev", params.d, n=n, k=k, target=target)
     if params.d == 1:
         if target == "F":
             return ev_vk_1d(params, n, k)
@@ -682,9 +626,7 @@ def rescaled_series(
     The limit field is None for the complement area, which admits no
     finite rescaled limit.
     """
-    _check_k(k, params.d)
-    if not params.non_empty_regime:
-        raise DomainError("rescaled series needs M^d p > 1", M=params.M, p=params.p, k=k)
+    _gate(params, "rescaled_series", params.d, k=k, above=params.d)
     terms = tuple(
         float(ev(params, n, k, target)) * rescale_factor(params, n, k) for n in range(n_max + 1)
     )

@@ -156,8 +156,8 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigError(f"n must be nonnegative, got {config.n}")
     if any(n < 0 for n in config.n_list):
         raise ConfigError(f"n_list entries must be nonnegative, got {config.n_list}")
-    if any(m < 2 for m in config.m_list):
-        raise ConfigError(f"m_list entries must be at least 2, got {config.m_list}")
+    if not config.m_list or any(m < 2 for m in config.m_list):
+        raise ConfigError(f"m_list needs one or more entries, each at least 2, got {config.m_list}")
     if config.samples < 2:
         raise ConfigError(f"samples must be at least 2 for a standard error, got {config.samples}")
     if config.seed is not None and not 0 <= config.seed < 2**64:
@@ -174,6 +174,8 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigError("a spanning mask along y needs d = 2: a d = 1 lattice has one row")
     if config.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {config.workers}")
+    if config.budget_bytes < 1:
+        raise ConfigError(f"budget_bytes must be at least 1, got {config.budget_bytes}")
 
 
 def _model_params(M, p, d) -> ModelParams:

@@ -4,7 +4,10 @@ Expected values marked by exact fractions were frozen from the
 enumeration oracle (tests/test_oracle.py re-derives them live).
 """
 
+import hashlib
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -468,3 +471,131 @@ def test_fraction_input_gives_exact_results():
             assert len(got) > 100
             floats = [value for value in got if not isinstance(value, (int, Fraction))]
             assert not floats, (M, p, floats)
+
+
+# ---------------------------------------------------------------------------
+# Pinned closed forms and the rescaling domain
+# ---------------------------------------------------------------------------
+
+def _p_grid(M):
+    """Exact probabilities at, below and above 1/M^2 and 1/M, from 0 to 1."""
+    return [F(0), F(1, 2 * M * M), F(1, M * M), F(M + 1, 2 * M * M), F(1, M), F(M + 1, 2 * M), F(1)]
+
+
+def _signatures():
+    """(function, d, per-argument (valid values, values outside them)) for
+    every public closed form; the ModelParams argument comes first and is
+    left out."""
+    levels = (range(9), (-1, True))
+    targets = (("F", "C"), ("X",))
+
+    def ks(d):
+        return range(d + 1), (-1, d + 1, None)
+
+    configurations = (tuple(A.INTERSECTION_CONFIGURATIONS), ("edge",))
+    table = [
+        (A.ev_vk_1d, 1, [levels, ks(1)]),
+        (A.ev_vk_intersect_1d, 1, [levels, ks(1)]),
+        (A.ev_n_isolated_1d, 1, [levels]),
+        (A.ev_vk_complement_1d, 1, [levels, ks(1), ((False, True), ())]),
+        (A.limit_vk_1d, 1, [ks(1)]),
+        (A.limit_vk_intersect_1d, 1, [ks(1)]),
+        (A.limit_vck_1d, 1, [ks(1)]),
+        (A.vbar0_2d_finite, 2, [levels]),
+        (A.vbar0_2d_tail, 2, [levels]),
+        (A.vbar1_2d_finite, 2, [levels]),
+        (A.vbarc0_2d_finite, 2, [levels]),
+        (A.vbarc1_2d_finite, 2, [levels]),
+        (A.convergence_amplitude_2d, 2, []),
+        (A.limit_vk_2d, 2, [ks(2)]),
+        (A.limit_vck_2d, 2, [ks(2)]),
+        (A.intersection_series_terms_2d, 2,
+         [configurations, (range(1, 9), (0, -1, True)), ks(2), targets]),
+        (A.vbar_2d_truncated, 2, [levels, ks(2), targets]),
+    ]
+    for d in (1, 2):
+        table += [
+            (A.ev, d, [levels, ks(d), targets]),
+            (A.rescaled_series, d, [ks(d), targets, ((8,), ())]),
+            (A.rescale_factor, d, [levels, ks(d)]),
+            (A.dims, d, []),
+        ]
+    return table
+
+
+def _closed_form_lines():
+    """One line per call: every valid argument tuple, each invalid value in
+    one position with the others valid, and the wrong dimension; a refused
+    call is recorded by its exception class."""
+
+    def outcome(f, args):
+        try:
+            return repr(f(*args))
+        except Exception as exc:
+            return f"raises {type(exc).__name__}"
+
+    lines, signatures = [], _signatures()
+    for M in (2, 3, 5):
+        for name in (*A.INTERSECTION_CONFIGURATIONS, "edge"):
+            count = outcome(A.configuration_count, (M, name))
+            lines.append(f"configuration_count{(M, name)!r} {count}")
+        exact = _p_grid(M)
+        for p in exact + [float(q) for q in exact]:
+            lines.append(f"large_m({p!r}) {A.large_m_v(p)!r} {A.large_m_vc(p)!r}")
+            for f, d, spec in signatures:
+                params, wrong = ModelParams(M, p, d), ModelParams(M, p, 3 - d)
+                base = tuple(valid[0] for valid, _ in spec)
+                calls = [(params, *args) for args in itertools.product(*(v for v, _ in spec))]
+                for i, (_, invalid) in enumerate(spec):
+                    calls += [(params, *base[:i], bad, *base[i + 1:]) for bad in invalid]
+                if f not in (A.ev, A.rescaled_series, A.rescale_factor, A.dims):
+                    calls.append((wrong, *base))
+                lines += [f"{f.__name__}{args!r} {outcome(f, args)}" for args in calls]
+    return lines
+
+
+def test_closed_forms_pinned():
+    # every value and every refusal of the public closed forms, on a grid
+    # that straddles both rescaling bounds in float and exact arithmetic
+    lines = _closed_form_lines()
+    assert len(lines) > 20000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2b525278d74957a44375092d9ceec1c764f0dba3093a467e83d62a6b4afa3518"
+
+
+def test_rescaling_domain_boundary():
+    # (closed form, d, arguments after the parameters, k it reports, exponent j):
+    # it returns a value exactly where M^j p > 1 and raises at and below 1/M^j
+    table = [
+        *[(A.limit_vk_1d, 1, (k,), k, 1) for k in (0, 1)],
+        *[(A.limit_vck_1d, 1, (k,), k, 1) for k in (0, 1)],
+        (A.vbar0_2d_finite, 2, (3,), 0, 2),
+        (A.vbar1_2d_finite, 2, (3,), 1, 2),
+        (A.vbarc0_2d_finite, 2, (3,), 0, 2),
+        (A.vbarc1_2d_finite, 2, (3,), 1, 1),
+        *[(A.limit_vk_2d, 2, (k,), k, 2) for k in (0, 1, 2)],
+        *[(A.limit_vck_2d, 2, (k,), k, 2 - k) for k in (0, 1)],
+        *[(A.vbar_2d_truncated, 2, (3, k, "F"), k, 2) for k in (0, 1, 2)],
+        *[(A.vbar_2d_truncated, 2, (3, k, "C"), k, 2 - k) for k in (0, 1, 2)],
+        # the planar k = 1 complement series is bound by limit_vck_2d's 1/M
+        *[(A.rescaled_series, d, (k, target, 3), k, d)
+          for d in (1, 2) for k in range(d + 1) for target in ("F", "C")
+          if (d, k, target) != (2, 1, "C")],
+    ]
+    for f, d, args, k, j in table:
+        for M in (2, 3, 5):
+            for p in _p_grid(M):
+                params = ModelParams(M, p, d)
+                if M**j * p > 1:
+                    f(params, *args)
+                    continue
+                with pytest.raises(DomainError) as info:
+                    f(params, *args)
+                assert str(info.value) == f"{f.__name__} needs p > 1/M^{j}"
+                assert (info.value.M, info.value.p, info.value.k) == (M, p, k)
+    area = "the area of C_n admits no r^{n(D-2)} rescaling"
+    for M in (2, 3, 5):
+        for p in _p_grid(M):
+            with pytest.raises(DomainError, match=re.escape(area)) as info:
+                A.limit_vck_2d(ModelParams(M, p), 2)
+            assert (info.value.M, info.value.p, info.value.k) == (M, p, 2)

@@ -378,6 +378,13 @@ def test_user_input_errors_exit_2(tmp_path):
          "--out", str(tmp_path / "s")],
         ["render", "-d", "1", "-n", "2", "-p", "0.6", "--seed", "1", "--spanning-mask",
          "--axis", "y", "--out", str(tmp_path / "r.pbm")],
+        ["curves", "--m-list", ",", "--out", str(tmp_path / "c")],
+        ["thresholds", "--m-list", ","],
+        # a budget below one byte is malformed input, not a lattice over budget
+        ["simulate", "-n", "2", "-p", "0.6", "--samples", "3", "--seed", "1",
+         "--budget-bytes", "0", "--out", str(tmp_path / "s")],
+        ["render", "-n", "2", "-p", "0.6", "--seed", "1", "--budget-bytes", "-1",
+         "--out", str(tmp_path / "r.pbm")],
     ):
         assert cli.main(argv) == EXIT_CONFIG, argv
 
