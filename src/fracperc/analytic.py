@@ -605,6 +605,7 @@ def ev(params: ModelParams, n: int, k: int, target: str = "F") -> Number:
 def rescale_factor(params: ModelParams, n: int, k: int) -> float:
     """r^{n(D-k)} = (M^k / (M^d p))^n in float arithmetic, the factor taking
     E V_k at level n to its rescaled value."""
+    _gate(params, "rescale_factor", params.d, n=n, k=k, above=params.d)
     return (float(params.M**k) / float(params.M**params.d * params.p)) ** n
 
 
@@ -624,9 +625,11 @@ def rescaled_series(
     """Sequence of rescaled expectations for n = 0..n_max plus the limit.
 
     The limit field is None for the complement area, which admits no
-    finite rescaled limit.
+    finite rescaled limit. The domain is that of the limit: M p > 1 for the
+    planar k = 1 complement, M^d p > 1 otherwise.
     """
-    _gate(params, "rescaled_series", params.d, k=k, above=params.d)
+    above = 1 if (params.d, k, target) == (2, 1, "C") else params.d
+    _gate(params, "rescaled_series", params.d, k=k, above=above)
     terms = tuple(
         float(ev(params, n, k, target)) * rescale_factor(params, n, k) for n in range(n_max + 1)
     )

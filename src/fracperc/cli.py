@@ -1,10 +1,14 @@
 """Command-line interface: curves, simulate, thresholds, verify, render, oracle.
 
-Configuration precedence is flags > config file (key=value lines) >
-defaults; the resolved configuration round-trips losslessly through its
-textual form and is hashed into the run manifest of every randomized
-command. Exit codes: 0 success, 2 configuration error, 3 verification or
-bracketing failure, 4 resource guard.
+Each option is declared once, on its :class:`RunConfig` field, which holds
+its default, flags, commands, type, choices and help; the parser and the
+config-file reader are both built from those fields, so a value read from
+a config file is converted and checked like the flag. Configuration
+precedence is flags > config file (key=value lines) > defaults; the
+resolved configuration round-trips losslessly through its textual form and
+is hashed into the run manifest of every randomized command. Exit codes: 0
+success, 2 configuration error, 3 verification or bracketing failure, 4
+resource guard.
 """
 
 from __future__ import annotations
@@ -37,34 +41,64 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+#: Spanning axes estimated for each value of the ``spanning`` option.
+_SPANNING_AXES = {"none": (), "x": ("x",), "y": ("y",), "both": ("x", "y")}
+
+_GRID = ("curves", "simulate")
+_LATTICE = ("simulate", "render")
+_MODEL = ("simulate", "render", "oracle")
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def _option(default, *flags, on, **kwargs):
+    """A :class:`RunConfig` field declared as the option ``flags`` of the
+    commands ``on``; ``kwargs`` (type, choices, action, const, help) go to
+    ``add_argument`` as they are and also convert a config-file value."""
+    return dataclasses.field(default=default, metadata={"flags": flags, "on": on, "kwargs": kwargs})
+
+
 @dataclass
 class RunConfig:
     """Resolved options of one CLI invocation; round-trips via to_text."""
 
     command: str = ""
-    M: int = 2
-    d: int = 2
-    p: float | None = None
-    p_start: float | None = None
-    p_stop: float | None = None
-    p_step: float | None = None
-    n: int | None = None
-    n_list: tuple = (4, 8, 12)
-    m_list: tuple = (2, 3, 4, 8, 32, 128, 1024)
-    samples: int = 2000
-    seed: int | None = None
-    connectivity: int = 8
-    axis: str = "x"
-    functional: str = "V0"
-    target: str = "F"
-    p_exact: str | None = None
-    out: str = "."
-    spanning_mask: bool = False
-    spanning: str = "none"
-    coupled: bool = True
-    full: bool = False
-    workers: int = 1
-    budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES
+    M: int = _option(2, "-M", on=("curves", *_MODEL), type=int, help="subdivision count per axis")
+    d: int = _option(2, "-d", on=_MODEL, type=int, choices=(1, 2), help="dimension")
+    p: float | None = _option(None, "-p", on=_LATTICE, type=float,
+                              help="retention probability; simulate runs it instead of a grid")
+    p_start: float | None = _option(None, "--p-start", on=_GRID, type=float, help="first grid p")
+    p_stop: float | None = _option(None, "--p-stop", on=_GRID, type=float, help="last grid p")
+    p_step: float | None = _option(None, "--p-step", on=_GRID, type=float, help="grid spacing")
+    n: int | None = _option(None, "-n", on=_MODEL, type=int, help="construction level")
+    n_list: tuple = _option((4, 8, 12), "--n-list", on=("curves",), type=_int_list,
+                            help="comma-separated levels of the finite-level curves")
+    m_list: tuple = _option((2, 3, 4, 8, 32, 128, 1024), "--m-list", on=("curves", "thresholds"),
+                            type=_int_list, help="comma-separated subdivision counts")
+    samples: int = _option(2000, "--samples", on=("simulate",), type=int, help="replicates per p")
+    seed: int | None = _option(None, "--seed", on=("simulate", "verify", "render"), type=int,
+                               help="master seed")
+    connectivity: int = _option(8, "--connectivity", on=_LATTICE, type=int, choices=(4, 8))
+    axis: str = _option("x", "--axis", on=("render",), choices=("x", "y"))
+    functional: str = _option("V0", "--functional", on=("oracle",),
+                              help="V0, V1, V2 (2d) or V0, V1, N, contains0, contains1 (1d)")
+    target: str = _option("F", "--target", on=("oracle",), help="F or C (2d); K, D, KK, DD (1d)")
+    p_exact: str | None = _option(None, "-p", on=("oracle",),
+                                  help="exact probability, e.g. 1/2 or 0.4")
+    out: str = _option(".", "--out", on=("curves", "simulate", "thresholds", "render"),
+                       help="output directory or file")
+    spanning_mask: bool = _option(False, "--spanning-mask", on=("render",), action="store_const",
+                                  const=True, help="also write the spanning-cluster mask")
+    spanning: str = _option("none", "--spanning", on=("simulate",), choices=tuple(_SPANNING_AXES),
+                            help="also estimate spanning probabilities")
+    coupled: bool = _option(True, "--independent", on=("simulate",), action="store_const",
+                            const=False, help="fresh uniforms per p instead of a shared stream")
+    full: bool = _option(False, "--full", on=("verify",), action="store_const", const=True)
+    workers: int = _option(1, "--workers", on=("simulate",), type=int)
+    budget_bytes: int = _option(sampler.DEFAULT_BUDGET_BYTES, "--budget-bytes", on=_LATTICE,
+                                type=int, help="memory budget per realization")
 
     def to_text(self) -> str:
         lines = []
@@ -85,12 +119,35 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return cls(**_coerce_fields(_parse_key_values(text)))
+        return cls(**_read_config(text))
 
 
-def _parse_key_values(text: str, source: str | None = None) -> dict:
-    """Raw ``key=value`` pairs of a configuration text; blank and ``#`` lines
-    are skipped. ``source`` names the file in error messages."""
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
+def _coerce_one(name: str, text: str):
+    """A config-file value converted by its field's flag type and checked
+    against its choices; bool fields read ``true`` or ``false``."""
+    field = _FIELDS.get(name)
+    if field is None:
+        raise ConfigError(f"unknown configuration key {name!r}")
+    if isinstance(field.default, bool):
+        if text not in ("true", "false"):
+            raise ConfigError(f"{name} must be true or false, got {text!r}")
+        return text == "true"
+    kwargs = field.metadata.get("kwargs", {})
+    try:
+        value = kwargs.get("type", str)(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ConfigError(f"{name} must be one of {kwargs['choices']}, got {value!r}")
+    return value
+
+
+def _read_config(text: str, source: str | None = None) -> dict:
+    """Field values of a configuration text of ``key=value`` lines; blank and
+    ``#`` lines are skipped. ``source`` names the file in error messages."""
     where = f" in {source}" if source else ""
     values = {}
     for raw in text.splitlines():
@@ -101,36 +158,6 @@ def _parse_key_values(text: str, source: str | None = None) -> dict:
             raise ConfigError(f"expected key=value{where}, got {line!r}")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
-    return values
-
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-#: Spanning axes estimated for each value of the ``spanning`` option.
-_SPANNING_AXES = {"none": (), "x": ("x",), "y": ("y",), "both": ("x", "y")}
-
-
-def _coerce_one(name: str, text: str):
-    ftype = _FIELD_TYPES.get(name)
-    if ftype is None:
-        raise ConfigError(f"unknown configuration key {name!r}")
-    try:
-        if ftype in ("int", "int | None"):
-            return int(text)
-        if ftype in ("float | None", "float"):
-            return float(text)
-        if ftype == "tuple":
-            return tuple(int(v) for v in text.split(",") if v)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    if ftype == "bool":
-        if text not in ("true", "false"):
-            raise ConfigError(f"{name} must be true or false, got {text!r}")
-        return text == "true"
-    return text
-
-
-def _coerce_fields(values: dict) -> dict:
     return {k: _coerce_one(k, v) for k, v in values.items()}
 
 
@@ -141,7 +168,7 @@ def _merge_config(cli_values: dict, config_path: str | None) -> RunConfig:
             text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        merged.update(_coerce_fields(_parse_key_values(text, config_path)))
+        merged.update(_read_config(text, config_path))
     merged.update({k: v for k, v in cli_values.items() if v is not None})
     return RunConfig(**merged)
 
@@ -150,8 +177,6 @@ def _check_config(config: RunConfig) -> None:
     """Refuse option values that the library would reject deeper down."""
     if config.M < 1:
         raise ConfigError(f"M must be at least 1, got {config.M}")
-    if config.d not in (1, 2):
-        raise ConfigError(f"d must be 1 or 2, got {config.d}")
     if config.n is not None and config.n < 0:
         raise ConfigError(f"n must be nonnegative, got {config.n}")
     if any(n < 0 for n in config.n_list):
@@ -162,12 +187,6 @@ def _check_config(config: RunConfig) -> None:
         raise ConfigError(f"samples must be at least 2 for a standard error, got {config.samples}")
     if config.seed is not None and not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
-    if config.connectivity not in (4, 8):
-        raise ConfigError(f"connectivity must be 4 or 8, got {config.connectivity}")
-    if config.axis not in ("x", "y"):
-        raise ConfigError(f"axis must be x or y, got {config.axis!r}")
-    if config.spanning not in _SPANNING_AXES:
-        raise ConfigError(f"spanning must be one of {tuple(_SPANNING_AXES)}, got {config.spanning!r}")
     if config.d == 1 and "y" in _SPANNING_AXES[config.spanning]:
         raise ConfigError(f"spanning {config.spanning!r} needs d = 2: a d = 1 lattice has one row")
     if config.d == 1 and config.spanning_mask and config.axis == "y":
@@ -416,88 +435,31 @@ def cmd_oracle(config: RunConfig) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v)
+_COMMANDS = {
+    "curves": (cmd_curves, "emit finite-level and limit curve tables"),
+    "simulate": (cmd_simulate, "Monte Carlo estimation over a p grid"),
+    "thresholds": (cmd_thresholds, "locate p0, p_min, p1 for a list of M"),
+    "verify": (cmd_verify, "run the self-verification suite"),
+    "render": (cmd_render, "write one realization as a PBM bitmap"),
+    "oracle": (cmd_oracle, "exact enumeration expectation for tiny instances"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with the option of every field declared on it."""
     parser = argparse.ArgumentParser(
         prog="fracperc",
         description="Fractal percolation: exact functionals, simulation, thresholds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *names):
-        if "M" in names:
-            sp.add_argument("-M", type=int, default=None, help="subdivision count per axis")
-        if "d" in names:
-            sp.add_argument("-d", type=int, default=None, choices=(1, 2), help="dimension")
-        if "n" in names:
-            sp.add_argument("-n", type=int, default=None, help="construction level")
-        if "seed" in names:
-            sp.add_argument("--seed", type=int, default=None, help="master seed")
-        if "out" in names:
-            sp.add_argument("--out", default=None, help="output directory or file")
-        if "pgrid" in names:
-            sp.add_argument("--p-start", dest="p_start", type=float, default=None)
-            sp.add_argument("--p-stop", dest="p_stop", type=float, default=None)
-            sp.add_argument("--p-step", dest="p_step", type=float, default=None)
-        if "budget" in names:
-            sp.add_argument("--budget-bytes", dest="budget_bytes", type=int, default=None,
-                            help="memory budget per realization")
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for f in dataclasses.fields(RunConfig):
+            if command in f.metadata.get("on", ()):
+                sp.add_argument(*f.metadata["flags"], dest=f.name, default=None,
+                                **f.metadata["kwargs"])
         sp.add_argument("--config", default=None, help="key=value configuration file")
-
-    sp = sub.add_parser("curves", help="emit finite-level and limit curve tables")
-    common(sp, "M", "out", "pgrid")
-    sp.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
-    sp.add_argument("--m-list", dest="m_list", type=_int_list, default=None)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo estimation over a p grid")
-    common(sp, "M", "d", "n", "seed", "out", "pgrid", "budget")
-    sp.add_argument("-p", type=float, default=None, help="single p instead of a grid")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--connectivity", type=int, default=None, choices=(4, 8))
-    sp.add_argument("--independent", dest="coupled", action="store_const", const=False,
-                    default=None, help="fresh uniforms per p instead of a shared stream")
-    sp.add_argument("--spanning", default=None, choices=("none", "x", "y", "both"),
-                    help="also estimate spanning probabilities")
-
-    sp = sub.add_parser("thresholds", help="locate p0, p_min, p1 for a list of M")
-    common(sp, "out")
-    sp.add_argument("--m-list", dest="m_list", type=_int_list, default=None)
-
-    sp = sub.add_parser("verify", help="run the self-verification suite")
-    common(sp, "seed")
-    sp.add_argument("--full", action="store_const", const=True, default=None)
-
-    sp = sub.add_parser("render", help="write one realization as a PBM bitmap")
-    common(sp, "M", "d", "n", "seed", "out", "budget")
-    sp.add_argument("-p", type=float, default=None)
-    sp.add_argument("--spanning-mask", dest="spanning_mask", action="store_const",
-                    const=True, default=None, help="also write the spanning-cluster mask")
-    sp.add_argument("--axis", default=None, choices=("x", "y"))
-    sp.add_argument("--connectivity", type=int, default=None, choices=(4, 8))
-
-    sp = sub.add_parser("oracle", help="exact enumeration expectation for tiny instances")
-    common(sp, "M", "d", "n")
-    sp.add_argument("-p", dest="p_exact", default=None,
-                    help="exact probability, e.g. 1/2 or 0.4")
-    sp.add_argument("--functional", default=None,
-                    help="V0, V1, V2 (2d) or V0, V1, N, contains0, contains1 (1d)")
-    sp.add_argument("--target", default=None,
-                    help="F or C (2d); K, D, KK, DD (1d)")
     return parser
-
-
-_COMMANDS = {
-    "curves": cmd_curves,
-    "simulate": cmd_simulate,
-    "thresholds": cmd_thresholds,
-    "verify": cmd_verify,
-    "render": cmd_render,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv=None) -> int:
@@ -506,14 +468,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    values = {k: v for k, v in vars(args).items() if k not in ("config",)}
-    values["command"] = args.command
+    values = {k: v for k, v in vars(args).items() if k != "config"}
     # only the typed errors map to exit codes; any other exception is a bug
     # and propagates with its traceback
     try:
         config = _merge_config(values, args.config)
         _check_config(config)
-        handler = _COMMANDS[config.command]
+        handler, _ = _COMMANDS[config.command]
         return handler(config)
     except (MemoryBudgetError, InstanceTooLargeError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
 """CLI behaviour: config round-trip, outputs, exit codes, negative control."""
 
+import argparse
+import collections
 import csv
+import dataclasses
 import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -389,6 +393,54 @@ def test_user_input_errors_exit_2(tmp_path):
         assert cli.main(argv) == EXIT_CONFIG, argv
 
 
+def test_parser_flags_pinned():
+    # each command takes the flags it took before they were declared on
+    # RunConfig's fields; only -p names two fields (p, and oracle's p_exact)
+    expected = {
+        "curves": "-M --n-list --m-list --out --p-start --p-stop --p-step --config",
+        "simulate": "-M -d -n -p --p-start --p-stop --p-step --samples --seed --connectivity "
+                    "--out --spanning --independent --workers --budget-bytes --config",
+        "thresholds": "--m-list --out --config",
+        "verify": "--seed --full --config",
+        "render": "-M -d -n -p --seed --connectivity --axis --out --spanning-mask "
+                  "--budget-bytes --config",
+        "oracle": "-M -d -n -p --functional --target --config",
+    }
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(expected)
+    for command, flags in expected.items():
+        parsed = {s for a in commands.choices[command]._actions for s in a.option_strings}
+        assert parsed - {"-h", "--help"} == set(flags.split()), command
+    declared = collections.Counter(
+        flag for f in dataclasses.fields(RunConfig) for flag in f.metadata.get("flags", ()))
+    assert {flag: count for flag, count in declared.items() if count > 1} == {"-p": 2}
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("simulate", "--connectivity", "connectivity", "5"),
+    ("render", "--axis", "axis", "z"),
+    ("simulate", "--spanning", "spanning", "diag"),
+    ("simulate", "-d", "d", "3"),
+    ("simulate", "-n", "n", "two"),
+    ("simulate", "--p-step", "p_step", "x"),
+    ("curves", "--n-list", "n_list", "a,b"),
+])
+def test_bad_value_exits_2_as_flag_and_as_config_line(tmp_path, capsys, command, flag, key,
+                                                      value):
+    # a config-file value is converted and checked like its flag
+    quick = {"simulate": ["-n", "1", "-p", "0.6", "--samples", "2", "--seed", "1"],
+             "render": ["-n", "1", "-p", "0.6", "--seed", "1"], "curves": []}[command]
+    argv = [command, *quick, "--out", str(tmp_path / "out")]
+    assert cli.main(argv + [flag, value]) == EXIT_CONFIG
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    capsys.readouterr()
+    assert cli.main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_public_names_resolve():
     import fracperc
 
@@ -403,6 +455,20 @@ def test_readme_quickstart_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    # the README's command lines, parsed without running them, keep it in
+    # step with the options declared on RunConfig
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```sh\n(fracperc .*?)^```", readme, re.S | re.M)
+    lines = [line.split("#")[0].replace("[", "").replace("]", "") for line in block.splitlines()]
+    assert len(lines) == 6
+    parser = cli.build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "fracperc"
+        parser.parse_args(argv)
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch):
