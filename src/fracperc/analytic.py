@@ -20,7 +20,8 @@ level-``n`` intervals. Unrescaled expectations are polynomial identities in
 exponent j is defined only where M^j p > 1 and raises :class:`DomainError`
 elsewhere rather than returning NaN. ``_gate`` holds the argument and
 domain checks shared by the public closed forms; only checks of one function
-(``dims``' p > 0, the complement area, intersection configurations) stay put.
+(``dims``' p > 0, the complement area, intersection configurations, the 1-d
+intersection limit's M p^2 > 1) stay put.
 """
 
 from __future__ import annotations
@@ -247,8 +248,11 @@ def limit_vk_1d(params: ModelParams, k: int) -> Number:
 
 
 def limit_vk_intersect_1d(params: ModelParams, k: int) -> Number:
-    """Rescaled limit for the intersection of two independent 1d copies."""
+    """Rescaled limit for the intersection of two independent 1d copies,
+    defined where the rescaling (M p^2)^n grows: M p^2 > 1."""
     M, p = _gate(params, "limit_vk_intersect_1d", 1, k=k)
+    if M * p * p <= 1:
+        raise DomainError("limit_vk_intersect_1d needs M p^2 > 1", M=params.M, p=p, k=k)
     if k == 1:
         return 1
     return 3 - 4 * p * (M - 1) / (M - p) + p * p * (M - 1) / (M - p * p)

@@ -326,6 +326,7 @@ def cmd_simulate(config: RunConfig) -> int:
             spanning_axes=axes,
             workers=config.workers,
             budget_bytes=config.budget_bytes,
+            grid=grid if config.coupled else None,
         )
         rows.extend(result.to_rows())
     csv_path = out / "simulation.csv"

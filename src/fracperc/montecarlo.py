@@ -6,20 +6,25 @@ hashes ``(seed, sample index, tree position)`` rather than keeping
 generator state, the same seed always produces the same replicate set
 regardless of the shard plan or worker count. A shard walks its
 replicates in blocks of about ``BLOCK_CELLS`` lattice cells, capped by the
-memory budget: one ``sampler.sample_stack`` call draws a block and one
-``geometry.minkowski`` call gives V_0 .. V_d of F and C of all its
-lattices at cell side M^-n (spanning labels each lattice). A shard
-returns one float64 array, a row per replicate: V_0 .. V_d of F, then of
-C, then a 0/1 column per spanning axis. The shards' rows are
-concatenated in replicate order and each column becomes one estimate,
-so the estimates (and ``simulation.csv``) are bit-identical for every
-shard plan, block size and worker count. A sweep over a p grid reuses
-one shared set of uniforms per seed (coupled mode: grids are cell-wise
-monotone in p). Independent per-p streams are derived on request.
+memory budget. One ``sampler.sample_grid`` call draws a block once for a
+whole coupled p grid (a one-point grid by default); at each grid point
+the counts are thresholded into that p's lattices, and one
+``geometry.minkowski`` call gives V_0 .. V_d of F and C of all of them at
+cell side M^-n (spanning labels each lattice). A shard returns one
+float64 array, a row per replicate for each grid point: V_0 .. V_d of F,
+then of C, then a 0/1 column per spanning axis. The shards' rows are
+concatenated in replicate order and each column at the requested p
+becomes one estimate, so the estimates (and ``simulation.csv``) are
+bit-identical for every shard plan, block size, worker count and grid
+that holds the p. A coupled sweep over a p grid draws its replicates once
+and reads one point per ``run_experiment`` call from the cached values of
+the last grid. Independent per-p streams are derived on request and
+drawn one p at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -120,21 +125,26 @@ def _block_size(params: ModelParams, n: int, budget_bytes: int) -> int:
 
 
 def _run_shard(args):
-    """Values of replicates start .. start + count - 1, one row each: V_0 ..
-    V_d of F, then of C, then a 0/1 column per spanning axis."""
-    params, n, seed, start, count, connectivity, axes, budget_bytes = args
-    d = params.d
-    side = float(params.M) ** -n
+    """Values of replicates start .. start + count - 1 at every grid point,
+    shape ``(G, count, width)``: per replicate V_0 .. V_d of F, then of C,
+    then a 0/1 column per spanning axis."""
+    params, grid, n, seed, start, count, connectivity, axes, budget_bytes = args
+    M, d = params.M, params.d
+    side = float(M) ** -n
     width = 2 * (d + 1)
-    values = np.empty((count, width + len(axes)))
+    G = len(grid)
+    values = np.empty((G, count, width + len(axes)))
     step = _block_size(params, n, budget_bytes)
     for first in range(0, count, step):
         rows = np.arange(first, min(first + step, count))
-        stack = sampler.sample_stack(params, n, seed, start + rows, budget_bytes)
-        values[rows, :width] = geometry.minkowski(stack, side, d).reshape(len(rows), width)
-        for row, occ in zip(rows, stack if axes else ()):
-            lab = geometry.label(occ, connectivity)
-            values[row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]
+        counts = sampler.sample_grid(M, d, grid, n, seed, start + rows, budget_bytes)
+        for j in range(G):
+            # a one-point grid's 0/1 counts are its lattices: no copy
+            stack = counts.view(bool) if G == 1 else counts >= G - j
+            values[j, rows, :width] = geometry.minkowski(stack, side, d).reshape(len(rows), width)
+            for row, occ in zip(rows, stack if axes else ()):
+                lab = geometry.label(occ, connectivity)
+                values[j, row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]
     return values
 
 
@@ -148,6 +158,26 @@ def _shard_plan(samples: int, shards: int):
         start += count
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_values(params, grid, n, samples, seed, connectivity, axes, workers, shards, budget_bytes):
+    """Values of every replicate at every point of ``grid``, shape
+    ``(G, samples, width)``, read-only; ``params`` is the model at the grid's
+    largest p. The key holds every argument, so a different shard plan or
+    worker count draws again."""
+    shard_args = [
+        (params, grid, n, seed, start, count, connectivity, axes, budget_bytes)
+        for start, count in _shard_plan(samples, shards)
+    ]
+    if workers > 1 and len(shard_args) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_run_shard, shard_args))
+    else:
+        partials = [_run_shard(a) for a in shard_args]
+    values = np.concatenate(partials, axis=1)
+    values.flags.writeable = False
+    return values
+
+
 def run_experiment(
     params: ModelParams,
     n: int,
@@ -158,6 +188,7 @@ def run_experiment(
     workers: int = 1,
     shards: int | None = None,
     budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES,
+    grid=None,
 ) -> ExperimentResult:
     """Sample ``samples`` replicates of F_n and estimate every V_k with
     k <= d on F and on C, keyed by (target, functional), and for each of
@@ -167,6 +198,12 @@ def run_experiment(
     The replicate set is fully determined by (params, n, seed), and every
     replicate's values are taken in replicate order, so the result is
     bit-identical for any shard plan and worker count.
+
+    ``grid``, an ascending sequence of p that holds ``params.p`` (default
+    ``(params.p,)``), is the coupled grid the replicates are drawn over,
+    once for all its points (``sampler.sample_grid``); the estimates are
+    those at ``params.p`` and equal a one-point run's. The last grid's
+    values are cached, so a run at each of its points draws once.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -180,18 +217,17 @@ def run_experiment(
             raise ValueError(f"spanning axis must be 'x' or 'y', got {axis!r}")
         if axis == "y" and params.d == 1:
             raise ValueError("spanning along y needs d = 2: a d = 1 lattice has one row")
+    p = float(params.p)
+    grid = (p,) if grid is None else tuple(float(x) for x in grid)
+    if p not in grid:
+        raise ValueError(f"p = {p!r} is not a point of the grid {grid}")
     keys = [(t, f) for t in ("F", "C") for f in list(_FUNCTIONAL_INDEX)[: params.d + 1]]
     axes = tuple(dict.fromkeys(spanning_axes))
-    shard_args = [
-        (params, n, seed, start, count, connectivity, axes, budget_bytes)
-        for start, count in _shard_plan(samples, shards)
-    ]
-    if workers > 1 and len(shard_args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_shard, shard_args))
-    else:
-        partials = [_run_shard(a) for a in shard_args]
-    summaries = [McEstimate.of(column) for column in np.concatenate(partials).T]
+    values = _grid_values(
+        ModelParams(params.M, grid[-1], params.d), grid, n, samples, seed, connectivity, axes,
+        workers, shards, budget_bytes,
+    )
+    summaries = [McEstimate.of(column) for column in values[grid.index(p)].T]
     estimates = dict(zip(keys, summaries))
     spanning = dict(zip(axes, summaries[len(keys) :]))
     return ExperimentResult(params, n, samples, estimates, spanning)

@@ -1,4 +1,4 @@
-"""Sampling of fractal-percolation construction steps as boolean lattices.
+"""Sampling of fractal-percolation construction steps as lattices.
 
 A realization of ``F_n`` is generated level by level: each surviving cell
 of level ``l-1`` spawns ``M^d`` candidate children, and only candidates of
@@ -8,16 +8,24 @@ counter-based hash in :mod:`fracperc.rng`, so equal
 ``(M, p, d, n, seed, sample_index)`` always reproduce the grid bit for
 bit, in any traversal order and on any machine.
 
-Grids are stored as row-major boolean arrays, one byte per cell; for
-d = 1 the array has a single row so the 2-d code paths are shared.
-``sample_stack`` draws a block of replicates as one ``(B, rows, columns)``
-stack: each level hashes one key per replicate, and one pass over the
-stack's living candidates splits each flat position into (replicate,
-cell) and draws its uniform from that replicate's key, so every lattice
-of the stack equals the one ``sample`` draws for its index. ``sample`` is
-the one-replicate stack. Only ``F_n`` is drawn: the functionals of its
-closed complement ``C_n`` come from the same lattice through the window
-pass of :mod:`fracperc.geometry`.
+The hash does not depend on p, so a cell lives at p exactly when every
+uniform along its ancestry is below p. ``sample_grid`` draws a block of
+replicates once for an ascending p grid: per cell it keeps the number of
+grid points at which the cell lives (uint8, uint16 from 255 points), the
+least over its ancestry of the points p with ``u < p``, so a cell dead at
+the grid's largest p hashes no children. Thresholding the counts at a grid
+point gives that p's lattice, bit for bit.
+
+Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
+array has a single row so the 2-d code paths are shared. A block of
+replicates is one ``(B, rows, columns)`` stack: each level hashes one key
+per replicate, and one pass over the stack's living candidates splits each
+flat position into (replicate, cell) and draws its uniform from that
+replicate's key, so every lattice of the stack equals the one ``sample``
+draws for its index. ``sample_stack`` is the one-point grid, whose 0/1
+counts are the boolean stack, and ``sample`` the one-replicate stack. Only
+``F_n`` is drawn: the functionals of its closed complement ``C_n`` come
+from the same lattice through the window pass of :mod:`fracperc.geometry`.
 """
 
 from __future__ import annotations
@@ -35,7 +43,10 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
 #: at p = 1, ``sample`` peaks at 18 at n = 8 and ``sample_stack`` at 24 for
 #: a block of 256 lattices at n = 4; the F+C window pass peaks at 11 at
-#: n = 8 and 17 for that block, and ``label`` at 5.
+#: n = 8 and 17 for that block, and ``label`` at 5. A block of 1024 lattices
+#: at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98 peaks at 14,
+#: and at 19 with its thresholds and window passes; over 300 points up to
+#: p = 1 (uint16 counts) at 17 and 20.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call: bounds the hash's temporaries (about 40 bytes
@@ -91,6 +102,73 @@ def _replicate_indices(indices) -> np.ndarray:
     return flat.astype(np.uint64)
 
 
+def sample_grid(
+    M: int,
+    d: int,
+    grid,
+    n: int,
+    seed: int,
+    indices,
+    budget_bytes: int = DEFAULT_BUDGET_BYTES,
+) -> np.ndarray:
+    """Draw the replicates ``indices`` of F_n once for every p of ``grid``.
+
+    ``grid`` is a nonempty ascending sequence of G survival probabilities.
+    Returns the alive-count stack, shape ``(B, M^n, M^n)`` or ``(B, 1, M^n)``
+    for d = 1, uint8 (uint16 for 255 or more points): per cell, the number
+    of grid points at which the cell lives, so ``counts >= G - j`` is the
+    lattice of F_n at ``grid[j]``, equal to the one :func:`sample_stack`
+    draws at that p. The k-th lattice is replicate ``indices[k]``, an
+    integer in [0, 2^64) (ValueError otherwise). A cell's uniform u passes
+    the test ``u < p`` at ``sum(u < p for p in grid)`` points, and its count
+    is the smaller of that and its parent's; level 0 counts G. Each level
+    hashes one key per replicate, then the uniforms of the whole stack's
+    candidates with a nonzero parent count, ``_HASH_CHUNK`` at a time, so a
+    cell dead at the grid's largest p hashes no children.
+
+    Raises :class:`MemoryBudgetError` when the stack's modelled peak,
+    ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    points = np.asarray(grid, dtype=np.float64)
+    if points.ndim != 1 or not points.size or not np.all(np.diff(points) >= 0):
+        raise ValueError(f"grid must be a nonempty ascending sequence of p, got {grid!r}")
+    for p in (points[0], points[-1]):  # M, d and the range of every point
+        ModelParams(M, float(p), d)
+    indices = _replicate_indices(indices)
+    cells = M ** (d * n)
+    need = len(indices) * cells * PEAK_BYTES_PER_CELL
+    if need > budget_bytes:
+        raise MemoryBudgetError(
+            f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
+        )
+    dtype = np.uint8 if len(points) < 255 else np.uint16
+    counts = np.full((len(indices), 1, 1), len(points), dtype=dtype)
+    for level in range(1, n + 1):
+        candidates = _expand(counts, M, d)
+        idx = np.flatnonzero(candidates != 0)  # numpy finds nonzeros of bool faster
+        keys = rng.node_key(seed, indices, level)
+        level_cells = M ** (d * level)
+        own = np.zeros(len(idx), dtype=dtype)
+        for lo in range(0, len(idx), _HASH_CHUNK):
+            part = idx[lo : lo + _HASH_CHUNK]
+            if len(indices) == 1:  # one replicate: the flat position is the cell
+                key, cell = keys[0], part
+            else:
+                replicate = part // level_cells
+                key, cell = keys[replicate], part - replicate * level_cells
+            u = rng.cell_uniforms(key, cell)
+            below, out = np.empty(len(u), dtype=bool), own[lo : lo + _HASH_CHUNK]
+            for p in points:
+                np.less(u, p, out=below)
+                np.add(out, below.view(np.uint8), out=out)
+        flat = candidates.reshape(-1)
+        flat[idx] = np.minimum(flat[idx], own, out=own)
+        counts = candidates
+    return counts
+
+
 def sample_stack(
     params: ModelParams,
     n: int,
@@ -101,43 +179,12 @@ def sample_stack(
     """Draw the replicates ``indices`` of F_n as one boolean stack.
 
     Returns shape ``(B, M^n, M^n)``, or ``(B, 1, M^n)`` for d = 1, whose
-    k-th lattice is replicate ``indices[k]``, an integer in [0, 2^64)
-    (ValueError otherwise). Each level hashes one key per replicate, then
-    draws the uniforms of the whole stack's living candidates together,
-    ``_HASH_CHUNK`` at a time.
-
-    Raises :class:`MemoryBudgetError` when the stack's modelled peak,
-    ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
+    k-th lattice is replicate ``indices[k]``: the one-point
+    :func:`sample_grid`, whose 0/1 counts are the lattices, viewed as bool
+    without a copy. It raises on a bad index and guards the memory budget.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    indices = _replicate_indices(indices)
-    M, d = params.M, params.d
-    cells = M ** (d * n)
-    need = len(indices) * cells * PEAK_BYTES_PER_CELL
-    if need > budget_bytes:
-        raise MemoryBudgetError(
-            f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
-        )
-    p = float(params.p)
-    occ = np.ones((len(indices), 1, 1), dtype=bool)
-    for level in range(1, n + 1):
-        candidates = _expand(occ, M, d)
-        idx = np.flatnonzero(candidates)
-        keys = rng.node_key(seed, indices, level)
-        level_cells = M ** (d * level)
-        keep = np.empty(len(idx), dtype=bool)
-        for lo in range(0, len(idx), _HASH_CHUNK):
-            part = idx[lo : lo + _HASH_CHUNK]
-            if len(indices) == 1:  # one replicate: the flat position is the cell
-                key, cell = keys[0], part
-            else:
-                replicate = part // level_cells
-                key, cell = keys[replicate], part - replicate * level_cells
-            keep[lo : lo + _HASH_CHUNK] = rng.cell_uniforms(key, cell) < p
-        occ = candidates
-        occ.flat[idx] = keep
-    return occ
+    counts = sample_grid(params.M, params.d, (float(params.p),), n, seed, indices, budget_bytes)
+    return counts.view(bool)
 
 
 def sample(

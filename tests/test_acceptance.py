@@ -137,7 +137,9 @@ def test_acceptance_3_monte_carlo_agreement():
     worst = 0.0
     for M, n, p in grid:
         params = ModelParams(M, p, 2)
-        result = MC.run_experiment(params, n, samples, seed=987654, workers=workers)
+        # one draw per (M, n) over its p values: the same estimates as a run per p
+        points = [q for M2, n2, q in grid if (M2, n2) == (M, n)]
+        result = MC.run_experiment(params, n, samples, seed=987654, workers=workers, grid=points)
         for (target, functional), est in result.estimates.items():
             k = {"V0": 0, "V1": 1, "V2": 2}[functional]
             expected = float(A.ev(params, n, k, target))

@@ -123,7 +123,10 @@ def test_limit_vk_1d():
 
 def test_limit_vk_intersect_1d():
     assert A.limit_vk_intersect_1d(params(2, 1.0, 1), 0) == pytest.approx(0.0)
-    assert A.limit_vk_intersect_1d(params(2, 0.5, 1), 1) == 1
+    assert A.limit_vk_intersect_1d(params(3, 0.6, 1), 1) == 1
+    # M p^2 <= 1: the intersection dies out, so there is no rescaled limit
+    with pytest.raises(DomainError, match="limit_vk_intersect_1d needs M p\\^2 > 1"):
+        A.limit_vk_intersect_1d(params(2, 0.5, 1), 1)
     p = 0.37
     big = A.limit_vk_intersect_1d(params(10**6, p, 1), 0)
     assert big == pytest.approx(3 - 4 * p + p * p, abs=1e-4)
@@ -560,7 +563,7 @@ def test_closed_forms_pinned():
     lines = _closed_form_lines()
     assert len(lines) > 20000
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "7f24312345563e9161287915072b1456fb169a770dabffb1713f1a03f67910cd"
+    assert digest == "d84079991fc83c6272e6ecf199fb2b9dc4529a06fe1b71a17787df1b6a77f552"
 
 
 def test_rescaling_domain_boundary():

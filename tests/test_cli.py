@@ -68,6 +68,27 @@ def test_simulation_csv_independent_of_workers(tmp_path):
     assert csv_bytes[0] == csv_bytes[1]
 
 
+def test_simulate_runs_one_experiment_per_grid_point(tmp_path, monkeypatch):
+    # one run_experiment call per p with all the replicates, coupled or not:
+    # tools that count drawn replicates sum ExperimentResult.samples over them
+    calls = []
+
+    def counted(params, n, samples, *args, **kwargs):
+        result = original(params, n, samples, *args, **kwargs)
+        calls.append((params.p, result.samples, kwargs["grid"]))
+        return result
+
+    original = montecarlo.run_experiment
+    monkeypatch.setattr(montecarlo, "run_experiment", counted)
+    grid = [0.5, 0.52, 0.54, 0.56]
+    for extra, drawn_over in (([], grid), (["--independent"], None)):
+        calls.clear()
+        rc = cli.main(["simulate", "-M", "2", "-n", "3", "--p-start", "0.5", "--p-stop", "0.56",
+                       "--samples", "20", "--seed", "3", "--out", str(tmp_path), *extra])
+        assert rc == EXIT_OK
+        assert calls == [(p, 20, drawn_over) for p in grid]
+
+
 def test_simulation_csv_digest_pinned(tmp_path):
     # byte identity of simulation.csv across changes to the sampler, the
     # window pass, labelling and the accumulators

@@ -138,6 +138,31 @@ def test_coupled_grids_are_monotone_in_p():
             prev = occ
 
 
+@pytest.mark.parametrize("shards, workers", [(1, 1), (3, 1), (3, 2)])
+def test_grid_run_equals_one_point_runs(shards, workers):
+    # one draw over the grid, then each point's estimates, equal a run at that p alone
+    grid = (0.0, 0.45, 0.7, 0.85, 1.0)
+    for d, axes in ((2, ("x", "y")), (1, ("x",))):
+        kwargs = dict(spanning_axes=axes, shards=shards, workers=workers)
+        misses = MC._grid_values.cache_info().misses
+        coupled = [MC.run_experiment(ModelParams(3, p, d), 3, 23, 17, grid=grid, **kwargs)
+                   for p in grid]
+        assert MC._grid_values.cache_info().misses == misses + 1  # drawn once
+        for p, got in zip(grid, coupled):
+            alone = MC.run_experiment(ModelParams(3, p, d), 3, 23, 17, **kwargs)
+            assert got.samples == alone.samples == 23
+            assert got.estimates == alone.estimates, (d, p)
+            assert got.spanning == alone.spanning, (d, p)
+
+
+def test_grid_must_be_ascending_and_hold_p():
+    pr = ModelParams(2, 0.5, 2)
+    with pytest.raises(ValueError):
+        MC.run_experiment(pr, 2, 10, seed=0, grid=(0.7, 0.5))
+    with pytest.raises(ValueError, match="not a point of the grid"):
+        MC.run_experiment(pr, 2, 10, seed=0, grid=(0.3, 0.7))
+
+
 def test_coupled_spanning_monotone_in_p():
     values = []
     for p in (0.5, 0.65, 0.8, 0.95):

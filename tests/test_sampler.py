@@ -102,6 +102,67 @@ def test_replicate_peak_memory_within_guard_model():
         finally:
             tracemalloc.stop()
         assert peak <= S.PEAK_BYTES_PER_CELL * cells, (p, peak / cells)
+    # one default block over a coupled grid: the count stack, each grid
+    # point's threshold and window pass; 300 points take uint16 counts
+    n, params = 4, ModelParams(2, 1.0, 2)
+    block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES)
+    cells = block * 4**n
+    default_grid = [round(0.26 + 0.02 * j, 12) for j in range(37)]
+    for grid, dtype in ((default_grid, np.uint8), (np.linspace(0.0, 1.0, 300), np.uint16)):
+        tracemalloc.start()
+        try:
+            counts = S.sample_grid(2, 2, grid, n, 3, np.arange(block))
+            for j in range(len(grid)):
+                G.minkowski(counts >= len(grid) - j, 2.0**-n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.dtype == dtype
+        assert peak <= S.PEAK_BYTES_PER_CELL * cells, (len(grid), peak / cells)
+
+
+def _reference_lattices(M, d, grid, n, seed, index):
+    """F_n of one replicate at each p of ``grid``, from every cell's uniform
+    of every level and the test ``u < p``, with no pruning."""
+    lattices = []
+    for p in grid:
+        occ = np.ones((1, 1), dtype=bool)
+        for level in range(1, n + 1):
+            occ = np.kron(occ, np.ones((M if d == 2 else 1, M), dtype=bool))
+            u = rng.cell_uniforms(rng.node_key(seed, index, level), np.arange(occ.size))
+            occ &= u.reshape(occ.shape) < p
+        lattices.append(occ)
+    return lattices
+
+
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_grid_matches_level_by_level_reference(M, d):
+    indices, seed = [4, 0, 9], 31
+    # a level-1 uniform of replicate 4 as a grid point: that cell dies at it
+    u = float(rng.cell_uniforms(rng.node_key(seed, 4, 1), [1])[0])
+    grid = sorted({0.0, 0.35, u, 0.8, 0.95, 1.0})
+    for n in range(6):
+        counts = S.sample_grid(M, d, grid, n, seed, indices)
+        assert counts.shape == (3, M**n if d == 2 else 1, M**n) and counts.dtype == np.uint8
+        for k, index in enumerate(indices):
+            reference = _reference_lattices(M, d, grid, n, seed, index)
+            for j, occ in enumerate(reference):
+                assert np.array_equal(counts[k] >= len(grid) - j, occ), (n, index, grid[j])
+    # the strict test: at p = u the cell is dead, just above u it lives
+    j = grid.index(u)
+    counts = S.sample_grid(M, d, grid, 1, seed, [4])
+    assert counts[0].flat[1] == len(grid) - j - 1
+
+
+def test_sample_grid_refuses_a_bad_grid():
+    for grid in ([], [0.5, 0.4], [0.2, float("nan")], [-0.1, 0.5], [0.5, 1.5], [[0.5]]):
+        with pytest.raises(ValueError):
+            S.sample_grid(2, 2, grid, 2, 0, [0])
+    # repeated points are ascending, and equal their one-point draws
+    counts = S.sample_grid(2, 2, [0.6, 0.6], 3, 0, [0])
+    assert np.array_equal(counts >= 1, S.sample_stack(ModelParams(2, 0.6, 2), 3, 0, [0]))
+    assert np.array_equal(counts >= 1, counts >= 2)
 
 
 @pytest.mark.parametrize("M", [2, 3])
