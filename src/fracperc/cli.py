@@ -227,6 +227,8 @@ def _p_grid(config: RunConfig, d: int) -> list:
         start = config.p_start
     else:
         k = int(lo_domain / step) + 1
+        while round(k * step, 12) <= lo_domain:  # the division may round down
+            k += 1
         start = round(k * step, 12)
     if start <= lo_domain:
         raise ConfigError(
@@ -385,6 +387,7 @@ def cmd_render(config: RunConfig) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     seed, generated = _require_seed(config)
     params = _model_params(config.M, config.p, config.d)
+    t0 = time.perf_counter()
     grid = sampler.sample(params, config.n, seed, budget_bytes=config.budget_bytes)
     sampler.write_pbm(grid, out)
     written = [str(out)]
@@ -399,7 +402,7 @@ def cmd_render(config: RunConfig) -> int:
         out.with_suffix(".manifest.json"),
         seed=seed,
         config_text=resolved.to_text(),
-        elapsed=0.0,
+        elapsed=time.perf_counter() - t0,
         extra={"seed_generated": generated, "files": written},
     )
     print("\n".join(written))

@@ -4,22 +4,22 @@ Each estimate is Welford's recurrence run once over a column of replicate
 values in replicate order (``McEstimate.of``). Because the sampler
 hashes ``(seed, sample index, tree position)`` rather than keeping
 generator state, the same seed always produces the same replicate set
-regardless of the shard plan or worker count. A shard walks its
-replicates in blocks of about ``BLOCK_CELLS`` lattice cells, capped by the
-memory budget. One ``sampler.sample_grid`` call draws a block once for a
-whole coupled p grid (a one-point grid by default); at each grid point
-the counts are thresholded into that p's lattices, and one
-``geometry.minkowski`` call gives V_0 .. V_d of F and C of all of them at
-cell side M^-n (spanning labels each lattice). A shard returns one
-float64 array, a row per replicate for each grid point: V_0 .. V_d of F,
-then of C, then a 0/1 column per spanning axis. The shards' rows are
-concatenated in replicate order and each column at the requested p
-becomes one estimate, so the estimates (and ``simulation.csv``) are
-bit-identical for every shard plan, block size, worker count and grid
-that holds the p. A coupled sweep over a p grid draws its replicates once
-and reads one point per ``run_experiment`` call from the cached values of
-the last grid. Independent per-p streams are derived on request and
-drawn one p at a time.
+regardless of the worker count. The replicates are split into one
+contiguous shard per worker, and a shard walks its replicates in blocks
+of about ``BLOCK_CELLS`` lattice cells, capped by the memory budget. One
+``sampler.sample_grid`` call draws a block once for a whole coupled p
+grid (a one-point grid by default); at each grid point the counts are
+thresholded into that p's lattices, and one ``geometry.minkowski`` call
+gives V_0 .. V_d of F and C of all of them at cell side M^-n (spanning
+labels each lattice). A shard returns one float64 array, a row per
+replicate for each grid point: V_0 .. V_d of F, then of C, then a 0/1
+column per spanning axis. The shards' rows are concatenated in replicate
+order and each column at the requested p becomes one estimate, so the
+estimates (and ``simulation.csv``) are bit-identical for every block
+size, worker count and grid that holds the p. A coupled sweep over a p
+grid draws its replicates once and reads one point per ``run_experiment``
+call from the cached values of the last grid. Independent per-p streams
+are derived on request and drawn one p at a time.
 """
 
 from __future__ import annotations
@@ -148,10 +148,11 @@ def _run_shard(args):
     return values
 
 
-def _shard_plan(samples: int, shards: int):
-    base, extra = divmod(samples, shards)
+def _shard_plan(samples: int, workers: int):
+    """(start, count) of one contiguous shard per worker, sizes differing by at most one."""
+    base, extra = divmod(samples, workers)
     start = 0
-    for i in range(shards):
+    for i in range(workers):
         count = base + (1 if i < extra else 0)
         if count:
             yield start, count
@@ -159,16 +160,16 @@ def _shard_plan(samples: int, shards: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_values(params, grid, n, samples, seed, connectivity, axes, workers, shards, budget_bytes):
+def _grid_values(params, grid, n, samples, seed, connectivity, axes, workers, budget_bytes):
     """Values of every replicate at every point of ``grid``, shape
     ``(G, samples, width)``, read-only; ``params`` is the model at the grid's
-    largest p. The key holds every argument, so a different shard plan or
-    worker count draws again."""
+    largest p. The key holds every argument, so a different worker count or
+    budget draws again."""
     shard_args = [
         (params, grid, n, seed, start, count, connectivity, axes, budget_bytes)
-        for start, count in _shard_plan(samples, shards)
+        for start, count in _shard_plan(samples, workers)
     ]
-    if workers > 1 and len(shard_args) > 1:
+    if workers > 1:  # samples >= 2, so there are two shards or more
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_run_shard, shard_args))
     else:
@@ -186,7 +187,6 @@ def run_experiment(
     connectivity: int = 8,
     spanning_axes: tuple = (),
     workers: int = 1,
-    shards: int | None = None,
     budget_bytes: int = sampler.DEFAULT_BUDGET_BYTES,
     grid=None,
 ) -> ExperimentResult:
@@ -197,7 +197,7 @@ def run_experiment(
 
     The replicate set is fully determined by (params, n, seed), and every
     replicate's values are taken in replicate order, so the result is
-    bit-identical for any shard plan and worker count.
+    bit-identical for any worker count and memory budget.
 
     ``grid``, an ascending sequence of p that holds ``params.p`` (default
     ``(params.p,)``), is the coupled grid the replicates are drawn over,
@@ -209,9 +209,6 @@ def run_experiment(
         raise ValueError("need at least 2 samples for a standard error")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    shards = workers if shards is None else shards
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
     for axis in spanning_axes:
         if axis not in ("x", "y"):
             raise ValueError(f"spanning axis must be 'x' or 'y', got {axis!r}")
@@ -225,7 +222,7 @@ def run_experiment(
     axes = tuple(dict.fromkeys(spanning_axes))
     values = _grid_values(
         ModelParams(params.M, grid[-1], params.d), grid, n, samples, seed, connectivity, axes,
-        workers, shards, budget_bytes,
+        workers, budget_bytes,
     )
     summaries = [McEstimate.of(column) for column in values[grid.index(p)].T]
     estimates = dict(zip(keys, summaries))

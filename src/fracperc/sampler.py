@@ -11,10 +11,11 @@ bit, in any traversal order and on any machine.
 The hash does not depend on p, so a cell lives at p exactly when every
 uniform along its ancestry is below p. ``sample_grid`` draws a block of
 replicates once for an ascending p grid: per cell it keeps the number of
-grid points at which the cell lives (uint8, uint16 from 255 points), the
-least over its ancestry of the points p with ``u < p``, so a cell dead at
-the grid's largest p hashes no children. Thresholding the counts at a grid
-point gives that p's lattice, bit for bit.
+grid points at which the cell lives (in the smallest unsigned dtype that
+holds the grid's size), the least over its ancestry of the points p with
+``u < p``, so a cell dead at the grid's largest p hashes no children.
+Thresholding the counts at a grid point gives that p's lattice, bit for
+bit.
 
 Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
 array has a single row so the 2-d code paths are shared. A block of
@@ -22,10 +23,10 @@ replicates is one ``(B, rows, columns)`` stack: each level hashes one key
 per replicate, and one pass over the stack's living candidates splits each
 flat position into (replicate, cell) and draws its uniform from that
 replicate's key, so every lattice of the stack equals the one ``sample``
-draws for its index. ``sample_stack`` is the one-point grid, whose 0/1
-counts are the boolean stack, and ``sample`` the one-replicate stack. Only
-``F_n`` is drawn: the functionals of its closed complement ``C_n`` come
-from the same lattice through the window pass of :mod:`fracperc.geometry`.
+draws for its index. ``sample`` is the one-replicate, one-point grid,
+whose 0/1 counts are the lattice viewed as bool. Only ``F_n`` is drawn:
+the functionals of its closed complement ``C_n`` come from the same
+lattice through the window pass of :mod:`fracperc.geometry`.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from .analytic import ModelParams
 DEFAULT_BUDGET_BYTES = 2 << 30
 
 #: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
-#: at p = 1, ``sample`` peaks at 18 at n = 8 and ``sample_stack`` at 24 for
-#: a block of 256 lattices at n = 4; the F+C window pass peaks at 11 at
-#: n = 8 and 17 for that block, and ``label`` at 5. A block of 1024 lattices
-#: at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98 peaks at 14,
-#: and at 19 with its thresholds and window passes; over 300 points up to
-#: p = 1 (uint16 counts) at 17 and 20.
+#: at p = 1, ``sample`` peaks at 18 at n = 8 and a one-point ``sample_grid``
+#: at 24 for a block of 256 lattices at n = 4; the F+C window pass peaks at
+#: 11 at n = 8 and 17 for that block, and ``label`` at 5. A block of 1024
+#: lattices at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98
+#: peaks at 14, and at 19 with its thresholds and window passes; over 300
+#: points up to p = 1 (uint16 counts) at 17 and 20.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call: bounds the hash's temporaries (about 40 bytes
@@ -70,10 +71,6 @@ class GridRealization:
     seed: int
     sample_index: int
     occupancy: np.ndarray
-
-    @property
-    def side(self) -> int:
-        return self.M**self.n
 
     @property
     def cell_size(self) -> float:
@@ -115,16 +112,17 @@ def sample_grid(
 
     ``grid`` is a nonempty ascending sequence of G survival probabilities.
     Returns the alive-count stack, shape ``(B, M^n, M^n)`` or ``(B, 1, M^n)``
-    for d = 1, uint8 (uint16 for 255 or more points): per cell, the number
-    of grid points at which the cell lives, so ``counts >= G - j`` is the
-    lattice of F_n at ``grid[j]``, equal to the one :func:`sample_stack`
-    draws at that p. The k-th lattice is replicate ``indices[k]``, an
-    integer in [0, 2^64) (ValueError otherwise). A cell's uniform u passes
-    the test ``u < p`` at ``sum(u < p for p in grid)`` points, and its count
-    is the smaller of that and its parent's; level 0 counts G. Each level
-    hashes one key per replicate, then the uniforms of the whole stack's
-    candidates with a nonzero parent count, ``_HASH_CHUNK`` at a time, so a
-    cell dead at the grid's largest p hashes no children.
+    for d = 1, of the smallest unsigned dtype that holds G (uint8 up to 255
+    points): per cell, the number of grid points at which the cell lives, so
+    ``counts >= G - j`` is the lattice of F_n at ``grid[j]``, equal to the
+    one-point grid's at that p. The k-th lattice is replicate
+    ``indices[k]``, an integer in [0, 2^64) (ValueError otherwise). A
+    cell's uniform u passes the test ``u < p`` at ``sum(u < p for p in
+    grid)`` points, and its count is the smaller of that and its parent's;
+    level 0 counts G. Each level hashes one key per replicate, then the
+    uniforms of the whole stack's candidates with a nonzero parent count,
+    ``_HASH_CHUNK`` at a time, so a cell dead at the grid's largest p
+    hashes no children.
 
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
@@ -143,7 +141,7 @@ def sample_grid(
         raise MemoryBudgetError(
             f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
         )
-    dtype = np.uint8 if len(points) < 255 else np.uint16
+    dtype = np.min_scalar_type(len(points))
     counts = np.full((len(indices), 1, 1), len(points), dtype=dtype)
     for level in range(1, n + 1):
         candidates = _expand(counts, M, d)
@@ -169,24 +167,6 @@ def sample_grid(
     return counts
 
 
-def sample_stack(
-    params: ModelParams,
-    n: int,
-    seed: int,
-    indices,
-    budget_bytes: int = DEFAULT_BUDGET_BYTES,
-) -> np.ndarray:
-    """Draw the replicates ``indices`` of F_n as one boolean stack.
-
-    Returns shape ``(B, M^n, M^n)``, or ``(B, 1, M^n)`` for d = 1, whose
-    k-th lattice is replicate ``indices[k]``: the one-point
-    :func:`sample_grid`, whose 0/1 counts are the lattices, viewed as bool
-    without a copy. It raises on a bad index and guards the memory budget.
-    """
-    counts = sample_grid(params.M, params.d, (float(params.p),), n, seed, indices, budget_bytes)
-    return counts.view(bool)
-
-
 def sample(
     params: ModelParams,
     n: int,
@@ -194,10 +174,12 @@ def sample(
     sample_index: int = 0,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> GridRealization:
-    """Draw one realization of F_n: the one-replicate :func:`sample_stack`,
-    which raises on a bad index and guards the memory budget."""
-    occ = sample_stack(params, n, seed, [sample_index], budget_bytes)[0]
-    return GridRealization(params.M, float(params.p), params.d, n, seed, sample_index, occ)
+    """Draw one realization of F_n: the one-replicate, one-point
+    :func:`sample_grid`, whose 0/1 counts are the lattice viewed as bool
+    without a copy. It raises on a bad index and guards the memory budget."""
+    p = float(params.p)
+    counts = sample_grid(params.M, params.d, (p,), n, seed, [sample_index], budget_bytes)
+    return GridRealization(params.M, p, params.d, n, seed, sample_index, counts[0].view(bool))
 
 
 def to_pbm(grid: GridRealization) -> str:

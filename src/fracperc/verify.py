@@ -175,8 +175,10 @@ def _group_determinism(seed: int) -> CheckGroup:
     g1 = sampler.sample(params, 6, seed, 3)
     g2 = sampler.sample(params, 6, seed, 3)
     bit_identical = bool(np.array_equal(g1.occupancy, g2.occupancy))
-    r1 = montecarlo.run_experiment(params, 3, 400, seed, shards=1)
-    r8 = montecarlo.run_experiment(params, 3, 400, seed, shards=8)
+    # the same 400 replicates in one block, then in 8 blocks of 50
+    r1 = montecarlo.run_experiment(params, 3, 400, seed)
+    budget = 50 * 4**3 * sampler.PEAK_BYTES_PER_CELL
+    r8 = montecarlo.run_experiment(params, 3, 400, seed, budget_bytes=budget)
     worst = 0.0
     for key in r1.estimates:
         m1, m8 = r1.estimates[key].mean, r8.estimates[key].mean

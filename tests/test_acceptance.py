@@ -228,10 +228,10 @@ def test_acceptance_8_determinism_and_merge_invariance():
     a = S.sample(pr, 6, seed=13, sample_index=8)
     b = S.sample(pr, 6, seed=13, sample_index=8)
     assert np.array_equal(a.occupancy, b.occupancy)
-    base = MC.run_experiment(pr, 4, 2000, seed=13, shards=1)
-    for shards in (8, 64):
-        other = MC.run_experiment(pr, 4, 2000, seed=13, shards=shards)
-        for key, est in base.estimates.items():
-            rel = abs(other.estimates[key].mean - est.mean) / max(1.0, abs(est.mean))
-            assert rel <= 1e-12, (key, shards, rel)
+    # default blocks of 1024, then 8 blocks of 250 and 63 blocks of at most 32
+    base = MC.run_experiment(pr, 4, 2000, seed=13)
+    for block in (250, 32):
+        budget = block * 4**4 * S.PEAK_BYTES_PER_CELL
+        other = MC.run_experiment(pr, 4, 2000, seed=13, budget_bytes=budget)
+        assert other.estimates == base.estimates, block
     print("ACCEPTANCE 8 determinism and merge invariance: PASS")

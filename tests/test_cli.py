@@ -196,6 +196,15 @@ def test_p_grid_follows_the_model_dimension(tmp_path):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("M, d, step", [(2, 2, 4e-5), (2, 1, 1.6e-4), (4, 2, 1e-5), (5, 2, 3.2e-4),
+                                         (10, 2, 8e-5)])
+def test_fine_p_step_starts_above_the_domain_bound(M, d, step):
+    # lo / step can round down onto a whole number of steps that lands on lo itself
+    lo = 1.0 / M**d
+    grid = cli._p_grid(RunConfig(M=M, p_step=step), d)
+    assert grid[0] > lo >= round(grid[0] - step, 12)
+
+
 def test_curves_domain_guard(tmp_path):
     rc = cli.main(["curves", "-M", "2", "--p-start", "0.2", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -228,6 +237,20 @@ def test_render_spanning_mask_subset(tmp_path):
     mask_bits = "".join(mask_file.read_text().splitlines()[2:])
     assert len(grid_bits) == len(mask_bits)
     assert all(g == "1" or m == "0" for g, m in zip(grid_bits, mask_bits))
+
+
+def test_render_pbm_digest_pinned(tmp_path):
+    # byte identity of the one-replicate path through sample, label and write_pbm
+    out = tmp_path / "pic.pbm"
+    rc = cli.main(["render", "-M", "3", "-p", "0.7", "-n", "5", "--seed", "1", "--spanning-mask",
+                   "--out", str(out)])
+    assert rc == EXIT_OK
+    for name, digest in (
+        ("pic.pbm", "c4341de228903dbeae98300ad436decfcb95940c684c31a9be2a2c83109d12a8"),
+        ("pic_spanning.pbm", "19b5f8092f0ab95686e34240bdb7a1ba1e1f2a576d0d0aa36eddb46b5e50b4d7"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert json.loads((tmp_path / "pic.manifest.json").read_text())["elapsed_seconds"] > 0
 
 
 def test_render_seed_recorded_when_generated(tmp_path):

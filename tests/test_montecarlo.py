@@ -1,4 +1,4 @@
-"""Accumulator statistics, shard invariance, coupling, CSV output."""
+"""Accumulator statistics, block and worker invariance, coupling, CSV output."""
 
 import csv
 import math
@@ -63,15 +63,15 @@ def _per_replicate_reference(params, n, samples, seed, axes):
     (2, 1, 5, 0.8, ("x",)),
     (3, 1, 3, 0.6, ("x",)),
 ])
-def test_blocked_run_matches_per_replicate_reference(monkeypatch, M, d, n, p, axes):
+def test_blocked_run_matches_per_replicate_reference(M, d, n, p, axes):
     params = ModelParams(M, p, d)
     ref_est, ref_span = _per_replicate_reference(params, n, 137, 41, axes)
-    cells = M ** (d * n)
-    # one block per shard, then blocks of 5 and 7 replicates with a short last block
-    for shards, block_cells in ((1, MC.BLOCK_CELLS), (3, MC.BLOCK_CELLS), (1, 5 * cells),
-                                (3, 7 * cells + 1)):
-        monkeypatch.setattr(MC, "BLOCK_CELLS", block_cells)
-        result = MC.run_experiment(params, n, 137, 41, spanning_axes=axes, shards=shards)
+    per_replicate = M ** (d * n) * S.PEAK_BYTES_PER_CELL
+    # one block per worker, then blocks of 5 and 7 replicates with a short last block
+    for workers, budget in ((1, S.DEFAULT_BUDGET_BYTES), (3, S.DEFAULT_BUDGET_BYTES),
+                            (1, 5 * per_replicate), (3, 7 * per_replicate)):
+        result = MC.run_experiment(params, n, 137, 41, spanning_axes=axes, workers=workers,
+                                   budget_bytes=budget)
         assert result.samples == 137
         for got, want in ((result.estimates, ref_est), (result.spanning, ref_span)):
             assert got.keys() == want.keys()
@@ -96,13 +96,14 @@ def test_spanning_y_refused_in_one_dimension():
 
 
 def test_merge_invariance_across_shardings():
+    # one block of 800 replicates, then 8 blocks of 100 and 62 blocks of at most 13
     pr = ModelParams(2, 0.6, 2)
-    base = MC.run_experiment(pr, 3, 800, seed=5, shards=1)
-    for shards in (8, 64):
-        other = MC.run_experiment(pr, 3, 800, seed=5, shards=shards)
-        for key, est in base.estimates.items():
-            rel = abs(other.estimates[key].mean - est.mean) / max(1.0, abs(est.mean))
-            assert rel <= 1e-12
+    base = MC.run_experiment(pr, 3, 800, seed=5)
+    for block in (100, 13):
+        budget = block * 4**3 * S.PEAK_BYTES_PER_CELL
+        assert MC._block_size(pr, 3, budget) == block
+        other = MC.run_experiment(pr, 3, 800, seed=5, budget_bytes=budget)
+        assert other.estimates == base.estimates, block
 
 
 def test_agreement_with_analytic_small():
@@ -138,12 +139,14 @@ def test_coupled_grids_are_monotone_in_p():
             prev = occ
 
 
-@pytest.mark.parametrize("shards, workers", [(1, 1), (3, 1), (3, 2)])
-def test_grid_run_equals_one_point_runs(shards, workers):
-    # one draw over the grid, then each point's estimates, equal a run at that p alone
+@pytest.mark.parametrize("blocks, workers", [(1, 1), (3, 1), (3, 2)])
+def test_grid_run_equals_one_point_runs(blocks, workers):
+    # one draw over the grid, then each point's estimates, equal a run at that p alone;
+    # blocks of at most ceil(23 / blocks) replicates: 8, 8 and 7 for three in one worker
     grid = (0.0, 0.45, 0.7, 0.85, 1.0)
     for d, axes in ((2, ("x", "y")), (1, ("x",))):
-        kwargs = dict(spanning_axes=axes, shards=shards, workers=workers)
+        budget = -(-23 // blocks) * 3 ** (d * 3) * S.PEAK_BYTES_PER_CELL
+        kwargs = dict(spanning_axes=axes, workers=workers, budget_bytes=budget)
         misses = MC._grid_values.cache_info().misses
         coupled = [MC.run_experiment(ModelParams(3, p, d), 3, 23, 17, grid=grid, **kwargs)
                    for p in grid]
@@ -206,12 +209,6 @@ def test_sample_count_validation():
 def test_workers_below_one_refused(workers):
     with pytest.raises(ValueError, match="workers"):
         MC.run_experiment(ModelParams(2, 0.6, 2), 2, 10, seed=1, workers=workers)
-
-
-@pytest.mark.parametrize("shards", [0, -2])
-def test_shards_below_one_refused(shards):
-    with pytest.raises(ValueError, match="shards"):
-        MC.run_experiment(ModelParams(2, 0.6, 2), 2, 10, seed=1, shards=shards)
 
 
 def test_default_functionals_cover_every_k_up_to_d():

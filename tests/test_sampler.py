@@ -44,7 +44,6 @@ def test_hierarchical_consistency():
 def test_shape_and_metadata():
     grid = S.sample(ModelParams(3, 0.5, 1), 2, seed=1, sample_index=9)
     assert grid.occupancy.shape == (1, 9)
-    assert grid.side == 9
     assert grid.cell_size == pytest.approx(1 / 9)
     assert grid.sample_index == 9
 
@@ -54,7 +53,7 @@ def test_f_and_c_areas_partition_the_unit_square():
     grid = S.sample(ModelParams(2, 0.55, 2), 5, seed=4)
     f_faces, c_faces = G.window_counters(grid.occupancy)[:, 0]
     assert f_faces == np.count_nonzero(grid.occupancy)
-    assert f_faces + c_faces == grid.side**2
+    assert f_faces + c_faces == grid.occupancy.size
     f, c = G.minkowski(grid.occupancy, grid.cell_size, grid.d)
     assert f[2] + c[2] == 1.0
 
@@ -96,7 +95,7 @@ def test_replicate_peak_memory_within_guard_model():
         cells = block * 4**n
         tracemalloc.start()
         try:
-            stack = S.sample_stack(params, n, 3, np.arange(block))
+            stack = S.sample_grid(2, 2, [p], n, 3, np.arange(block)).view(bool)
             G.minkowski(stack, 2.0**-n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -161,18 +160,30 @@ def test_sample_grid_refuses_a_bad_grid():
             S.sample_grid(2, 2, grid, 2, 0, [0])
     # repeated points are ascending, and equal their one-point draws
     counts = S.sample_grid(2, 2, [0.6, 0.6], 3, 0, [0])
-    assert np.array_equal(counts >= 1, S.sample_stack(ModelParams(2, 0.6, 2), 3, 0, [0]))
+    assert np.array_equal(counts >= 1, S.sample_grid(2, 2, [0.6], 3, 0, [0]) == 1)
     assert np.array_equal(counts >= 1, counts >= 2)
+
+
+def test_sample_grid_counts_beyond_uint16():
+    # 70,000 points take uint32 counts; each threshold is that point's own draw
+    grid = np.linspace(0.3, 0.9, 70_000)
+    indices = np.arange(40)
+    counts = S.sample_grid(2, 2, grid, 1, 5, indices)
+    assert counts.dtype == np.uint32 and counts.max() > np.iinfo(np.uint16).max
+    for j in (0, len(grid) // 2, len(grid) - 1):
+        alone = S.sample_grid(2, 2, [grid[j]], 1, 5, indices)
+        assert np.array_equal(counts >= len(grid) - j, alone == 1), j
 
 
 @pytest.mark.parametrize("M", [2, 3])
 @pytest.mark.parametrize("d", [1, 2])
 def test_sample_stack_matches_sample(M, d):
+    # a one-point grid's 0/1 counts, viewed as bool, are the lattices sample draws
     indices = [5, 0, 17]
     for n in (0, 1, 3, 4):
         for p in (0.0, 0.4, 1.0):
             params = ModelParams(M, p, d)
-            stack = S.sample_stack(params, n, 21, np.array(indices))
+            stack = S.sample_grid(M, d, [p], n, 21, np.array(indices)).view(bool)
             side = M**n
             assert stack.shape == (3, side if d == 2 else 1, side) and stack.dtype == bool
             for k, i in enumerate(indices):
@@ -180,13 +191,12 @@ def test_sample_stack_matches_sample(M, d):
 
 
 def test_sample_stack_memory_guard():
-    params = ModelParams(2, 0.5, 2)
     need = 3 * 4**3 * S.PEAK_BYTES_PER_CELL  # the guard charges the whole stack
-    assert S.sample_stack(params, 3, 0, [4, 5, 6], budget_bytes=need).shape == (3, 8, 8)
+    assert S.sample_grid(2, 2, [0.5], 3, 0, [4, 5, 6], budget_bytes=need).shape == (3, 8, 8)
     with pytest.raises(MemoryBudgetError):
-        S.sample_stack(params, 3, 0, [4, 5, 6], budget_bytes=need - 1)
+        S.sample_grid(2, 2, [0.5], 3, 0, [4, 5, 6], budget_bytes=need - 1)
     with pytest.raises(ValueError):
-        S.sample_stack(params, 2.0, 0, [1])
+        S.sample_grid(2, 2, [0.5], 2.0, 0, [1])
 
 
 @pytest.mark.parametrize("bad", [1.5, -1, 2**64, True, "3"])
@@ -195,19 +205,20 @@ def test_sample_index_must_be_an_integer_in_range(bad):
     with pytest.raises(ValueError, match="sample indices"):
         S.sample(params, 1, 1, bad)
     with pytest.raises(ValueError, match="sample indices"):
-        S.sample_stack(params, 1, 1, [0, bad])
+        S.sample_grid(3, 1, [0.6], 1, 1, [0, bad])
     with pytest.raises(ValueError, match="sample indices"):
-        S.sample_stack(params, 1, 1, np.array([0, 1.0]))
+        S.sample_grid(3, 1, [0.6], 1, 1, np.array([0, 1.0]))
 
 
 def test_sample_index_range_ends_are_drawn():
     params = ModelParams(3, 0.6, 1)
     top = 2**64 - 1
-    stack = S.sample_stack(params, 2, 1, [0, 2**63, top])
-    assert np.array_equal(stack, S.sample_stack(params, 2, 1, np.array([0, 2**63, top], np.uint64)))
+    stack = S.sample_grid(3, 1, [0.6], 2, 1, [0, 2**63, top]).view(bool)
+    assert np.array_equal(stack, S.sample_grid(3, 1, [0.6], 2, 1,
+                                               np.array([0, 2**63, top], np.uint64)) == 1)
     assert np.array_equal(stack[2], S.sample(params, 2, 1, top).occupancy)
     # the int64 blocks that Monte Carlo passes, and numpy integer scalars
-    assert np.array_equal(S.sample_stack(params, 2, 1, np.arange(3, dtype=np.int64))[1],
+    assert np.array_equal(S.sample_grid(3, 1, [0.6], 2, 1, np.arange(3, dtype=np.int64))[1] == 1,
                           S.sample(params, 2, 1, np.int64(1)).occupancy)
 
 
@@ -226,12 +237,11 @@ def test_offspring_counts_binomial():
 
 def test_population_mean_matches_branching_mean():
     # E (number of level-n cells) = (M^2 p)^n, checked at 4 sigma
-    pr = ModelParams(2, 0.7, 2)
     n, samples, block = 8, 10_000, 16
     counts = np.empty(samples)
     for first in range(0, samples, block):
         indices = np.arange(first, min(first + block, samples))
-        counts[indices] = S.sample_stack(pr, n, 999, indices).sum(axis=(1, 2))
+        counts[indices] = S.sample_grid(2, 2, [0.7], n, 999, indices).sum(axis=(1, 2))
     mean = counts.mean()
     stderr = counts.std(ddof=1) / np.sqrt(samples)
     expected = (4 * 0.7) ** n
