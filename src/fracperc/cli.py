@@ -374,8 +374,8 @@ def cmd_thresholds(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     seed = config.seed if config.seed is not None else 20240801
     report = verify.run_verification(seed=seed, full=config.full)
-    print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    print(json.dumps(report, indent=2))
+    return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
 def cmd_render(config: RunConfig) -> int:

@@ -128,7 +128,13 @@ def audit_counters(occ: np.ndarray) -> np.ndarray:
 def minkowski(occ: np.ndarray, cell_side: float, d: int = 2) -> np.ndarray:
     """V_0 .. V_d of F, then of C, of a lattice of cells of side
     ``cell_side``, or of every lattice of a ``(B, H, W)`` stack, from one
-    window pass: float64 of shape ``occ.shape[:-2] + (2, d + 1)``."""
+    window pass: float64 of shape ``occ.shape[:-2] + (2, d + 1)``. A d = 1
+    lattice is one row; ValueError for any other d or a d = 1 lattice of
+    several rows."""
+    if d not in (1, 2):
+        raise ValueError(f"dimension d must be 1 or 2, got {d!r}")
+    if d == 1 and np.shape(occ)[-2] != 1:
+        raise ValueError(f"a d = 1 lattice is one row of cells, got shape {np.shape(occ)}")
     s = cell_side
     return vk_scores(window_counters(occ), d) * np.array((1.0, s, s * s)[: d + 1])
 

@@ -5,7 +5,8 @@ over every keep/drop assignment of the subdivision tree, with weight
 ``p^kept (1-p)^dropped`` over the decided nodes; subtrees of dropped nodes
 are never expanded (their outcome weights marginalize to one exactly).
 All arithmetic is exact and every returned expectation is a
-:class:`fractions.Fraction`; pass ``p`` as a Fraction.
+:class:`fractions.Fraction`; pass ``p`` as a Fraction. Every public
+expectation refuses a ``p`` outside [0, 1] with ValueError.
 
 The enumeration is organized for reuse: the tree structure (occupancy
 patterns with their decision-exponent multiplicities, and the geometric
@@ -72,6 +73,14 @@ class InstanceTooLargeError(ValueError):
 def _tree_nodes(cells: int, n: int) -> int:
     """Decision nodes of levels 1..n of a tree with ``cells`` children per node."""
     return sum(cells**k for k in range(1, n + 1))
+
+
+def _probability(p) -> Fraction:
+    """``p`` as a Fraction; ValueError unless it lies in [0, 1]."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"survival probability p must lie in [0, 1], got {p}")
+    return p
 
 
 def _weight_numerators(exponents, p: Fraction, emax: int) -> list:
@@ -238,7 +247,7 @@ def leaf_distribution(M: int, p, n: int) -> tuple:
     """Exact surviving-leaf distribution of K_n as ((key, Fraction), ...) in
     increasing key order; bit M^n - 1 - i of a key says whether leaf i survives."""
     n = _check_1d(M, n)
-    p = Fraction(p)
+    p = _probability(p)
     nodes = _tree_nodes(M, n)
     blocks = _block_structure(M, n, 1)
     exponents, inverse = _classes(M, n, 1)
@@ -301,7 +310,7 @@ def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -
     if target not in TARGETS_1D:
         raise ValueError(f"target must be one of {TARGETS_1D}, got {target!r}")
     n = _check_1d(M, n)
-    p = Fraction(p)
+    p = _probability(p)
     if target in ("K", "D"):
         return _table(M, p, n, 1)[(functional, target)]
     if functional in ("contains0", "contains1"):
@@ -335,7 +344,7 @@ def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -
         raise ValueError(f"functional must be V0, V1 or V2, got {functional!r}")
     if target not in TARGETS_2D:
         raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    return _table(M, Fraction(p), n, 2)[(functional, target)]
+    return _table(M, _probability(p), n, 2)[(functional, target)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +366,7 @@ def enumerate_corner_intersection_2d(M: int, p, n: int, ell: int, k: int, target
         raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
     if not isinstance(ell, numbers.Integral) or ell < 0:
         raise ValueError(f"ell must be a non-negative integer, got {ell!r}")
+    p = _probability(p)
     if k >= 1:
         return Fraction(0)
     return enumerate_1d(1, p, n, "contains0", "K" if target == "F" else "D") ** ell
@@ -371,7 +381,7 @@ def enumerate_side_intersection_2d(M: int, p, n: int, k: int, target: str = "F")
     on failure), so the pair is a mixture over the two decisions. V_k
     scales by M^-k under the embedding of the segment.
     """
-    p = Fraction(p)
+    p = _probability(p)
     if n < 1:
         raise ValueError("side intersections exist for n >= 1")
     if target not in TARGETS_2D:

@@ -116,13 +116,13 @@ def sample_grid(
     points): per cell, the number of grid points at which the cell lives, so
     ``counts >= G - j`` is the lattice of F_n at ``grid[j]``, equal to the
     one-point grid's at that p. The k-th lattice is replicate
-    ``indices[k]``, an integer in [0, 2^64) (ValueError otherwise). A
-    cell's uniform u passes the test ``u < p`` at ``sum(u < p for p in
-    grid)`` points, and its count is the smaller of that and its parent's;
-    level 0 counts G. Each level hashes one key per replicate, then the
-    uniforms of the whole stack's candidates with a nonzero parent count,
-    ``_HASH_CHUNK`` at a time, so a cell dead at the grid's largest p
-    hashes no children.
+    ``indices[k]``, an integer in [0, 2^64), as is ``seed`` (ValueError
+    otherwise). A cell's uniform u passes the test ``u < p`` at
+    ``sum(u < p for p in grid)`` points, and its count is the smaller of
+    that and its parent's; level 0 counts G. Each level hashes one key per
+    replicate, then the uniforms of the whole stack's candidates with a
+    nonzero parent count, ``_HASH_CHUNK`` at a time, so a cell dead at the
+    grid's largest p hashes no children.
 
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
@@ -134,6 +134,8 @@ def sample_grid(
         raise ValueError(f"grid must be a nonempty ascending sequence of p, got {grid!r}")
     for p in (points[0], points[-1]):  # M, d and the range of every point
         ModelParams(M, float(p), d)
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     indices = _replicate_indices(indices)
     cells = M ** (d * n)
     need = len(indices) * cells * PEAK_BYTES_PER_CELL
@@ -183,13 +185,16 @@ def sample(
 
 
 def to_pbm(grid: GridRealization) -> str:
-    """Portable bitmap (P1) text; occupied cells are black (1)."""
-    occ = grid.occupancy.astype(np.uint8)
-    lines = ["P1", f"{occ.shape[1]} {occ.shape[0]}"]
-    for row in occ:
-        text = "".join("1" if v else "0" for v in row)
-        lines.extend(text[i : i + 70] for i in range(0, len(text), 70))
-    return "\n".join(lines) + "\n"
+    """Portable bitmap (P1) text; occupied cells are black (1). Each row
+    is cut into lines of at most 70 characters."""
+    occ = np.asarray(grid.occupancy, dtype=bool)
+    rows, columns = occ.shape
+    lines = -(-columns // 70)
+    body = np.zeros((rows, lines * 70), dtype=np.uint8)  # zero bytes pad each row's last line
+    body[:, :columns] = np.where(occ, ord("1"), ord("0"))
+    newlines = np.full((rows, lines, 1), ord("\n"), dtype=np.uint8)
+    text = np.concatenate((body.reshape(rows, lines, 70), newlines), axis=-1)
+    return f"P1\n{columns} {rows}\n" + text[text != 0].tobytes().decode("ascii")
 
 
 def write_pbm(grid: GridRealization, path, mask: np.ndarray | None = None) -> None:

@@ -2,13 +2,16 @@
 
 Each group compares two independent routes to the same quantity (closed
 form vs enumeration, window-pass counters vs component counting, sample means
-vs exact expectations) and reports the worst residual seen. The report is
-machine readable; the CLI turns any failure into a nonzero exit.
+vs exact expectations) and reports the worst residual seen. The three exact
+groups (oracle vs closed forms in d = 1 and d = 2, the level recursions)
+collect (got, want) pairs and pass only when every pair is equal. The report
+is a plain dict, ``{"passed", "groups"}``, each group a dict ``{"name",
+"passed", "worst_residual", "details"}``; the CLI prints it as JSON and turns
+any failure into a nonzero exit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -19,47 +22,24 @@ from .analytic import ModelParams
 _ORACLE_PS = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 
 
-@dataclass
-class CheckGroup:
-    name: str
-    passed: bool
-    worst: float
-    details: dict = field(default_factory=dict)
+def _group(name: str, passed: bool, worst: float, details: dict) -> dict:
+    return {"name": name, "passed": passed, "worst_residual": worst, "details": details}
 
 
-@dataclass
-class VerificationReport:
-    groups: list
-
-    @property
-    def passed(self) -> bool:
-        return all(g.passed for g in self.groups)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "groups": [
-                {
-                    "name": g.name,
-                    "passed": g.passed,
-                    "worst_residual": g.worst,
-                    "details": g.details,
-                }
-                for g in self.groups
-            ],
-        }
+def _exact_group(name: str, pairs: list, details: dict) -> dict:
+    """Passes when every (got, want) pair is equal; the residual is the
+    largest |got - want| over the pairs that differ."""
+    worst = max((abs(float(got - want)) for got, want in pairs if got != want), default=0.0)
+    return _group(name, all(got == want for got, want in pairs), worst, details)
 
 
-def _group_oracle_1d(full: bool) -> CheckGroup:
-    worst = 0.0
-    count = 0
-    envelope = ((2, 3), (3, 2)) if full else ((2, 2), (3, 1))
-    ok = True
-    for M, nmax in envelope:
+def _group_oracle_1d(full: bool) -> dict:
+    pairs = []
+    for M, nmax in ((2, 3), (3, 2)) if full else ((2, 2), (3, 1)):
         for n in range(nmax + 1):
             for p in _ORACLE_PS:
                 params = ModelParams(M, p, 1)
-                pairs = [
+                pairs += [
                     (oracle.enumerate_1d(M, p, n, "V0", "K"), analytic.ev_vk_1d(params, n, 0)),
                     (oracle.enumerate_1d(M, p, n, "V1", "K"), analytic.ev_vk_1d(params, n, 1)),
                     (oracle.enumerate_1d(M, p, n, "V0", "D"), analytic.ev_vk_complement_1d(params, n, 0)),
@@ -67,58 +47,37 @@ def _group_oracle_1d(full: bool) -> CheckGroup:
                     (oracle.enumerate_1d(M, p, n, "N", "KK"), analytic.ev_n_isolated_1d(params, n)),
                     (oracle.enumerate_1d(M, p, n, "V0", "DD"), analytic.ev_vk_complement_1d(params, n, 0, True)),
                 ]
-                for got, want in pairs:
-                    count += 1
-                    if got != want:
-                        ok = False
-                        worst = max(worst, abs(float(got - want)))
-    return CheckGroup("oracle_vs_analytic_1d", ok, worst, {"comparisons": count})
+    return _exact_group("oracle_vs_analytic_1d", pairs, {"comparisons": len(pairs)})
 
 
-def _group_oracle_2d(full: bool) -> CheckGroup:
-    worst = 0.0
-    count = 0
-    ok = True
-    instances = oracle.FEASIBLE_2D if full else ((2, 1), (3, 1))
-    for M, n in instances:
+def _group_oracle_2d(full: bool) -> dict:
+    pairs = []
+    for M, n in oracle.FEASIBLE_2D if full else ((2, 1), (3, 1)):
         for p in _ORACLE_PS:
             params = ModelParams(M, p, 2)
             for functional, k in (("V0", 0), ("V1", 1), ("V2", 2)):
                 for target in ("F", "C"):
-                    got = oracle.enumerate_2d(M, p, n, functional, target)
-                    want = analytic.ev(params, n, k, target)
-                    count += 1
-                    if got != want:
-                        ok = False
-                        worst = max(worst, abs(float(got - want)))
-    return CheckGroup("oracle_vs_analytic_2d", ok, worst, {"comparisons": count})
+                    pairs.append((oracle.enumerate_2d(M, p, n, functional, target),
+                                  analytic.ev(params, n, k, target)))
+    return _exact_group("oracle_vs_analytic_2d", pairs, {"comparisons": len(pairs)})
 
 
-def _group_recursions() -> CheckGroup:
+def _group_recursions() -> dict:
     """Level recursions of the component count and the isolated-point count."""
-    worst = 0.0
-    ok = True
+    pairs = []
     for M in (2, 3, 5):
         for p in _ORACLE_PS:
             params = ModelParams(M, p, 1)
             for n in range(1, 21):
-                lhs = analytic.ev_vk_1d(params, n, 0)
-                rhs = M * p * analytic.ev_vk_1d(params, n - 1, 0) - (M - 1) * p ** (2 * n)
-                if lhs != rhs:
-                    ok = False
-                    worst = max(worst, abs(float(lhs - rhs)))
-                gam = analytic.ev_n_isolated_1d(params, n)
-                rec = (
-                    M * p * p * analytic.ev_n_isolated_1d(params, n - 1)
-                    + (M - 1) * 2 * p ** (2 * n) * (1 - p**n) ** 2
-                )
-                if gam != rec:
-                    ok = False
-                    worst = max(worst, abs(float(gam - rec)))
-    return CheckGroup("level_recursions", ok, worst, {"levels": 20})
+                pairs.append((analytic.ev_vk_1d(params, n, 0),
+                              M * p * analytic.ev_vk_1d(params, n - 1, 0) - (M - 1) * p ** (2 * n)))
+                pairs.append((analytic.ev_n_isolated_1d(params, n),
+                              M * p * p * analytic.ev_n_isolated_1d(params, n - 1)
+                              + (M - 1) * 2 * p ** (2 * n) * (1 - p**n) ** 2))
+    return _exact_group("level_recursions", pairs, {"levels": 20})
 
 
-def _group_limit_consistency() -> CheckGroup:
+def _group_limit_consistency() -> dict:
     worst = 0.0
     for M, p in ((2, 0.5), (2, 0.9), (3, 0.8), (5, 0.3)):
         params = ModelParams(M, p, 2)
@@ -133,10 +92,10 @@ def _group_limit_consistency() -> CheckGroup:
                 worst,
                 abs(float(analytic.limit_vck_2d(params, 1)) - float(analytic.limit_vk_2d(params, 1))),
             )
-    return CheckGroup("limit_consistency", worst < 1e-10, worst, {"tolerance": 1e-10})
+    return _group("limit_consistency", worst < 1e-10, worst, {"tolerance": 1e-10})
 
 
-def _group_geometry(seed: int, grids: int) -> CheckGroup:
+def _group_geometry(seed: int, grids: int) -> dict:
     rng_local = np.random.default_rng(seed)
     worst = 0
     ok = True
@@ -150,10 +109,10 @@ def _group_geometry(seed: int, grids: int) -> CheckGroup:
         if not np.array_equal(window, audit) or v0 != c:
             ok = False
             worst = max(worst, abs(v0 - c), abs(v0 - b0), abs(v0_c - b0_c))
-    return CheckGroup("geometry_duality", ok, float(worst), {"grids": grids})
+    return _group("geometry_duality", ok, float(worst), {"grids": grids})
 
 
-def _group_mc(seed: int, samples: int) -> CheckGroup:
+def _group_mc(seed: int, samples: int) -> dict:
     worst = 0.0
     ok = True
     for M, n, p in ((2, 4, 0.6), (3, 3, 0.7)):
@@ -167,10 +126,10 @@ def _group_mc(seed: int, samples: int) -> CheckGroup:
             worst = max(worst, z)
             if z >= 4:
                 ok = False
-    return CheckGroup("mc_agreement", ok, worst, {"samples": samples, "limit_sigmas": 4})
+    return _group("mc_agreement", ok, worst, {"samples": samples, "limit_sigmas": 4})
 
 
-def _group_determinism(seed: int) -> CheckGroup:
+def _group_determinism(seed: int) -> dict:
     params = ModelParams(2, 0.7, 2)
     g1 = sampler.sample(params, 6, seed, 3)
     g2 = sampler.sample(params, 6, seed, 3)
@@ -184,13 +143,11 @@ def _group_determinism(seed: int) -> CheckGroup:
         m1, m8 = r1.estimates[key].mean, r8.estimates[key].mean
         worst = max(worst, abs(m8 - m1) / max(1.0, abs(m1)))
     ok = bit_identical and worst <= 1e-12
-    return CheckGroup(
-        "determinism_and_merge", ok, worst,
-        {"bit_identical": bit_identical, "merge_tolerance": 1e-12},
-    )
+    return _group("determinism_and_merge", ok, worst,
+                  {"bit_identical": bit_identical, "merge_tolerance": 1e-12})
 
 
-def run_verification(seed: int = 20240801, full: bool = False) -> VerificationReport:
+def run_verification(seed: int = 20240801, full: bool = False) -> dict:
     """Run every check group; ``full`` extends the oracle envelope."""
     groups = [
         _group_oracle_1d(full),
@@ -201,4 +158,4 @@ def run_verification(seed: int = 20240801, full: bool = False) -> VerificationRe
         _group_mc(seed, 4000 if full else 800),
         _group_determinism(seed),
     ]
-    return VerificationReport(groups)
+    return {"passed": all(g["passed"] for g in groups), "groups": groups}

@@ -6,8 +6,12 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -351,23 +355,54 @@ def test_verify_stdout_digest_pinned(capsys):
     assert digest == "ba4c084ecb755e00e9e3c87a8c92cf8db86d9929de91cc8244747660b3376600"
 
 
+def test_verify_module_entry_point():
+    # the entry() path of the console script, in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "fracperc.cli", "verify"], cwd=root, env=env,
+                          capture_output=True, check=False)
+    assert done.returncode == EXIT_OK, done.stderr.decode()
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    assert digest == "ba4c084ecb755e00e9e3c87a8c92cf8db86d9929de91cc8244747660b3376600"
+
+
+# one tampered closed form per exact group, and one limit: (name, where it
+# is shifted, offset, the group that must fail). The recursion is tampered
+# at its top level only, so no lower level scales the offset.
+_TAMPERED = (
+    ("ev_vk_1d", lambda params, n, k: k == 1, Fraction(1, 7), "oracle_vs_analytic_1d"),
+    ("ev", lambda params, n, k, target: True, Fraction(1, 11), "oracle_vs_analytic_2d"),
+    ("ev_n_isolated_1d", lambda params, n: n == 20, Fraction(1, 13), "level_recursions"),
+    ("limit_vk_2d", lambda params, k: k == 0, 1e-3, "limit_consistency"),
+)
+
+
 def test_verify_negative_control(monkeypatch, capsys):
-    # a tampered closed form must make verification fail with exit code 3
+    # a tampered closed form must make verification fail with exit code 3,
+    # its group reporting the offset as its worst residual
     from fracperc import analytic
 
-    real = analytic.limit_vk_2d
+    for name, tampered_at, offset, group in _TAMPERED:
+        real = getattr(analytic, name)
 
-    def tampered(params, k):
-        value = real(params, k)
-        return value + 1e-3 if k == 0 else value
+        def tampered(*args, real=real, tampered_at=tampered_at, offset=offset):
+            value = real(*args)
+            return value + offset if tampered_at(*args) else value
 
-    monkeypatch.setattr(analytic, "limit_vk_2d", tampered)
-    rc = cli.main(["verify", "--seed", "20240801"])
-    assert rc == EXIT_VERIFY
-    report = json.loads(capsys.readouterr().out)
-    assert report["passed"] is False
-    failing = {g["name"] for g in report["groups"] if not g["passed"]}
-    assert "limit_consistency" in failing
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, name, tampered)
+            rc = cli.main(["verify", "--seed", "20240801"])
+        assert rc == EXIT_VERIFY, name
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        groups = {g["name"]: g for g in report["groups"]}
+        assert groups[group]["passed"] is False, name
+        # exact groups report the offset exactly, the limit group within its tolerance
+        tolerance = groups[group]["details"].get("tolerance", 0)
+        assert abs(groups[group]["worst_residual"] - float(offset)) <= tolerance, name
+        assert groups["oracle_vs_analytic_1d"]["details"] == {"comparisons": 90}
+        assert groups["oracle_vs_analytic_2d"]["details"] == {"comparisons": 36}
+        assert groups["level_recursions"]["details"] == {"levels": 20}
 
 
 def test_unknown_subcommand_exits_2():

@@ -126,6 +126,19 @@ def test_one_dimensional_counts():
     assert v.shape == (2, 2)
 
 
+def test_minkowski_refuses_shapes_it_cannot_measure():
+    with pytest.raises(ValueError, match="1 or 2"):
+        G.minkowski(np.ones((2, 2), bool), 1.0, 3)
+    with pytest.raises(ValueError, match="1 or 2"):
+        G.minkowski(np.ones((1, 2), bool), 1.0, 0)
+    for shape in ((2, 2), (3, 2, 4)):  # a lattice, and a stack, of several rows
+        with pytest.raises(ValueError, match="one row"):
+            G.minkowski(np.ones(shape, bool), 1.0, 1)
+    # a stack of one-row lattices is measured lattice by lattice
+    rows = np.array([[[1, 1, 0, 1]], [[0, 0, 0, 0]]], bool)
+    assert G.minkowski(rows, 0.25, 1).tolist() == [[[2, 0.75], [1, 0.25]], [[0, 0], [1, 1]]]
+
+
 def test_label_connectivity_difference():
     occ = np.zeros((2, 2), bool)
     occ[0, 0] = occ[1, 1] = True

@@ -211,6 +211,49 @@ def test_argument_validation():
             O.enumerate_1d(M, F(1, 2), 2, "V0", "K")
 
 
+def _public_expectations():
+    """(label, f(p)) for every public oracle expectation and each of its
+    functionals and targets; the corner terms at k = 0 and k = 1."""
+    calls = [("leaf_distribution", lambda p: O.leaf_distribution(2, p, 2))]
+    calls += [(f"enumerate_1d {f} {t}", lambda p, f=f, t=t: O.enumerate_1d(2, p, 2, f, t))
+              for f in O.FUNCTIONALS_1D for t in O.TARGETS_1D]
+    calls += [(f"enumerate_2d {f} {t}", lambda p, f=f, t=t: O.enumerate_2d(2, p, 1, f, t))
+              for f in O.FUNCTIONALS_2D for t in O.TARGETS_2D]
+    calls += [(f"corner k={k} {t}", lambda p, k=k, t=t: O.enumerate_corner_intersection_2d(2, p, 2, 2, k, t))
+              for k in (0, 1) for t in O.TARGETS_2D]
+    calls += [(f"side k={k} {t}", lambda p, k=k, t=t: O.enumerate_side_intersection_2d(2, p, 2, k, t))
+              for k in (0, 1) for t in O.TARGETS_2D]
+    return calls
+
+
+@pytest.mark.parametrize("p", [F(-1, 2), F(3, 2)])
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in _public_expectations()])
+def test_probability_outside_unit_interval_refused(call, p):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        call(p)
+
+
+def test_probability_ends_unchanged():
+    # p = 0 leaves nothing of K or F alive, p = 1 everything
+    assert O.leaf_distribution(2, F(0), 2) == tuple((key, int(key == 0)) for key in range(16))
+    assert O.leaf_distribution(2, F(1), 2) == tuple((key, int(key == 15)) for key in range(16))
+    calls = [call for _, call in _public_expectations()[1:]]
+    # enumerate_1d (V0, V1, N, contains0, contains1) x (K, D, KK, DD), then
+    # enumerate_2d (V0, V1, V2) x (F, C), then corner and side (k = 0, 1) x (F, C)
+    assert [call(F(0)) for call in calls] == [
+        0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1,
+        0, 1, 0, 2, 0, 1,
+        0, 1, 0, 0,
+        0, 1, 0, F(1, 2),
+    ]
+    assert [call(F(1)) for call in calls] == [
+        1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+        1, 0, 2, 0, 1, 0,
+        1, 0, 0, 0,
+        1, 0, F(1, 2), 0,
+    ]
+
+
 def test_2d_trivial_cases():
     assert O.enumerate_2d(2, F(1), 1, "V0", "F") == 1
     assert O.enumerate_2d(2, F(1, 2), 1, "V2", "F") == F(1, 2)

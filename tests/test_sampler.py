@@ -222,6 +222,26 @@ def test_sample_index_range_ends_are_drawn():
                           S.sample(params, 2, 1, np.int64(1)).occupancy)
 
 
+@pytest.mark.parametrize("bad", [1.5, -1, 2**64, True, "3"])
+def test_seed_must_be_an_integer_in_range(bad):
+    params = ModelParams(3, 0.6, 1)
+    with pytest.raises(ValueError, match="seed"):
+        S.sample(params, 1, bad)
+    with pytest.raises(ValueError, match="seed"):
+        S.sample_grid(3, 1, [0.6], 1, bad, [0, 1])
+    with pytest.raises(ValueError, match="seed"):
+        MC.run_experiment(params, 1, 2, bad)
+
+
+def test_seed_range_ends_are_drawn():
+    params = ModelParams(3, 0.6, 1)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        grid = S.sample(params, 3, seed)
+        assert np.array_equal(grid.occupancy, S.sample_grid(3, 1, [0.6], 3, seed, [0])[0] == 1)
+    # the two ends are different streams
+    assert not np.array_equal(S.sample(params, 3, 0).occupancy, S.sample(params, 3, 2**64 - 1).occupancy)
+
+
 def test_offspring_counts_binomial():
     # level-1 kept counts across many replicates vs Binomial(M^d, p)
     M, p, draws = 2, 0.6, 100_000
@@ -295,3 +315,23 @@ def test_pbm_row_wrapping(tmp_path):
     assert max(len(line) for line in lines) <= 70
     total_bits = sum(len(line) for line in lines[2:])
     assert total_bits == 81 * 81
+
+
+def _pbm_per_cell(occ: np.ndarray) -> str:
+    """Reference P1 text, one character per cell, rows cut every 70."""
+    lines = ["P1", f"{occ.shape[1]} {occ.shape[0]}"]
+    for row in occ:
+        text = "".join("1" if v else "0" for v in row)
+        lines.extend(text[i : i + 70] for i in range(0, len(text), 70))
+    return "\n".join(lines) + "\n"
+
+
+def test_pbm_matches_per_cell_reference():
+    # widths on both sides of whole 70-character lines; rows all 1, all 0, mixed
+    for width in (1, 69, 70, 71, 140, 141, 243):
+        occ = np.random.default_rng(width).random((3, width)) < 0.5
+        occ[0], occ[1] = True, False
+        assert S.to_pbm(S.GridRealization(2, 0.5, 2, 0, 0, 0, occ)) == _pbm_per_cell(occ)
+    for M, d, n, p in ((2, 1, 7, 0.7), (3, 2, 4, 0.8), (2, 2, 0, 1.0)):  # widths 128, 81, 1
+        grid = S.sample(ModelParams(M, p, d), n, seed=1)
+        assert S.to_pbm(grid) == _pbm_per_cell(grid.occupancy)
