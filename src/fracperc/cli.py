@@ -27,7 +27,7 @@ from pathlib import Path
 from . import analytic, geometry, montecarlo, oracle, sampler, thresholds, verify
 from .analytic import DomainError, ModelParams
 from .montecarlo import format_float
-from .oracle import InstanceTooLargeError
+from .oracle import ArgumentError, InstanceTooLargeError
 from .sampler import MemoryBudgetError
 from .thresholds import BracketingError
 
@@ -214,6 +214,8 @@ def _require_seed(config: RunConfig) -> tuple:
 
 def _p_grid(config: RunConfig, d: int) -> list:
     """The p grid of a d-dimensional model: it starts above the domain bound 1/M^d."""
+    if config.M < 2:
+        raise ConfigError(f"a p grid needs M >= 2, got M = {config.M}")
     for name in ("p_start", "p_stop", "p_step"):
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
@@ -418,17 +420,7 @@ def cmd_oracle(config: RunConfig) -> int:
         p = Fraction(config.p_exact)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse probability {config.p_exact!r}: {exc}") from exc
-    if not 0 <= p <= 1:
-        raise ConfigError(f"probability {p} outside [0, 1]")
-    if config.d == 1:
-        enumerate_, functionals, targets = oracle.enumerate_1d, oracle.FUNCTIONALS_1D, oracle.TARGETS_1D
-    else:
-        enumerate_, functionals, targets = oracle.enumerate_2d, oracle.FUNCTIONALS_2D, oracle.TARGETS_2D
-    if config.functional not in functionals:
-        raise ConfigError(f"functional for d = {config.d} must be one of {functionals}, "
-                          f"got {config.functional!r}")
-    if config.target not in targets:
-        raise ConfigError(f"target for d = {config.d} must be one of {targets}, got {config.target!r}")
+    enumerate_ = oracle.enumerate_1d if config.d == 1 else oracle.enumerate_2d
     value = enumerate_(config.M, p, config.n, config.functional, config.target)
     print(f"{value.numerator}/{value.denominator}")
     print(format_float(float(value)))
@@ -486,7 +478,7 @@ def main(argv=None) -> int:
     except BracketingError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

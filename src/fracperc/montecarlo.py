@@ -169,8 +169,8 @@ def _grid_values(params, grid, n, samples, seed, connectivity, axes, workers, bu
         (params, grid, n, seed, start, count, connectivity, axes, budget_bytes)
         for start, count in _shard_plan(samples, workers)
     ]
-    if workers > 1:  # samples >= 2, so there are two shards or more
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if len(shard_args) > 1:  # one process per shard: never more than samples
+        with ProcessPoolExecutor(max_workers=len(shard_args)) as pool:
             partials = list(pool.map(_run_shard, shard_args))
     else:
         partials = [_run_shard(a) for a in shard_args]

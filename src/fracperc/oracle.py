@@ -6,7 +6,9 @@ over every keep/drop assignment of the subdivision tree, with weight
 are never expanded (their outcome weights marginalize to one exactly).
 All arithmetic is exact and every returned expectation is a
 :class:`fractions.Fraction`; pass ``p`` as a Fraction. Every public
-expectation refuses a ``p`` outside [0, 1] with ValueError.
+expectation checks its arguments once, in ``_gate``: an invalid argument
+raises :class:`ArgumentError`, and a valid instance beyond the enumeration
+envelope raises :class:`InstanceTooLargeError`.
 
 The enumeration is organized for reuse: the tree structure (occupancy
 patterns with their decision-exponent multiplicities, and the geometric
@@ -66,6 +68,10 @@ _FUNCTIONALS = {1: FUNCTIONALS_1D, 2: FUNCTIONALS_2D}
 _TARGETS = {1: TARGETS_1D[:2], 2: TARGETS_2D}
 
 
+class ArgumentError(ValueError):
+    """An argument of a public expectation is invalid."""
+
+
 class InstanceTooLargeError(ValueError):
     """The requested instance lies outside the enumeration envelope."""
 
@@ -75,12 +81,54 @@ def _tree_nodes(cells: int, n: int) -> int:
     return sum(cells**k for k in range(1, n + 1))
 
 
-def _probability(p) -> Fraction:
-    """``p`` as a Fraction; ValueError unless it lies in [0, 1]."""
-    p = Fraction(p)
+def _integer(name: str, value, least: int, most=None) -> int:
+    """``value`` as an int; ArgumentError unless it is a non-bool integer in
+    least..most (unbounded above when ``most`` is None)."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return int(value)
+    if most is not None:
+        rule = f"an integer in {least}..{most}"
+    else:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+    raise ArgumentError(f"{name} must be {rule}, got {value!r}")
+
+
+_SKIP = object()  # a _gate argument left out, and not checked
+
+
+def _gate(d: int, M, p, n, functional=_SKIP, target=_SKIP, *, least_n=0, ell=_SKIP, k=_SKIP,
+          most_k=2) -> tuple:
+    """(M, p, n) of a public expectation in dimension d as (int, Fraction, int).
+
+    Checks, in this order, raising :class:`ArgumentError`: ``functional``
+    and ``target`` in the dimension's vocabulary, M a non-bool integer >= d
+    (a corner chain is the 1-d tree with M = 1), n one >= ``least_n``, p in
+    [0, 1], ell one >= 0 and k one in 0..``most_k``. Then the envelope
+    (``MAX_NODES_1D`` for d = 1, ``FEASIBLE_2D`` for d = 2) raises
+    :class:`InstanceTooLargeError`, except for the corner and side terms
+    (given k), which enumerate only through :func:`enumerate_1d`.
+    """
+    functionals, targets = _FUNCTIONALS[d], TARGETS_1D if d == 1 else TARGETS_2D
+    if functional is not _SKIP and functional not in functionals:
+        raise ArgumentError(f"functional must be one of {functionals}, got {functional!r}")
+    if target is not _SKIP and target not in targets:
+        raise ArgumentError(f"target must be one of {targets}, got {target!r}")
+    M, n, p = _integer("subdivision count M", M, d), _integer("level n", n, least_n), Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"survival probability p must lie in [0, 1], got {p}")
-    return p
+        raise ArgumentError(f"survival probability p must lie in [0, 1], got {p}")
+    if ell is not _SKIP:
+        _integer("ell", ell, 0)
+    if k is not _SKIP:
+        _integer("k", k, 0, most_k)
+    elif d == 1 and _tree_nodes(M, n) > MAX_NODES_1D:
+        raise InstanceTooLargeError(
+            f"1d tree with {_tree_nodes(M, n)} nodes exceeds the budget of {MAX_NODES_1D}")
+    elif d == 2 and (M, n) not in FEASIBLE_2D:
+        raise InstanceTooLargeError(
+            f"(M, n) = ({M}, {n}) outside the 2d enumeration envelope {FEASIBLE_2D}")
+    return M, p, n
 
 
 def _weight_numerators(exponents, p: Fraction, emax: int) -> list:
@@ -228,26 +276,10 @@ def _table(M: int, p: Fraction, n: int, d: int) -> dict:
 # One dimension
 # ---------------------------------------------------------------------------
 
-def _check_1d(M: int, n) -> int:
-    """The level as an int, once M is a positive and n a non-negative
-    integer within the node budget."""
-    if not isinstance(M, numbers.Integral) or M < 1:
-        raise ValueError(f"subdivision count M must be a positive integer, got {M!r}")
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"level n must be a non-negative integer, got {n!r}")
-    n = int(n)
-    if _tree_nodes(M, n) > MAX_NODES_1D:
-        raise InstanceTooLargeError(
-            f"1d tree with {_tree_nodes(M, n)} nodes exceeds the budget of {MAX_NODES_1D}"
-        )
-    return n
-
-
 def leaf_distribution(M: int, p, n: int) -> tuple:
     """Exact surviving-leaf distribution of K_n as ((key, Fraction), ...) in
     increasing key order; bit M^n - 1 - i of a key says whether leaf i survives."""
-    n = _check_1d(M, n)
-    p = _probability(p)
+    M, p, n = _gate(1, M, p, n)
     nodes = _tree_nodes(M, n)
     blocks = _block_structure(M, n, 1)
     exponents, inverse = _classes(M, n, 1)
@@ -267,7 +299,7 @@ def _pair_scores_1d(M: int, n: int, family: str) -> np.ndarray:
     by M^n to stay integral. Raises :class:`InstanceTooLargeError` when the
     tables would exceed ``MAX_PATTERN_PAIRS_1D`` entries.
     """
-    keys = _block_structure(M, _check_1d(M, n), 1).keys
+    keys = _block_structure(M, n, 1).keys
     size = len(keys)
     if size * size > MAX_PATTERN_PAIRS_1D:
         raise InstanceTooLargeError(
@@ -305,12 +337,7 @@ def _pair_sums(M: int, n: int, family: str) -> np.ndarray:
 def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -> Fraction:
     """Exact expectation of a functional of K_n, D_n, or the intersection
     of two independent copies (targets "KK" and "DD")."""
-    if functional not in FUNCTIONALS_1D:
-        raise ValueError(f"functional must be one of {FUNCTIONALS_1D}, got {functional!r}")
-    if target not in TARGETS_1D:
-        raise ValueError(f"target must be one of {TARGETS_1D}, got {target!r}")
-    n = _check_1d(M, n)
-    p = _probability(p)
+    M, p, n = _gate(1, M, p, n, functional, target)
     if target in ("K", "D"):
         return _table(M, p, n, 1)[(functional, target)]
     if functional in ("contains0", "contains1"):
@@ -329,22 +356,11 @@ def enumerate_1d(M: int, p, n: int, functional: str = "V0", target: str = "K") -
 # Two dimensions
 # ---------------------------------------------------------------------------
 
-def _check_2d_budget(M: int, n: int) -> None:
-    if (M, n) not in FEASIBLE_2D:
-        raise InstanceTooLargeError(
-            f"(M, n) = ({M}, {n}) outside the 2d enumeration envelope {FEASIBLE_2D}"
-        )
-
-
 def enumerate_2d(M: int, p, n: int, functional: str = "V0", target: str = "F") -> Fraction:
     """Exact expectation E V_k at level n for the construction set ("F")
     or its closed complement ("C"); feasible instances only."""
-    _check_2d_budget(M, n)
-    if functional not in FUNCTIONALS_2D:
-        raise ValueError(f"functional must be V0, V1 or V2, got {functional!r}")
-    if target not in TARGETS_2D:
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    return _table(M, _probability(p), n, 2)[(functional, target)]
+    M, p, n = _gate(2, M, p, n, functional, target)
+    return _table(M, p, n, 2)[(functional, target)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +376,7 @@ def enumerate_corner_intersection_2d(M: int, p, n: int, ell: int, k: int, target
     survives ("C": when at least one node died): the first end of the 1-d
     tree with M = 1, once per independent copy.
     """
-    if target not in TARGETS_2D:
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
-    if k not in (0, 1, 2):
-        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
-    if not isinstance(ell, numbers.Integral) or ell < 0:
-        raise ValueError(f"ell must be a non-negative integer, got {ell!r}")
-    p = _probability(p)
+    _, p, n = _gate(2, M, p, n, target=target, ell=ell, k=k)
     if k >= 1:
         return Fraction(0)
     return enumerate_1d(1, p, n, "contains0", "K" if target == "F" else "D") ** ell
@@ -379,13 +389,10 @@ def enumerate_side_intersection_2d(M: int, p, n: int, k: int, target: str = "F")
     independent one-dimensional trees at level n-1, each preceded by one
     extra survival decision ("F": empty on failure; "C": the whole segment
     on failure), so the pair is a mixture over the two decisions. V_k
-    scales by M^-k under the embedding of the segment.
+    scales by M^-k under the embedding of the segment; side intersections
+    exist for n >= 1.
     """
-    p = _probability(p)
-    if n < 1:
-        raise ValueError("side intersections exist for n >= 1")
-    if target not in TARGETS_2D:
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
+    M, p, n = _gate(2, M, p, n, target=target, least_n=1, k=k, most_k=1)
     functional = f"V{k}"
     if target == "F":
         value = p * p * enumerate_1d(M, p, n - 1, functional, "KK")

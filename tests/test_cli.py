@@ -472,6 +472,19 @@ def test_user_input_errors_exit_2(tmp_path):
         assert cli.main(argv) == EXIT_CONFIG, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curves", "-M", "1"], "needs M >= 2, got M = 1"),
+    (["simulate", "-M", "1", "-n", "2"], "needs M >= 2, got M = 1"),
+    (["oracle", "-M", "1", "-d", "2", "-n", "1", "-p", "1/2"], "M must be an integer >= 2, got 1"),
+])
+def test_subdivision_count_below_two_exits_2_naming_m(tmp_path, monkeypatch, capsys, argv,
+                                                     message):
+    # a p grid above 1/M^d, and a 2-d oracle instance, need M >= 2
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_parser_flags_pinned():
     # each command takes the flags it took before they were declared on
     # RunConfig's fields; only -p names two fields (p, and oracle's p_exact)

@@ -211,6 +211,33 @@ def test_workers_below_one_refused(workers):
         MC.run_experiment(ModelParams(2, 0.6, 2), 2, 10, seed=1, workers=workers)
 
 
+def test_worker_pool_sized_to_the_shard_plan(monkeypatch):
+    # ten replicates make ten shards, whatever the worker count; a stand-in
+    # pool records its size and maps in this process, so none is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(MC, "ProcessPoolExecutor", SerialPool)
+    params = ModelParams(2, 0.6, 2)
+    pooled = MC.run_experiment(params, 2, 10, seed=1, workers=5000)
+    assert sizes == [10]
+    assert pooled.estimates == MC.run_experiment(params, 2, 10, seed=1).estimates
+    MC.run_experiment(params, 2, 10, seed=1, workers=3)
+    assert sizes == [10, 3]
+
+
 def test_default_functionals_cover_every_k_up_to_d():
     res = MC.run_experiment(ModelParams(3, 0.7, 1), 3, 20, seed=4)
     assert set(res.estimates) == {(t, f) for t in ("F", "C") for f in ("V0", "V1")}

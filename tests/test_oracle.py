@@ -1,6 +1,7 @@
 """The enumeration oracle itself: forced values, bookkeeping, envelope."""
 
 import hashlib
+import itertools
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -392,3 +393,52 @@ def test_side_oracle_level1():
         assert O.enumerate_side_intersection_2d(M, p, 1, 0, "F") == p * p
         assert O.enumerate_side_intersection_2d(M, p, 1, 1, "F") == p * p / M
         assert O.enumerate_side_intersection_2d(M, p, 1, 0, "C") == (1 - p) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes of the public expectations
+# ---------------------------------------------------------------------------
+
+def _oracle_lines():
+    """One line per call of every public expectation over valid and invalid
+    M, n and p, each vocabulary plus one unknown name, and valid and invalid
+    ell and k; a refused call is recorded by its exception class."""
+
+    def outcome(f, args):
+        try:
+            return repr(f(*args))
+        except InstanceTooLargeError:
+            return "raises InstanceTooLargeError"
+        except ValueError:
+            return "raises ValueError"
+
+    targets_2d = O.TARGETS_2D + ("X",)
+    calls = []
+    for M, n, p in itertools.product((True, 0, 1, 1.5, 2, 2.0, 3), (True, -1, 0, 1, 1.0, 2),
+                                     (F(0), F(1, 2), F(1), F(3, 2))):
+        calls.append((O.leaf_distribution, (M, p, n)))
+        calls += [(O.enumerate_1d, (M, p, n, f, t))
+                  for f in O.FUNCTIONALS_1D + ("V9",) for t in O.TARGETS_1D + ("X",)]
+        calls += [(O.enumerate_2d, (M, p, n, f, t))
+                  for f in O.FUNCTIONALS_2D + ("V9",) for t in targets_2d]
+        calls += [(O.enumerate_corner_intersection_2d, (M, p, n, ell, k, t))
+                  for ell in (True, -1, 0, 2) for k in (True, -1, 0, 1, 2, 3) for t in targets_2d]
+        calls += [(O.enumerate_side_intersection_2d, (M, p, n, k, t))
+                  for k in (True, -1, 0, 1, 2) for t in targets_2d]
+    return [f"{f.__name__}{args!r} -> {outcome(f, args)}" for f, args in calls]
+
+
+def test_oracle_outcomes_pinned():
+    # every value and every refusal, by class, of the public expectations
+    lines = _oracle_lines()
+    assert len(lines) > 20000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c5056d7cecd0fff72af2a65d4a25a1618ba06dcc0c1ea9a3df02fb80ccd7dcc6"
+
+
+@pytest.mark.parametrize("args", [(2, F(1, 2), -1, 2, 1, "F"), (2, F(1, 2), 1.5, 2, 2, "F"),
+                                  (0, F(1, 2), 99, 2, 1, "F")])
+def test_corner_term_checks_arguments_before_its_zero(args):
+    # k >= 1 is zero without enumerating, but only for valid M and n
+    with pytest.raises(ValueError):
+        O.enumerate_corner_intersection_2d(*args)
