@@ -3,6 +3,7 @@ construction steps and their closed complements, threshold proxies,
 reproducible lattice sampling, and Monte Carlo estimation."""
 
 from .analytic import (
+    ArgumentError,
     DimensionReport,
     DomainError,
     ModelParams,
@@ -36,6 +37,7 @@ from .thresholds import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "BracketingError",
     "ClusterLabeling",
     "DimensionReport",

@@ -22,11 +22,15 @@ elsewhere rather than returning NaN. ``_gate`` holds the argument and
 domain checks shared by the public closed forms; only checks of one function
 (``dims``' p > 0, the complement area, intersection configurations, the 1-d
 intersection limit's M p^2 > 1) stay put.
+
+:class:`ArgumentError` (a ``ValueError``; :class:`DomainError` is one) and
+``_integer`` are the package's one argument error and one integer check.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -46,7 +50,25 @@ UNIT_CUBE_VK = {
 }
 
 
-class DomainError(ValueError):
+class ArgumentError(ValueError):
+    """An argument of a public function is invalid."""
+
+
+def _integer(name: str, value, least: int, most=None) -> int:
+    """``value`` as an int; ArgumentError unless it is a non-bool integer in
+    least..most (unbounded above when ``most`` is None)."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return int(value)
+    if most is not None:
+        rule = f"an integer in {least}..{most}"
+    else:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+    raise ArgumentError(f"{name} must be {rule}, got {value!r}")
+
+
+class DomainError(ArgumentError):
     """A rescaled-limit formula was queried outside its domain of validity."""
 
     def __init__(self, message: str, *, M=None, p=None, k=None):
@@ -65,12 +87,11 @@ class ModelParams:
     d: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or isinstance(self.M, bool) or self.M < 2:
-            raise ValueError(f"M must be an integer >= 2, got {self.M!r}")
+        _integer("subdivision count M", self.M, 2)
         if not 0 <= self.p <= 1:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+            raise ArgumentError(f"p must lie in [0, 1], got {self.p!r}")
         if self.d not in (1, 2):
-            raise ValueError(f"d must be 1 or 2, got {self.d!r}")
+            raise ArgumentError(f"d must be 1 or 2, got {self.d!r}")
 
     @property
     def non_empty_regime(self) -> bool:
@@ -104,16 +125,17 @@ _SKIP = object()  # a _gate argument left out; None is itself an invalid n, k or
 def _gate(params: ModelParams, op: str, d: int, n=_SKIP, k=_SKIP, target=_SKIP, above=None):
     """Check the arguments of the closed form ``op``, in this order, and
     return ``_mp(params)``: d-dimensional model, nonnegative int level n, k in
-    0..d, target "F" or "C", and M^above p > 1 for a rescaled quantity, which
-    alone raises :class:`DomainError`. An argument left out is not checked."""
+    0..d, target "F" or "C", each raising :class:`ArgumentError`, and
+    M^above p > 1 for a rescaled quantity, which raises its subclass
+    :class:`DomainError`. An argument left out is not checked."""
     if params.d != d:
-        raise ValueError(f"{op} requires d = {d}, got d = {params.d}")
-    if n is not _SKIP and (not isinstance(n, int) or isinstance(n, bool) or n < 0):
-        raise ValueError(f"level must be a nonnegative integer, got {n!r}")
-    if k is not _SKIP and k not in range(d + 1):
-        raise ValueError(f"k must be in 0..{d}, got {k}")
+        raise ArgumentError(f"{op} requires d = {d}, got d = {params.d}")
+    if n is not _SKIP:
+        _integer("level n", n, 0)
+    if k is not _SKIP:
+        _integer("k", k, 0, d)
     if target is not _SKIP and target not in ("F", "C"):
-        raise ValueError(f"target must be 'F' or 'C', got {target!r}")
+        raise ArgumentError(f"target must be 'F' or 'C', got {target!r}")
     M, p = _mp(params)
     if above is not None and M**above * p <= 1:
         raise DomainError(f"{op} needs p > 1/M^{above}", M=params.M, p=p, k=k)
@@ -509,7 +531,7 @@ def configuration_count(M: int, configuration: str) -> int:
     try:
         return INTERSECTION_CONFIGURATIONS[configuration][1](M)
     except KeyError:
-        raise ValueError(f"unknown configuration {configuration!r}") from None
+        raise ArgumentError(f"unknown configuration {configuration!r}") from None
 
 
 def intersection_series_terms_2d(
@@ -526,9 +548,8 @@ def intersection_series_terms_2d(
     """
     M, p = _gate(params, "intersection_series_terms_2d", 2, k=k, target=target)
     if configuration not in INTERSECTION_CONFIGURATIONS:
-        raise ValueError(f"unknown configuration {configuration!r}")
-    if n < 1:
-        raise ValueError("intersection terms are defined for n >= 1")
+        raise ArgumentError(f"unknown configuration {configuration!r}")
+    _integer("level n", n, 1)
     ell = INTERSECTION_CONFIGURATIONS[configuration][0]
     if k == 2:
         return 0  # every configuration lies in a line segment

@@ -25,9 +25,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analytic, geometry, montecarlo, oracle, sampler, thresholds, verify
-from .analytic import DomainError, ModelParams
+from .analytic import ArgumentError, ModelParams
 from .montecarlo import format_float
-from .oracle import ArgumentError, InstanceTooLargeError
+from .oracle import InstanceTooLargeError
 from .sampler import MemoryBudgetError
 from .thresholds import BracketingError
 
@@ -174,35 +174,18 @@ def _merge_config(cli_values: dict, config_path: str | None) -> RunConfig:
 
 
 def _check_config(config: RunConfig) -> None:
-    """Refuse option values that the library would reject deeper down."""
-    if config.M < 1:
-        raise ConfigError(f"M must be at least 1, got {config.M}")
-    if config.n is not None and config.n < 0:
-        raise ConfigError(f"n must be nonnegative, got {config.n}")
+    """Refuse the option values that the library cannot check before work
+    starts; it checks every other one, and its ArgumentError exits 2 too."""
     if any(n < 0 for n in config.n_list):
         raise ConfigError(f"n_list entries must be nonnegative, got {config.n_list}")
     if not config.m_list or any(m < 2 for m in config.m_list):
         raise ConfigError(f"m_list needs one or more entries, each at least 2, got {config.m_list}")
-    if config.samples < 2:
-        raise ConfigError(f"samples must be at least 2 for a standard error, got {config.samples}")
     if config.seed is not None and not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
-    if config.d == 1 and "y" in _SPANNING_AXES[config.spanning]:
-        raise ConfigError(f"spanning {config.spanning!r} needs d = 2: a d = 1 lattice has one row")
     if config.d == 1 and config.spanning_mask and config.axis == "y":
         raise ConfigError("a spanning mask along y needs d = 2: a d = 1 lattice has one row")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {config.workers}")
     if config.budget_bytes < 1:
         raise ConfigError(f"budget_bytes must be at least 1, got {config.budget_bytes}")
-
-
-def _model_params(M, p, d) -> ModelParams:
-    """:class:`ModelParams` whose validation failures are configuration errors."""
-    try:
-        return ModelParams(M, p, d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _require_seed(config: RunConfig) -> tuple:
@@ -244,7 +227,7 @@ def _p_grid(config: RunConfig, d: int) -> list:
         grid.append(round(p, 12))
         p += step
     if not grid:
-        raise ConfigError("empty p grid")
+        raise ConfigError(f"empty p grid: p_start = {start} lies above p_stop = {stop}")
     return grid
 
 
@@ -253,16 +236,23 @@ def _p_grid(config: RunConfig, d: int) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_curves(config: RunConfig) -> int:
+    grid = _p_grid(config, 2)
+    m_list = tuple(config.m_list)
+    lo = max(1.0 / m**2 for m in m_list)
+    limits_grid = [p for p in grid if p > lo]
+    if not limits_grid:
+        raise ConfigError(
+            f"no grid point exceeds the domain bound p > {lo} of the smallest M in m_list"
+        )
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid = _p_grid(config, 2)
     n_list = tuple(config.n_list)
     headers = ["p"] + [f"n{n}" for n in n_list] + ["ninf"]
     for target, fname in (("F", "curves_f.csv"), ("C", "curves_c.csv")):
         with open(out / fname, "w", encoding="ascii") as fh:
             fh.write(",".join(headers) + "\n")
             for p in grid:
-                params = _model_params(config.M, p, 2)
+                params = ModelParams(config.M, p, 2)
                 row = [format_float(p)]
                 for n in n_list:
                     if target == "F":
@@ -275,27 +265,20 @@ def cmd_curves(config: RunConfig) -> int:
                 )
                 row.append(format_float(limit))
                 fh.write(",".join(row) + "\n")
-    m_list = tuple(config.m_list)
     headers = (
         ["p"]
         + [f"f_M{m}" for m in m_list] + ["f_inf"]
         + [f"c_M{m}" for m in m_list] + ["c_inf"]
     )
-    lo = max(1.0 / m**2 for m in m_list)
-    limits_grid = [p for p in grid if p > lo]
-    if not limits_grid:
-        raise ConfigError(
-            f"no grid point exceeds the domain bound p > {lo} of the smallest M in m_list"
-        )
     with open(out / "limits.csv", "w", encoding="ascii") as fh:
         fh.write(",".join(headers) + "\n")
         for p in limits_grid:
             row = [format_float(p)]
             for m in m_list:
-                row.append(format_float(float(analytic.limit_vk_2d(_model_params(m, p, 2), 0))))
+                row.append(format_float(float(analytic.limit_vk_2d(ModelParams(m, p, 2), 0))))
             row.append(format_float(float(analytic.large_m_v(p))))
             for m in m_list:
-                row.append(format_float(-float(analytic.limit_vck_2d(_model_params(m, p, 2), 0))))
+                row.append(format_float(-float(analytic.limit_vck_2d(ModelParams(m, p, 2), 0))))
             row.append(format_float(float(analytic.large_m_vc(p))))
             fh.write(",".join(row) + "\n")
     print(f"wrote {out / 'curves_f.csv'}, {out / 'curves_c.csv'}, {out / 'limits.csv'}")
@@ -314,15 +297,13 @@ def _default_level(M: int, cap: int = 4096) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     n = config.n if config.n is not None else _default_level(config.M)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed, generated = _require_seed(config)
     grid = [config.p] if config.p is not None else _p_grid(config, config.d)
     axes = _SPANNING_AXES[config.spanning]
     t0 = time.perf_counter()
     rows = []
     for p in grid:
-        params = _model_params(config.M, p, config.d)
+        params = ModelParams(config.M, p, config.d)
         run_seed = seed if config.coupled else montecarlo.per_p_seed(seed, p)
         result = montecarlo.run_experiment(
             params, n, config.samples, run_seed,
@@ -333,6 +314,8 @@ def cmd_simulate(config: RunConfig) -> int:
             grid=grid if config.coupled else None,
         )
         rows.extend(result.to_rows())
+    out = Path(config.out)  # made only once every run has succeeded
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "simulation.csv"
     montecarlo.write_csv(rows, csv_path)
     resolved = dataclasses.replace(config, seed=seed, n=n)
@@ -386,11 +369,11 @@ def cmd_render(config: RunConfig) -> int:
     out = Path(config.out)
     if out.suffix != ".pbm":
         out = out / "realization.pbm"
-    out.parent.mkdir(parents=True, exist_ok=True)
     seed, generated = _require_seed(config)
-    params = _model_params(config.M, config.p, config.d)
+    params = ModelParams(config.M, config.p, config.d)
     t0 = time.perf_counter()
     grid = sampler.sample(params, config.n, seed, budget_bytes=config.budget_bytes)
+    out.parent.mkdir(parents=True, exist_ok=True)  # only once the draw has succeeded
     sampler.write_pbm(grid, out)
     written = [str(out)]
     if config.spanning_mask:
@@ -478,7 +461,7 @@ def main(argv=None) -> int:
     except BracketingError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ConfigError, DomainError, ArgumentError) as exc:
+    except (ConfigError, ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .analytic import ArgumentError
 from .sampler import GridRealization
 
 _EIGHT = np.ones((3, 3), dtype=int)
@@ -129,12 +130,12 @@ def minkowski(occ: np.ndarray, cell_side: float, d: int = 2) -> np.ndarray:
     """V_0 .. V_d of F, then of C, of a lattice of cells of side
     ``cell_side``, or of every lattice of a ``(B, H, W)`` stack, from one
     window pass: float64 of shape ``occ.shape[:-2] + (2, d + 1)``. A d = 1
-    lattice is one row; ValueError for any other d or a d = 1 lattice of
+    lattice is one row; ArgumentError for any other d or a d = 1 lattice of
     several rows."""
     if d not in (1, 2):
-        raise ValueError(f"dimension d must be 1 or 2, got {d!r}")
+        raise ArgumentError(f"dimension d must be 1 or 2, got {d!r}")
     if d == 1 and np.shape(occ)[-2] != 1:
-        raise ValueError(f"a d = 1 lattice is one row of cells, got shape {np.shape(occ)}")
+        raise ArgumentError(f"a d = 1 lattice is one row of cells, got shape {np.shape(occ)}")
     s = cell_side
     return vk_scores(window_counters(occ), d) * np.array((1.0, s, s * s)[: d + 1])
 
@@ -161,7 +162,7 @@ class ClusterLabeling:
     def spanning_mask(self, axis: str = "x") -> np.ndarray:
         """Boolean mask of all cells lying in a spanning component."""
         if axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+            raise ArgumentError(f"axis must be 'x' or 'y', got {axis!r}")
         return np.isin(self.labels, _spanning_labels(self.labels, axis))
 
 
@@ -182,7 +183,7 @@ def label(grid, connectivity: int = 8) -> ClusterLabeling:
     nearest-neighbour variant.
     """
     if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+        raise ArgumentError(f"connectivity must be 4 or 8, got {connectivity}")
     occ = grid.occupancy if isinstance(grid, GridRealization) else np.asarray(grid, bool)
     labels, count = ndimage.label(occ, structure=_EIGHT if connectivity == 8 else _FOUR)
     labels -= 1  # empty cells -1, components 0-based; in place, no second full-size array

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, rng, sampler
-from .analytic import ModelParams, rescale_factor
+from .analytic import ArgumentError, ModelParams, _integer, rescale_factor
 
 _FUNCTIONAL_INDEX = {"V0": 0, "V1": 1, "V2": 2}
 
@@ -204,20 +204,25 @@ def run_experiment(
     once for all its points (``sampler.sample_grid``); the estimates are
     those at ``params.p`` and equal a one-point run's. The last grid's
     values are cached, so a run at each of its points draws once.
+
+    An invalid level, sample count, worker count, seed or spanning axis, or
+    a p outside ``grid``, raises :class:`ArgumentError` before any replicate
+    is drawn or worker started.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _integer("level n", n, 0)
+    _integer("samples", samples, 2)  # a standard error needs two
+    _integer("workers", workers, 1)
+    # the seed also here: the cache would serve seed True the draw of seed 1
+    _integer("seed", seed, 0, 2**64 - 1)
     for axis in spanning_axes:
         if axis not in ("x", "y"):
-            raise ValueError(f"spanning axis must be 'x' or 'y', got {axis!r}")
+            raise ArgumentError(f"spanning axis must be 'x' or 'y', got {axis!r}")
         if axis == "y" and params.d == 1:
-            raise ValueError("spanning along y needs d = 2: a d = 1 lattice has one row")
+            raise ArgumentError("spanning along y needs d = 2: a d = 1 lattice has one row")
     p = float(params.p)
     grid = (p,) if grid is None else tuple(float(x) for x in grid)
     if p not in grid:
-        raise ValueError(f"p = {p!r} is not a point of the grid {grid}")
+        raise ArgumentError(f"p = {p!r} is not a point of the grid {grid}")
     keys = [(t, f) for t in ("F", "C") for f in list(_FUNCTIONAL_INDEX)[: params.d + 1]]
     axes = tuple(dict.fromkeys(spanning_axes))
     values = _grid_values(

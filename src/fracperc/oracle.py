@@ -7,7 +7,8 @@ are never expanded (their outcome weights marginalize to one exactly).
 All arithmetic is exact and every returned expectation is a
 :class:`fractions.Fraction`; pass ``p`` as a Fraction. Every public
 expectation checks its arguments once, in ``_gate``: an invalid argument
-raises :class:`ArgumentError`, and a valid instance beyond the enumeration
+raises the package's :class:`~fracperc.analytic.ArgumentError`, integers
+through its ``_integer``, and a valid instance beyond the enumeration
 envelope raises :class:`InstanceTooLargeError`.
 
 The enumeration is organized for reuse: the tree structure (occupancy
@@ -38,7 +39,6 @@ with M = 1: every expectation is one weighting of class sums.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
+from .analytic import ArgumentError, _integer
 
 #: Feasible two-dimensional instances (subdivision count, level).
 FEASIBLE_2D = ((2, 1), (2, 2), (3, 1))
@@ -68,10 +69,6 @@ _FUNCTIONALS = {1: FUNCTIONALS_1D, 2: FUNCTIONALS_2D}
 _TARGETS = {1: TARGETS_1D[:2], 2: TARGETS_2D}
 
 
-class ArgumentError(ValueError):
-    """An argument of a public expectation is invalid."""
-
-
 class InstanceTooLargeError(ValueError):
     """The requested instance lies outside the enumeration envelope."""
 
@@ -79,20 +76,6 @@ class InstanceTooLargeError(ValueError):
 def _tree_nodes(cells: int, n: int) -> int:
     """Decision nodes of levels 1..n of a tree with ``cells`` children per node."""
     return sum(cells**k for k in range(1, n + 1))
-
-
-def _integer(name: str, value, least: int, most=None) -> int:
-    """``value`` as an int; ArgumentError unless it is a non-bool integer in
-    least..most (unbounded above when ``most`` is None)."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and least <= value and (most is None or value <= most)):
-        return int(value)
-    if most is not None:
-        rule = f"an integer in {least}..{most}"
-    else:
-        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            least, f"an integer >= {least}")
-    raise ArgumentError(f"{name} must be {rule}, got {value!r}")
 
 
 _SKIP = object()  # a _gate argument left out, and not checked

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .analytic import ModelParams
+from .analytic import ArgumentError, ModelParams, _integer
 
 #: Default memory budget for one realization or stack (2 GiB).
 DEFAULT_BUDGET_BYTES = 2 << 30
@@ -86,7 +86,7 @@ def _expand(occ: np.ndarray, M: int, d: int) -> np.ndarray:
 
 
 def _replicate_indices(indices) -> np.ndarray:
-    """``indices`` as a flat uint64 array; ValueError unless each is an integer in [0, 2^64)."""
+    """``indices`` as a flat uint64 array; ArgumentError unless each is an integer in [0, 2^64)."""
     flat = np.asarray(indices).reshape(-1)
     if not isinstance(indices, np.ndarray) or flat.dtype.kind not in "iu":
         # each value as given: numpy would cast bools to int and big ints to float
@@ -95,7 +95,7 @@ def _replicate_indices(indices) -> np.ndarray:
         isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in flat
     )
     if not integers or (flat.size and (flat.min() < 0 or flat.max() >= 1 << 64)):
-        raise ValueError(f"sample indices must be integers in [0, 2^64), got {indices!r}")
+        raise ArgumentError(f"sample indices must be integers in [0, 2^64), got {indices!r}")
     return flat.astype(np.uint64)
 
 
@@ -116,7 +116,7 @@ def sample_grid(
     points): per cell, the number of grid points at which the cell lives, so
     ``counts >= G - j`` is the lattice of F_n at ``grid[j]``, equal to the
     one-point grid's at that p. The k-th lattice is replicate
-    ``indices[k]``, an integer in [0, 2^64), as is ``seed`` (ValueError
+    ``indices[k]``, an integer in [0, 2^64), as is ``seed`` (ArgumentError
     otherwise). A cell's uniform u passes the test ``u < p`` at
     ``sum(u < p for p in grid)`` points, and its count is the smaller of
     that and its parent's; level 0 counts G. Each level hashes one key per
@@ -127,15 +127,13 @@ def sample_grid(
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _integer("level n", n, 0)
     points = np.asarray(grid, dtype=np.float64)
     if points.ndim != 1 or not points.size or not np.all(np.diff(points) >= 0):
-        raise ValueError(f"grid must be a nonempty ascending sequence of p, got {grid!r}")
+        raise ArgumentError(f"grid must be a nonempty ascending sequence of p, got {grid!r}")
     for p in (points[0], points[-1]):  # M, d and the range of every point
         ModelParams(M, float(p), d)
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    _integer("seed", seed, 0, 2**64 - 1)
     indices = _replicate_indices(indices)
     cells = M ** (d * n)
     need = len(indices) * cells * PEAK_BYTES_PER_CELL

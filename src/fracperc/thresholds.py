@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import analytic
-from .analytic import ModelParams
+from .analytic import ModelParams, _integer
 
 #: Margin keeping searches inside the open parameter interval.
 EDGE_MARGIN = 1e-9
@@ -156,8 +156,7 @@ def find_pmin_result(M: int, width: float = 1e-10) -> RootResult:
 
 def known_bounds(M: int) -> tuple:
     """Tabulated rigorous (lower, upper) bounds for the percolation threshold."""
-    if M < 2:
-        raise ValueError(f"M must be >= 2, got {M}")
+    _integer("subdivision count M", M, 2)
     if M in _KNOWN_BOUNDS:
         return _KNOWN_BOUNDS[M]
     lower = math.sqrt(1.0 / M)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from fracperc import analytic as A
-from fracperc.analytic import DomainError, ModelParams
+from fracperc.analytic import ArgumentError, DomainError, ModelParams
 
 F = Fraction
 
@@ -557,13 +557,39 @@ def _closed_form_lines():
     return lines
 
 
+def test_bool_and_non_integer_arguments_refused():
+    # a bool k or level, a fractional level and a fractional M are integers
+    # to no closed form; each of these calls once returned a value
+    from fracperc import thresholds
+
+    calls = [
+        (A.ev_vk_1d, ModelParams(2, 1 / 2, 1), 2, True),
+        (A.limit_vk_2d, ModelParams(2, 1 / 2, 2), True),
+        (A.ev, ModelParams(2, 1 / 2, 2), 2, True, "F"),
+        (A.intersection_series_terms_2d, ModelParams(2, 0.7), "corner2", 1.5, 0),
+        (thresholds.known_bounds, 2.5),
+    ]
+    for f, *args in calls:
+        with pytest.raises(ArgumentError):
+            f(*args)
+
+
+def test_one_argument_error_for_the_package():
+    import fracperc
+    from fracperc import oracle
+
+    assert oracle.ArgumentError is A.ArgumentError is fracperc.ArgumentError
+    assert oracle._integer is A._integer
+    assert issubclass(DomainError, ArgumentError) and issubclass(ArgumentError, ValueError)
+
+
 def test_closed_forms_pinned():
     # every value and every refusal of the public closed forms, on a grid
     # that straddles both rescaling bounds in float and exact arithmetic
     lines = _closed_form_lines()
     assert len(lines) > 20000
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d84079991fc83c6272e6ecf199fb2b9dc4529a06fe1b71a17787df1b6a77f552"
+    assert digest == "2bf4b94ab81b0ba47925f84426f787cc9092d38473d4cd05b41ee5acab036732"
 
 
 def test_rescaling_domain_boundary():

@@ -485,6 +485,29 @@ def test_subdivision_count_below_two_exits_2_naming_m(tmp_path, monkeypatch, cap
     assert message in capsys.readouterr().err
 
 
+def test_empty_p_grid_names_both_ends(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert cli.main(["curves", "--p-start", "0.9", "--p-stop", "0.5", "--out", str(out)]) == 2
+    assert "p_start = 0.9 lies above p_stop = 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "-n", "2", "-p", "0.6", "--samples", "1"],
+    ["simulate", "-n", "2", "-p", "0.6", "--workers", "0"],
+    ["simulate", "-n", "-1", "-p", "0.6"],
+    ["simulate", "-M", "1", "-n", "2", "-p", "0.6"],
+    ["render", "-n", "-1", "-p", "0.6"],
+    ["render", "-M", "1", "-n", "2", "-p", "0.6"],
+])
+def test_refused_run_writes_nothing(tmp_path, argv):
+    # the library refuses these arguments; the output directory is made
+    # only once the runs have succeeded
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_parser_flags_pinned():
     # each command takes the flags it took before they were declared on
     # RunConfig's fields; only -p names two fields (p, and oracle's p_exact)

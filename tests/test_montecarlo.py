@@ -8,7 +8,7 @@ import pytest
 
 from fracperc import montecarlo as MC
 from fracperc import sampler as S
-from fracperc.analytic import ModelParams
+from fracperc.analytic import ArgumentError, ModelParams
 from fracperc.montecarlo import McEstimate
 
 
@@ -236,6 +236,16 @@ def test_worker_pool_sized_to_the_shard_plan(monkeypatch):
     assert pooled.estimates == MC.run_experiment(params, 2, 10, seed=1).estimates
     MC.run_experiment(params, 2, 10, seed=1, workers=3)
     assert sizes == [10, 3]
+
+
+def test_refused_level_starts_no_workers(monkeypatch):
+    # the level is checked before any block is drawn or pool started
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(MC, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ArgumentError, match="level n"):
+        MC.run_experiment(ModelParams(2, 0.6, 2), -1, 10, seed=1, workers=2)
 
 
 def test_default_functionals_cover_every_k_up_to_d():

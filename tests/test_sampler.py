@@ -229,6 +229,7 @@ def test_seed_must_be_an_integer_in_range(bad):
         S.sample(params, 1, bad)
     with pytest.raises(ValueError, match="seed"):
         S.sample_grid(3, 1, [0.6], 1, bad, [0, 1])
+    MC.run_experiment(params, 1, 2, 1)  # a cached draw under seed 1 == True
     with pytest.raises(ValueError, match="seed"):
         MC.run_experiment(params, 1, 2, bad)
 
