@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import secrets
 import sys
 import time
@@ -467,7 +468,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader gone before the exit flush shows here
+    except BrokenPipeError:
+        # the reader closed early: send what is left to devnull, so the flush
+        # at exit raises nothing either, and exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

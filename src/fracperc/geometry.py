@@ -12,17 +12,23 @@ V2 = s^2 #cells, with s the cell side length. ``vk_scores`` alone maps
 counters to the integer scores V_k / s^k, ``minkowski`` alone to float V_k.
 
 Two independent implementations are kept on purpose. ``window_counters``,
-the kernel of Monte Carlo, the oracle and verification, counts the 2x2
-windows of the image, one per lattice vertex (Michielsen & De Raedt,
-Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1 occupied or 2 outside,
-so one 81-entry table gives each window's contribution both to F, which
-reads 1 as occupied, and to the closed complement C, which reads 0 as
-occupied: one histogram pass measures F and C of a lattice or a stack.
-``audit_counters`` computes the same counters with direct boolean
-reductions. A third, structurally different cross-check obtains the Euler
-characteristic as components minus holes from connected-component
-labelling (occupied cells 8-connected, complement cells 4-connected,
-matching closed-set semantics). A d = 1 lattice is one row of cells.
+the kernel of one-point Monte Carlo runs, the oracle and verification,
+counts the 2x2 windows of the image, one per lattice vertex (Michielsen &
+De Raedt, Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1 occupied or 2
+outside, so one 81-entry table gives each window's contribution both to F,
+which reads 1 as occupied, and to the closed complement C, which reads 0
+as occupied: one histogram pass measures F and C of a lattice or a stack.
+``audit_counters``, the graded pass, computes the same counters with
+direct reductions of an alive-count stack (``sampler.sample_grid``): each
+counter counts cells, pairs or windows whose min or max count reaches a
+threshold, so one histogram per quantity gives F and C at every point of a
+coupled p grid at once. Its bool (one-point) case is the audit route of
+the lookup, and its graded case scores Monte Carlo blocks drawn over a
+grid of several points. A third, structurally different cross-check
+obtains the Euler characteristic as components minus holes from
+connected-component labelling (occupied cells 8-connected, complement
+cells 4-connected, matching closed-set semantics). A d = 1 lattice is one
+row of cells.
 
 Cluster labelling and spanning detection (``label``) are one
 ``scipy.ndimage.label`` call at 4- or 8-connectivity.
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .analytic import ArgumentError
+from .analytic import ArgumentError, _integer
 from .sampler import GridRealization
 
 _EIGHT = np.ones((3, 3), dtype=int)
@@ -109,21 +115,83 @@ def window_counters(occ: np.ndarray) -> np.ndarray:
     return out.reshape(occ.shape[:-2] + (2, 4))
 
 
-def audit_counters(occ: np.ndarray) -> np.ndarray:
-    """The counters of :func:`window_counters` for one lattice by direct
-    boolean reductions (audit route): int64 ``(2, 4)``, F counted from
-    ``occ``, then C from ``~occ``."""
-    occ = np.asarray(occ, dtype=bool)
-    counters = []
-    for cells in (occ, ~occ):
-        P = np.pad(cells, 1)
-        counters.append((
-            cells.sum(),
-            (P[:-1, 1:-1] | P[1:, 1:-1]).sum() + (P[1:-1, :-1] | P[1:-1, 1:]).sum(),
-            (cells[:-1, :] & cells[1:, :]).sum() + (cells[:, :-1] & cells[:, 1:]).sum(),
-            (P[:-1, :-1] | P[:-1, 1:] | P[1:, :-1] | P[1:, 1:]).sum(),
-        ))
-    return np.array(counters, dtype=np.int64)
+def _reductions(cells: np.ndarray):
+    """(counter index, values) of a ``(B, H, W)`` count stack, one at a time:
+    the cells for faces, the max over adjacent pairs for edges_any and over
+    2x2 windows for vertices_any, the outside padded with 0, and the min
+    over interior pairs for edges_shared."""
+    B, H, W = cells.shape
+    P = np.zeros((B, H + 2, W + 2), dtype=cells.dtype)
+    P[:, 1:-1, 1:-1] = cells
+    columns = np.maximum(P[:, :-1], P[:, 1:])  # vertical pairs; their pairs are the windows
+    yield 0, cells
+    yield 1, columns[:, :, 1:-1]
+    yield 1, np.maximum(P[:, 1:-1, :-1], P[:, 1:-1, 1:])
+    yield 2, np.minimum(cells[:, :-1], cells[:, 1:])
+    yield 2, np.minimum(cells[:, :, :-1], cells[:, :, 1:])
+    yield 3, np.maximum(columns[:, :, :-1], columns[:, :, 1:])
+
+
+def _graded_block(block: np.ndarray, G: int, out: np.ndarray) -> None:
+    """Write the counters of a ``(B, H, W)`` count stack at each of its G
+    points into ``out``, shape ``(B, G, 2, 4)``."""
+    size, bins = len(block), G + 1
+    offsets = bins * np.arange(size)[:, None]
+    hist = np.zeros((2, 4, size * bins), dtype=np.int64)
+    for target, cells in zip(hist, (block, G - block)):
+        for quantity, values in _reductions(cells):
+            # a lone lattice needs no offset: bincount makes its own int64 copy
+            codes = values.reshape(size, -1) + offsets if size > 1 else values
+            target[quantity] += np.bincount(codes.ravel(), minlength=size * bins)
+            del codes, values  # before the generator makes the next
+    # in place, the counts at or above G, G - 1, .., 1: F at point j, C at point G - 1 - j
+    above = hist.reshape(2, 4, size, bins)[..., ::-1]
+    np.cumsum(above, axis=-1, out=above)
+    # at or above 0: each cell, pair and window of each lattice binned once
+    H, W = block.shape[1:]
+    binned = (H * W, (H + 1) * W + H * (W + 1), (H - 1) * W + H * (W - 1), (H + 1) * (W + 1))
+    assert (above[..., -1] == np.array(binned)[:, None]).all()
+    out[:, :, 0] = above[0, ..., :G].transpose(1, 2, 0)
+    out[:, :, 1] = above[1, ..., G - 1 :: -1].transpose(1, 2, 0)
+
+
+def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
+    """The counters of :func:`window_counters` by direct reductions (audit
+    route), at every point of a coupled p grid in one pass.
+
+    ``counts`` is an alive-count stack of G = ``points`` grid points, values
+    0..G as ``sampler.sample_grid`` returns them: F at point j is
+    ``counts >= G - j``. Returns int64 ``counts.shape[:-2] + (G, 2, 4)``.
+    Without ``points`` the lattice or stack is read as bool (G = 1) and the
+    point axis is dropped: ``window_counters``' shape.
+
+    Each counter counts the cells, adjacent pairs or 2x2 windows whose
+    reduced count reaches the point's threshold: faces the counts,
+    edges_any the max over pairs and vertices_any the max over windows (the
+    outside padded with 0), edges_shared the min over interior pairs. C
+    takes the same reductions of ``G - counts``, whose outside pads as 0
+    too, so it is never in C. One ``bincount`` per quantity, offset by
+    lattice, histograms the values 0..G, and a reversed cumulative sum
+    counts those at or above every threshold. Lattices are grouped into
+    blocks of about ``_BLOCK_WINDOWS`` windows, each charged its 8
+    histograms of G + 1 bins too.
+    """
+    if points is None:
+        G, counts = 1, np.asarray(counts, dtype=bool).view(np.uint8)
+    else:
+        G, counts = _integer("grid points", points, 1), np.asarray(counts)
+        if counts.dtype.kind not in "bu" or (counts.size and counts.max() > G):
+            raise ArgumentError(f"counts must be unsigned integers in 0..{G}, got {counts.dtype}")
+        # G - counts stays in the dtype: no G + 1, which would wrap uint8 at G = 255
+        counts = counts.astype(np.result_type(counts.dtype, np.min_scalar_type(G)), copy=False)
+    H, W = counts.shape[-2:]
+    stack = counts.reshape((math.prod(counts.shape[:-2]), H, W))
+    out = np.empty((len(stack), G, 2, 4), dtype=np.int64)
+    group = max(1, _BLOCK_WINDOWS // ((H + 1) * (W + 1) + 8 * (G + 1)))
+    for start in range(0, len(stack), group):
+        _graded_block(stack[start : start + group], G, out[start : start + group])
+    out = out.reshape(counts.shape[:-2] + (G, 2, 4))
+    return out if points is not None else out[..., 0, :, :]
 
 
 def minkowski(occ: np.ndarray, cell_side: float, d: int = 2) -> np.ndarray:

@@ -8,10 +8,14 @@ regardless of the worker count. The replicates are split into one
 contiguous shard per worker, and a shard walks its replicates in blocks
 of about ``BLOCK_CELLS`` lattice cells, capped by the memory budget. One
 ``sampler.sample_grid`` call draws a block once for a whole coupled p
-grid (a one-point grid by default); at each grid point the counts are
-thresholded into that p's lattices, and one ``geometry.minkowski`` call
-gives V_0 .. V_d of F and C of all of them at cell side M^-n (spanning
-labels each lattice). A shard returns one float64 array, a row per
+grid (a one-point grid by default). A one-point grid's 0/1 counts are its
+lattices, and one ``geometry.minkowski`` call (the window lookup) gives
+V_0 .. V_d of F and C of all of them at cell side M^-n. Over a grid of
+several points one ``geometry.audit_counters`` call (the graded pass)
+gives the counters of every lattice at every point, scored by
+``geometry.vk_scores`` and scaled by side^k as ``minkowski`` scales them.
+Spanning thresholds the counts into each point's lattices and labels each
+lattice. A shard returns one float64 array, a row per
 replicate for each grid point: V_0 .. V_d of F, then of C, then a 0/1
 column per spanning axis. The shards' rows are concatenated in replicate
 order and each column at the requested p becomes one estimate, so the
@@ -134,15 +138,20 @@ def _run_shard(args):
     width = 2 * (d + 1)
     G = len(grid)
     values = np.empty((G, count, width + len(axes)))
+    scale = np.array((1.0, side, side * side)[: d + 1])  # as geometry.minkowski scales
     step = _block_size(params, n, budget_bytes)
     for first in range(0, count, step):
         rows = np.arange(first, min(first + step, count))
         counts = sampler.sample_grid(M, d, grid, n, seed, start + rows, budget_bytes)
-        for j in range(G):
-            # a one-point grid's 0/1 counts are its lattices: no copy
+        if G == 1:  # a one-point grid's 0/1 counts are its lattices: one lookup pass, no copy
+            scores = geometry.minkowski(counts.view(bool), side, d)
+        else:  # one graded pass scores every point: (point, replicate, target, k)
+            scores = geometry.vk_scores(geometry.audit_counters(counts, G), d)
+            scores = scores.swapaxes(0, 1) * scale
+        values[:, rows, :width] = scores.reshape(G, len(rows), width)
+        for j in range(G) if axes else ():
             stack = counts.view(bool) if G == 1 else counts >= G - j
-            values[j, rows, :width] = geometry.minkowski(stack, side, d).reshape(len(rows), width)
-            for row, occ in zip(rows, stack if axes else ()):
+            for row, occ in zip(rows, stack):
                 lab = geometry.label(occ, connectivity)
                 values[j, row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]
     return values
@@ -205,9 +214,9 @@ def run_experiment(
     those at ``params.p`` and equal a one-point run's. The last grid's
     values are cached, so a run at each of its points draws once.
 
-    An invalid level, sample count, worker count, seed or spanning axis, or
-    a p outside ``grid``, raises :class:`ArgumentError` before any replicate
-    is drawn or worker started.
+    An invalid level, sample count, worker count, seed, spanning axis or
+    grid, or a p outside ``grid``, raises :class:`ArgumentError` before any
+    replicate is drawn or worker started.
     """
     _integer("level n", n, 0)
     _integer("samples", samples, 2)  # a standard error needs two
@@ -220,7 +229,8 @@ def run_experiment(
         if axis == "y" and params.d == 1:
             raise ArgumentError("spanning along y needs d = 2: a d = 1 lattice has one row")
     p = float(params.p)
-    grid = (p,) if grid is None else tuple(float(x) for x in grid)
+    # checked here, not only in the shards: before any worker pool starts
+    grid = (p,) if grid is None else tuple(sampler._grid_points(params.M, params.d, grid).tolist())
     if p not in grid:
         raise ArgumentError(f"p = {p!r} is not a point of the grid {grid}")
     keys = [(t, f) for t in ("F", "C") for f in list(_FUNCTIONAL_INDEX)[: params.d + 1]]

@@ -366,6 +366,21 @@ def test_verify_module_entry_point():
     assert digest == "ba4c084ecb755e00e9e3c87a8c92cf8db86d9929de91cc8244747660b3376600"
 
 
+def test_closed_reader_ends_the_run_without_a_traceback():
+    # the reader of stdout is gone before the first line is written, as in
+    # `fracperc oracle ... | head -c 1`: exit 1 and nothing on stderr
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["oracle", "-M", "2", "-d", "2", "-n", "1", "-p", "1/2", "--functional", "V2"]
+    proc = subprocess.Popen([sys.executable, "-m", "fracperc.cli", *argv], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b"", stderr.decode()  # no BrokenPipeError traceback
+
+
 # one tampered closed form per exact group, and one limit: (name, where it
 # is shifted, offset, the group that must fail). The recursion is tampered
 # at its top level only, so no lower level scales the offset.

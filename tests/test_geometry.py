@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from fracperc import geometry as G
 from fracperc import sampler as S
-from fracperc.analytic import ModelParams
+from fracperc.analytic import ArgumentError, ModelParams
 
 
 def mk(occ, s=1.0):
@@ -93,6 +93,63 @@ def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
         for occ, expected in zip(cases, whole):
             assert np.array_equal(G.window_counters(occ), expected), (budget, occ.shape)
             assert np.array_equal(G.window_counters(occ[0]), expected[0]), (budget, occ.shape)
+
+
+def _assert_graded_equals_thresholds(counts, points):
+    """The graded pass of an alive-count stack equals a window pass of its
+    lattice ``counts >= points - j`` at every point j."""
+    graded = G.audit_counters(counts, points)
+    assert graded.shape == counts.shape[:-2] + (points, 2, 4) and graded.dtype == np.int64
+    for j in range(points):
+        expected = G.window_counters(counts >= points - j)
+        assert np.array_equal(graded[..., j, :, :], expected), (counts.shape, points, j)
+
+
+def test_graded_pass_equals_window_counters_at_every_point():
+    rng = np.random.default_rng(31)
+    # a bool lattice or stack is one point: without the point axis, the lookup's shape
+    occ = rng.random((4, 9, 7)) < 0.5
+    assert np.array_equal(G.audit_counters(occ), G.window_counters(occ))
+    assert np.array_equal(G.audit_counters(occ[0]), G.window_counters(occ[0]))
+    _assert_graded_equals_thresholds(occ, 1)
+    # sampled stacks: G = 2, 255 (uint8 at its limit) and 256 (uint16), M = 3, d = 1 rows
+    for M, d, n, points in ((2, 2, 3, 2), (3, 2, 2, 255), (2, 2, 3, 256), (2, 1, 6, 37),
+                            (3, 1, 3, 255)):
+        counts = S.sample_grid(M, d, np.linspace(0.2, 1.0, points), n, 11, np.arange(5))
+        assert counts.dtype == (np.uint8 if points <= 255 else np.uint16)
+        _assert_graded_equals_thresholds(counts, points)
+    # random rectangles holding every count 0..G, as uint8 also above G = 255
+    for _ in range(60):
+        points = int(rng.choice((1, 2, 3, 9, 255, 256, 300)))
+        shape = (int(rng.integers(1, 4)),) + tuple(int(v) for v in rng.integers(1, 14, size=2))
+        counts = rng.integers(0, min(points, 255) + 1, size=shape)
+        counts[(0,) * counts.ndim] = min(points, 255)
+        _assert_graded_equals_thresholds(counts.astype(np.uint8), points)
+    _assert_graded_equals_thresholds(np.full((2, 3, 4), 255, np.uint8), 255)
+    _assert_graded_equals_thresholds(np.arange(256, dtype=np.uint16).reshape(2, 8, 16), 256)
+
+
+def test_graded_pass_in_small_groups(monkeypatch):
+    # tiny window budgets split stacks into many groups, down to one lattice
+    rng = np.random.default_rng(78)
+    cases = []
+    for _ in range(25):
+        points = int(rng.choice((1, 2, 5, 37)))
+        shape = (int(rng.integers(1, 7)),) + tuple(int(v) for v in rng.integers(1, 20, size=2))
+        cases.append((rng.integers(0, points + 1, size=shape).astype(np.uint8), points))
+    for budget in (1, 50, 300, 5000):
+        monkeypatch.setattr(G, "_BLOCK_WINDOWS", budget)
+        for counts, points in cases:
+            _assert_graded_equals_thresholds(counts, points)
+
+
+def test_graded_pass_refuses_counts_it_cannot_grade():
+    with pytest.raises(ArgumentError, match="0..2"):
+        G.audit_counters(np.full((2, 2), 3, np.uint8), 2)
+    with pytest.raises(ArgumentError, match="0..2"):
+        G.audit_counters(np.zeros((2, 2), np.int64), 2)
+    with pytest.raises(ArgumentError, match="grid points"):
+        G.audit_counters(np.zeros((2, 2), np.uint8), 0)
 
 
 def test_additivity_on_overlapping_column_splits():

@@ -156,6 +156,16 @@ def test_grid_run_equals_one_point_runs(blocks, workers):
             assert got.samples == alone.samples == 23
             assert got.estimates == alone.estimates, (d, p)
             assert got.spanning == alone.spanning, (d, p)
+    # 256 points take uint16 counts; one graded pass per block still scores each
+    grid = tuple(np.linspace(0.0, 1.0, 256).tolist())
+    budget = -(-23 // blocks) * 4**2 * S.PEAK_BYTES_PER_CELL
+    kwargs = dict(spanning_axes=("x", "y"), workers=workers, budget_bytes=budget)
+    coupled = [MC.run_experiment(ModelParams(2, p, 2), 2, 23, 17, grid=grid, **kwargs)
+               for p in grid]
+    for j in (0, 1, 100, 171, 254, 255):
+        alone = MC.run_experiment(ModelParams(2, grid[j], 2), 2, 23, 17, **kwargs)
+        assert coupled[j].estimates == alone.estimates, grid[j]
+        assert coupled[j].spanning == alone.spanning, grid[j]
 
 
 def test_grid_must_be_ascending_and_hold_p():
@@ -236,6 +246,20 @@ def test_worker_pool_sized_to_the_shard_plan(monkeypatch):
     assert pooled.estimates == MC.run_experiment(params, 2, 10, seed=1).estimates
     MC.run_experiment(params, 2, 10, seed=1, workers=3)
     assert sizes == [10, 3]
+
+
+def test_refused_grid_starts_no_workers(monkeypatch):
+    # the grid is checked before any pool is built, not in the shards
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(MC, "ProcessPoolExecutor", no_pool)
+    params = ModelParams(2, 0.5, 2)
+    for grid in ((0.7, 0.5), (), (0.5, 0.5, 0.3)):
+        with pytest.raises(ArgumentError, match="ascending"):
+            MC.run_experiment(params, 2, 10, seed=0, workers=2, grid=grid)
+    with pytest.raises(ArgumentError, match="-0.1"):
+        MC.run_experiment(params, 2, 10, seed=0, workers=2, grid=(-0.1, 0.5))
 
 
 def test_refused_level_starts_no_workers(monkeypatch):

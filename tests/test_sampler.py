@@ -118,6 +118,19 @@ def test_replicate_peak_memory_within_guard_model():
             tracemalloc.stop()
         assert counts.dtype == dtype
         assert peak <= S.PEAK_BYTES_PER_CELL * cells, (len(grid), peak / cells)
+    # the same block's one graded pass over all points; its counters, 8 int64
+    # per lattice and point, take 9 B/cell over 37 points and are held within
+    # the model with the rest, but take 75 B/cell alone over 300 points
+    for grid, held in ((default_grid, 0), (np.linspace(0.0, 1.0, 300), block * 300 * 8 * 8)):
+        tracemalloc.start()
+        try:
+            counts = S.sample_grid(2, 2, grid, n, 3, np.arange(block))
+            counters = G.audit_counters(counts, len(grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counters.nbytes == block * len(grid) * 8 * 8
+        assert peak - held <= S.PEAK_BYTES_PER_CELL * cells, (len(grid), peak / cells)
 
 
 def _reference_lattices(M, d, grid, n, seed, index):
