@@ -8,14 +8,14 @@ regardless of the worker count. The replicates are split into one
 contiguous shard per worker, and a shard walks its replicates in blocks
 of about ``BLOCK_CELLS`` lattice cells, capped by the memory budget. One
 ``sampler.sample_grid`` call draws a block once for a whole coupled p
-grid (a one-point grid by default). A one-point grid's 0/1 counts are its
-lattices, and one ``geometry.minkowski`` call (the window lookup) gives
-V_0 .. V_d of F and C of all of them at cell side M^-n. Over a grid of
-several points one ``geometry.audit_counters`` call (the graded pass)
-gives the counters of every lattice at every point, scored by
-``geometry.vk_scores`` and scaled by side^k as ``minkowski`` scales them.
-Spanning thresholds the counts into each point's lattices and labels each
-lattice. A shard returns one float64 array, a row per
+grid (a one-point grid by default), and ``geometry.minkowski`` given the
+grid size gives V_0 .. V_d of F and C of every lattice at every point at
+cell side M^-n: the window lookup over one point, one graded pass over
+several. A block is scored in parts whose counters and scores stay within
+the bytes its cells are charged (``SCORE_BYTES_PER_CELL``,
+``SCORE_BYTES_PER_POINT``). Spanning thresholds the counts into each
+point's lattices and labels each lattice. A shard returns one float64
+array, a row per
 replicate for each grid point: V_0 .. V_d of F, then of C, then a 0/1
 column per spanning axis. The shards' rows are concatenated in replicate
 order and each column at the requested p becomes one estimate, so the
@@ -58,6 +58,13 @@ BLOCK_CELLS = 1 << 18
 #: cap, 38 MB at the 262,144 replicates of BLOCK_CELLS alone; 100,000
 #: replicates at n = 0, 1 and 2 run at the same speed either way.
 BLOCK_REPLICATES = 4096
+
+#: Peak bytes of one ``geometry.minkowski`` call over a grid per lattice cell
+#: (the reductions and their int64 codes) and per lattice and grid point
+#: (int64 histograms and counters, integer scores, float64 V_k): traced at
+#: up to 17 and 152 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. A block's
+#: lattices are scored in parts within the bytes its cells are charged.
+SCORE_BYTES_PER_CELL, SCORE_BYTES_PER_POINT = 20, 160
 
 
 @dataclass(frozen=True)
@@ -138,20 +145,24 @@ def _run_shard(args):
     width = 2 * (d + 1)
     G = len(grid)
     values = np.empty((G, count, width + len(axes)))
-    scale = np.array((1.0, side, side * side)[: d + 1])  # as geometry.minkowski scales
     step = _block_size(params, n, budget_bytes)
+    cells = M ** (d * n)
+    # lattices per minkowski call: within the bytes the block's cells are charged, or one
+    part = step * cells * sampler.PEAK_BYTES_PER_CELL
+    part = max(1, part // (cells * SCORE_BYTES_PER_CELL + G * SCORE_BYTES_PER_POINT))
     for first in range(0, count, step):
-        rows = np.arange(first, min(first + step, count))
-        counts = sampler.sample_grid(M, d, grid, n, seed, start + rows, budget_bytes)
-        if G == 1:  # a one-point grid's 0/1 counts are its lattices: one lookup pass, no copy
-            scores = geometry.minkowski(counts.view(bool), side, d)
-        else:  # one graded pass scores every point: (point, replicate, target, k)
-            scores = geometry.vk_scores(geometry.audit_counters(counts, G), d)
-            scores = scores.swapaxes(0, 1) * scale
-        values[:, rows, :width] = scores.reshape(G, len(rows), width)
+        last = min(first + step, count)
+        counts = sampler.sample_grid(M, d, grid, n, seed, np.arange(start + first, start + last),
+                                     budget_bytes)
+        for lo in range(first, last, part):
+            hi = min(lo + part, last)
+            scores = geometry.minkowski(counts[lo - first : hi - first], side, d, G)
+            # (replicate, point) rows into the (point, replicate) table through a view
+            values[:, lo:hi, :width] = scores.reshape(hi - lo, G, width).swapaxes(0, 1)
+            del scores  # before the next part is scored
         for j in range(G) if axes else ():
             stack = counts.view(bool) if G == 1 else counts >= G - j
-            for row, occ in zip(rows, stack):
+            for row, occ in zip(range(first, last), stack):
                 lab = geometry.label(occ, connectivity)
                 values[j, row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]
     return values

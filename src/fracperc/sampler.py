@@ -47,9 +47,9 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: 11 at n = 8 and 17 for that block, and ``label`` at 5. A block of 1024
 #: lattices at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98
 #: peaks at 14, and at 19 with its thresholds and window passes; over 300
-#: points up to p = 1 (uint16 counts) at 17 and 20. Its one graded pass
-#: (``geometry.audit_counters``) peaks at 35 over 37 points, int64 counters
-#: included, and over 300 points at 41 beside its counters' own 75.
+#: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_shard``
+#: drawing that block and scoring it in graded passes peaks at 35 over 37
+#: points and at 43 over 300, beside the value table it returns.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call: bounds the hash's temporaries (about 40 bytes

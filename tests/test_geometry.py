@@ -127,6 +127,11 @@ def test_graded_pass_equals_window_counters_at_every_point():
         _assert_graded_equals_thresholds(counts.astype(np.uint8), points)
     _assert_graded_equals_thresholds(np.full((2, 3, 4), 255, np.uint8), 255)
     _assert_graded_equals_thresholds(np.arange(256, dtype=np.uint16).reshape(2, 8, 16), 256)
+    # any unsigned width is graded in the least one holding G: uint64 too, for one lattice or more
+    wide = rng.integers(0, 38, size=(3, 6, 5)).astype(np.uint64)
+    _assert_graded_equals_thresholds(wide, 37)
+    _assert_graded_equals_thresholds(wide[0], 37)
+    _assert_graded_equals_thresholds(wide.astype(np.uint32), 300)
 
 
 def test_graded_pass_in_small_groups(monkeypatch):
@@ -181,6 +186,24 @@ def test_one_dimensional_counts():
     assert v[0, 1] == pytest.approx(row.sum() / 8)
     # V_0 and V_1 of F, then of C: no V_2 on a line
     assert v.shape == (2, 2)
+
+
+def test_minkowski_over_a_grid_measures_each_point():
+    # with points, a count stack is measured at every point: point j is counts >= G - j
+    rng = np.random.default_rng(12)
+    for M, d, n, points in ((2, 2, 3, 1), (2, 2, 3, 2), (3, 2, 2, 37), (2, 1, 5, 1), (2, 1, 5, 9),
+                            (2, 2, 2, 300)):
+        counts = S.sample_grid(M, d, np.sort(rng.random(points)), n, 5, np.arange(4))
+        side = float(M) ** -n
+        graded = G.minkowski(counts, side, d, points)
+        assert graded.shape == (4, points, 2, d + 1)
+        for j in range(points):
+            assert np.array_equal(graded[:, j], G.minkowski(counts >= points - j, side, d)), j
+        assert np.array_equal(G.minkowski(counts[0], side, d, points), graded[0])
+    with pytest.raises(ValueError, match="one row"):
+        G.minkowski(np.ones((2, 2), np.uint8), 1.0, 1, 2)
+    with pytest.raises(ValueError, match="0..1"):
+        G.minkowski(np.full((2, 2), 2, np.uint8), 1.0, 2, 1)
 
 
 def test_minkowski_refuses_shapes_it_cannot_measure():

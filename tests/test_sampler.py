@@ -118,19 +118,23 @@ def test_replicate_peak_memory_within_guard_model():
             tracemalloc.stop()
         assert counts.dtype == dtype
         assert peak <= S.PEAK_BYTES_PER_CELL * cells, (len(grid), peak / cells)
-    # the same block's one graded pass over all points; its counters, 8 int64
-    # per lattice and point, take 9 B/cell over 37 points and are held within
-    # the model with the rest, but take 75 B/cell alone over 300 points
-    for grid, held in ((default_grid, 0), (np.linspace(0.0, 1.0, 300), block * 300 * 8 * 8)):
-        tracemalloc.start()
-        try:
-            counts = S.sample_grid(2, 2, grid, n, 3, np.arange(block))
-            counters = G.audit_counters(counts, len(grid))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counters.nbytes == block * len(grid) * 8 * 8
-        assert peak - held <= S.PEAK_BYTES_PER_CELL * cells, (len(grid), peak / cells)
+    # the shard that draws and scores the same block at every point in one
+    # graded pass, and a block of 256 cut by the budget: within the model,
+    # beside the value table the shard returns (its result, G x replicates x
+    # 6 float64, alone 56 B/cell over 300 points)
+    for grid in (default_grid, np.linspace(0.0, 1.0, 300)):
+        grid = tuple(float(p) for p in grid)
+        for count, budget in ((block, S.DEFAULT_BUDGET_BYTES),
+                              (256, 256 * 4**n * S.PEAK_BYTES_PER_CELL)):
+            tracemalloc.start()
+            try:
+                values = MC._run_shard((params, grid, n, 3, 0, count, 8, (), budget))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert values.shape == (len(grid), count, 6)
+            limit = min(S.PEAK_BYTES_PER_CELL * count * 4**n, budget)
+            assert peak - values.nbytes <= limit, (len(grid), count, peak - values.nbytes)
 
 
 def _reference_lattices(M, d, grid, n, seed, index):
