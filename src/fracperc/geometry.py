@@ -133,53 +133,41 @@ def _reductions(cells: np.ndarray):
     yield 3, np.maximum(columns[:, :, :-1], columns[:, :, 1:])
 
 
-def _graded_block(block: np.ndarray, G: int, out: np.ndarray) -> None:
-    """Write the counters of a ``(B, H, W)`` count stack at each of its G
-    points into ``out``, shape ``(B, G, 2, 4)``."""
-    size, bins = len(block), G + 1
-    offsets = bins * np.arange(size)[:, None]
+def _graded(counts: np.ndarray, G: int) -> np.ndarray:
+    """The graded pass over a count stack of G points: int64
+    ``counts.shape[:-2] + (G, 2, 4)``."""
+    H, W = counts.shape[-2:]
+    size, bins = math.prod(counts.shape[:-2]), G + 1
+    block = counts.reshape((size, H, W))
+    offsets = bins * np.arange(size).reshape(size, 1, 1)
     hist = np.zeros((2, 4, size * bins), dtype=np.int64)
     for target, cells in zip(hist, (block, G - block)):
         for quantity, values in _reductions(cells):
-            # a lone lattice needs no offset: bincount makes its own int64 copy
-            codes = values.reshape(size, -1) + offsets if size > 1 else values
+            codes = values + offsets
             target[quantity] += np.bincount(codes.ravel(), minlength=size * bins)
             del codes, values  # before the generator makes the next
     # in place, the counts at or above G, G - 1, .., 1: F at point j, C at point G - 1 - j
     above = hist.reshape(2, 4, size, bins)[..., ::-1]
     np.cumsum(above, axis=-1, out=above)
     # at or above 0: each cell, pair and window of each lattice binned once
-    H, W = block.shape[1:]
     binned = (H * W, (H + 1) * W + H * (W + 1), (H - 1) * W + H * (W - 1), (H + 1) * (W + 1))
     assert (above[..., -1] == np.array(binned)[:, None]).all()
+    out = np.empty((size, G, 2, 4), dtype=np.int64)
     out[:, :, 0] = above[0, ..., :G].transpose(1, 2, 0)
     out[:, :, 1] = above[1, ..., G - 1 :: -1].transpose(1, 2, 0)
+    return out.reshape(counts.shape[:-2] + (G, 2, 4))
 
 
 def _grades(counts, points) -> tuple:
     """(G, counts) of an alive-count stack of G = ``points`` grid points, the
-    counts in the least unsigned dtype holding G (a view where the width
-    already matches); ArgumentError unless they are bool or unsigned
-    integers in 0..G."""
+    counts in the least unsigned dtype holding G; ArgumentError unless they
+    are bool or unsigned integers in 0..G."""
     G, counts = _integer("grid points", points, 1), np.asarray(counts)
     if counts.dtype.kind not in "bu" or (counts.size and counts.max() > G):
         raise ArgumentError(f"counts must be unsigned integers in 0..{G}, got {counts.dtype}")
     # G - counts stays in this dtype: no G + 1, which would wrap uint8 at G = 255;
     # and no uint64, which bincount refuses
-    dtype = np.min_scalar_type(G)
-    return G, counts.view(dtype) if counts.itemsize == dtype.itemsize else counts.astype(dtype)
-
-
-def _graded(counts: np.ndarray, G: int) -> np.ndarray:
-    """The graded pass over lattices grouped by ``_BLOCK_WINDOWS``: int64
-    ``counts.shape[:-2] + (G, 2, 4)``."""
-    H, W = counts.shape[-2:]
-    stack = counts.reshape((math.prod(counts.shape[:-2]), H, W))
-    out = np.empty((len(stack), G, 2, 4), dtype=np.int64)
-    group = max(1, _BLOCK_WINDOWS // ((H + 1) * (W + 1) + 8 * (G + 1)))
-    for start in range(0, len(stack), group):
-        _graded_block(stack[start : start + group], G, out[start : start + group])
-    return out.reshape(counts.shape[:-2] + (G, 2, 4))
+    return G, counts.astype(np.min_scalar_type(G), copy=False)
 
 
 def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
@@ -199,9 +187,8 @@ def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
     takes the same reductions of ``G - counts``, whose outside pads as 0
     too, so it is never in C. One ``bincount`` per quantity, offset by
     lattice, histograms the values 0..G, and a reversed cumulative sum
-    counts those at or above every threshold. Lattices are grouped into
-    blocks of about ``_BLOCK_WINDOWS`` windows, each charged its 8
-    histograms of G + 1 bins too.
+    counts those at or above every threshold. The stack is graded whole:
+    ``montecarlo._block_size`` sizes the blocks it scores.
     """
     if points is None:
         return _graded(np.asarray(counts, dtype=bool).view(np.uint8), 1)[..., 0, :, :]
@@ -298,10 +285,6 @@ def euler_crosscheck(grid) -> int:
     """
     occ = grid.occupancy if isinstance(grid, GridRealization) else np.asarray(grid, bool)
     _, ncomp = ndimage.label(occ, structure=_EIGHT)
-    inv = np.pad(~occ, 1, constant_values=True)
-    lab, nabs = ndimage.label(inv, structure=_FOUR)
-    border = np.unique(
-        np.concatenate([lab[0, :], lab[-1, :], lab[:, 0], lab[:, -1]])
-    )
-    holes = nabs - np.count_nonzero(border)
-    return int(ncomp - holes)
+    # the empty ring joins every empty component that reaches the boundary into one
+    _, empty = ndimage.label(np.pad(~occ, 1, constant_values=True), structure=_FOUR)
+    return int(ncomp - (empty - 1))

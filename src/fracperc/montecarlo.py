@@ -5,17 +5,17 @@ values in replicate order (``McEstimate.of``). Because the sampler
 hashes ``(seed, sample index, tree position)`` rather than keeping
 generator state, the same seed always produces the same replicate set
 regardless of the worker count. The replicates are split into one
-contiguous shard per worker, and a shard walks its replicates in blocks
-of about ``BLOCK_CELLS`` lattice cells, capped by the memory budget. One
-``sampler.sample_grid`` call draws a block once for a whole coupled p
-grid (a one-point grid by default), and ``geometry.minkowski`` given the
-grid size gives V_0 .. V_d of F and C of every lattice at every point at
-cell side M^-n: the window lookup over one point, one graded pass over
-several. A block is scored in parts whose counters and scores stay within
-the bytes its cells are charged (``SCORE_BYTES_PER_CELL``,
-``SCORE_BYTES_PER_POINT``). Spanning thresholds the counts into each
-point's lattices and labels each lattice. A shard returns one float64
-array, a row per
+contiguous shard per worker, and a shard walks its replicates in blocks.
+The block is the one memory decision (``_block_size``): each lattice is
+charged the larger of its draw and its graded scoring, and a block holds
+at most the charge of ``BLOCK_CELLS`` drawn cells, within the memory
+budget. One ``sampler.sample_grid`` call draws a block once for a whole
+coupled p grid (a one-point grid by default), and one
+``geometry.minkowski`` call given the grid size scores the whole block:
+V_0 .. V_d of F and C of every lattice at every point at cell side
+M^-n, by the window lookup over one point, one graded pass over several.
+Spanning thresholds the counts into each point's lattices and labels
+each lattice. A shard returns one float64 array, a row per
 replicate for each grid point: V_0 .. V_d of F, then of C, then a 0/1
 column per spanning axis. The shards' rows are concatenated in replicate
 order and each column at the requested p becomes one estimate, so the
@@ -43,7 +43,8 @@ from .analytic import ArgumentError, ModelParams, _integer, rescale_factor
 _FUNCTIONAL_INDEX = {"V0": 0, "V1": 1, "V2": 2}
 
 #: Lattice cells drawn and measured per block of replicates: B = BLOCK_CELLS //
-#: cells, so blocks serve n <= 8 at M = 2, d = 2. Measured on a 2-vCPU box,
+#: cells where the draw outweighs the scoring (``_block_size``), so blocks
+#: serve n <= 8 at M = 2, d = 2. Measured on a 2-vCPU box,
 #: microseconds per replicate over the 37-point grid p = 0.26..0.98, one
 #: replicate per block -> this B (best B): n = 4 515 -> 30 (26 at B = 512);
 #: n = 5 626 -> 38; n = 6 781 -> 116 (92 at B = 256); n = 7 921 -> 374
@@ -62,8 +63,8 @@ BLOCK_REPLICATES = 4096
 #: Peak bytes of one ``geometry.minkowski`` call over a grid per lattice cell
 #: (the reductions and their int64 codes) and per lattice and grid point
 #: (int64 histograms and counters, integer scores, float64 V_k): traced at
-#: up to 17 and 152 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. A block's
-#: lattices are scored in parts within the bytes its cells are charged.
+#: up to 17 and 152 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. Read only
+#: by ``_block_size``, which charges each lattice this or its draw.
 SCORE_BYTES_PER_CELL, SCORE_BYTES_PER_POINT = 20, 160
 
 
@@ -127,12 +128,16 @@ class ExperimentResult:
         ]
 
 
-def _block_size(params: ModelParams, n: int, budget_bytes: int) -> int:
-    """Replicates per block: ``BLOCK_CELLS`` cells, at most ``BLOCK_REPLICATES``
-    replicates, and one block within the memory budget."""
+def _block_size(params: ModelParams, n: int, budget_bytes: int, points: int) -> int:
+    """Replicates per block over a grid of ``points`` p: each lattice is
+    charged the larger of its draw and its graded scoring, and a block holds
+    at most the charge of ``BLOCK_CELLS`` drawn cells, ``BLOCK_REPLICATES``
+    replicates and the memory budget."""
     cells = params.M ** (params.d * n)
-    fit = budget_bytes // (cells * sampler.PEAK_BYTES_PER_CELL)
-    return max(1, min(BLOCK_CELLS // cells, BLOCK_REPLICATES, fit))
+    lattice = max(cells * sampler.PEAK_BYTES_PER_CELL,
+                  cells * SCORE_BYTES_PER_CELL + points * SCORE_BYTES_PER_POINT)
+    block = BLOCK_CELLS * sampler.PEAK_BYTES_PER_CELL // lattice
+    return max(1, min(block, BLOCK_REPLICATES, budget_bytes // lattice))
 
 
 def _run_shard(args):
@@ -145,21 +150,14 @@ def _run_shard(args):
     width = 2 * (d + 1)
     G = len(grid)
     values = np.empty((G, count, width + len(axes)))
-    step = _block_size(params, n, budget_bytes)
-    cells = M ** (d * n)
-    # lattices per minkowski call: within the bytes the block's cells are charged, or one
-    part = step * cells * sampler.PEAK_BYTES_PER_CELL
-    part = max(1, part // (cells * SCORE_BYTES_PER_CELL + G * SCORE_BYTES_PER_POINT))
+    step = _block_size(params, n, budget_bytes, G)
     for first in range(0, count, step):
         last = min(first + step, count)
         counts = sampler.sample_grid(M, d, grid, n, seed, np.arange(start + first, start + last),
                                      budget_bytes)
-        for lo in range(first, last, part):
-            hi = min(lo + part, last)
-            scores = geometry.minkowski(counts[lo - first : hi - first], side, d, G)
-            # (replicate, point) rows into the (point, replicate) table through a view
-            values[:, lo:hi, :width] = scores.reshape(hi - lo, G, width).swapaxes(0, 1)
-            del scores  # before the next part is scored
+        # (replicate, point) rows into the (point, replicate) table through a view
+        values[:, first:last, :width] = geometry.minkowski(counts, side, d, G).reshape(
+            last - first, G, width).swapaxes(0, 1)
         for j in range(G) if axes else ():
             stack = counts.view(bool) if G == 1 else counts >= G - j
             for row, occ in zip(range(first, last), stack):

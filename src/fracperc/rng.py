@@ -30,10 +30,14 @@ _U53_INV = 1.0 / float(1 << 53)
 
 
 def _mix(z):
-    """64-bit finalizer; diffuses every input bit across the word."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """64-bit finalizer, in place on a uint64 array (a uint64 scalar, which
+    numpy cannot change, is replaced); diffuses every input bit across the word."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def node_key(seed: int, sample_index, level: int):
@@ -53,12 +57,19 @@ def cell_uniforms(key, cell_indices) -> np.ndarray:
     """Uniforms in [0, 1) of the given cells under level keys from :func:`node_key`.
 
     ``key`` may be one key or an array of keys broadcastable against
-    ``cell_indices`` (one key per cell serves a stack of replicates).
+    ``cell_indices`` (one key per cell serves a stack of replicates). The
+    hash runs in place in one uint64 copy of the cells, or of the broadcast
+    shape where the keys widen it.
     """
-    idx = np.asarray(cell_indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix(_mix(key ^ (idx + np.uint64(1)) * _GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * _U53_INV
+    z = np.array(cell_indices, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z = np.bitwise_xor(z, key, out=z if np.shape(key) in ((), z.shape) else None)
+    _mix(_mix(z))
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)  # a cast into a view of z would copy z first
+    u *= _U53_INV
+    return u
 
 
 def derive_seed(seed: int, tag: str) -> int:

@@ -48,12 +48,13 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: lattices at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98
 #: peaks at 14, and at 19 with its thresholds and window passes; over 300
 #: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_shard``
-#: drawing that block and scoring it in graded passes peaks at 35 over 37
-#: points and at 43 over 300, beside the value table it returns.
+#: drawing and scoring it peaks at 25 over 37 points and at 39 over 300
+#: (blocks of 236), beside the value table it returns; blocks of 1, 10, 50
+#: and 100 lattices over 37 points (one hash chunk each) at 41, 45, 43, 33.
 PEAK_BYTES_PER_CELL = 48
 
-#: Candidates hashed per call: bounds the hash's temporaries (about 40 bytes
-#: per candidate) to a constant.
+#: Candidates hashed per call: bounds the hash's temporaries (32 bytes per
+#: candidate: its cell, key, hash buffer and one temporary) to a constant.
 _HASH_CHUNK = 1 << 14
 
 
@@ -164,7 +165,9 @@ def sample_grid(
                 key, cell = keys[0], part
             else:
                 replicate = part // level_cells
-                key, cell = keys[replicate], part - replicate * level_cells
+                key = keys[replicate]
+                replicate *= level_cells  # the buffer becomes the cell index
+                cell = np.subtract(part, replicate, out=replicate)
             u = rng.cell_uniforms(key, cell)
             below, out = np.empty(len(u), dtype=bool), own[lo : lo + _HASH_CHUNK]
             for p in points:

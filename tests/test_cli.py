@@ -142,8 +142,8 @@ def test_budget_below_default_block_keeps_csv(tmp_path):
     # a budget that fits three lattices but not a default block runs smaller blocks
     params, cells = ModelParams(2, 0.6, 2), 4**4
     small = 3 * cells * sampler.PEAK_BYTES_PER_CELL
-    assert montecarlo._block_size(params, 4, sampler.DEFAULT_BUDGET_BYTES) > 3
-    assert montecarlo._block_size(params, 4, small) == 3
+    assert montecarlo._block_size(params, 4, sampler.DEFAULT_BUDGET_BYTES, 1) > 3
+    assert montecarlo._block_size(params, 4, small, 1) == 3
     csv_bytes = []
     for budget in (sampler.DEFAULT_BUDGET_BYTES, small):
         out = tmp_path / f"b{budget}"

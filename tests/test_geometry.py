@@ -134,20 +134,6 @@ def test_graded_pass_equals_window_counters_at_every_point():
     _assert_graded_equals_thresholds(wide.astype(np.uint32), 300)
 
 
-def test_graded_pass_in_small_groups(monkeypatch):
-    # tiny window budgets split stacks into many groups, down to one lattice
-    rng = np.random.default_rng(78)
-    cases = []
-    for _ in range(25):
-        points = int(rng.choice((1, 2, 5, 37)))
-        shape = (int(rng.integers(1, 7)),) + tuple(int(v) for v in rng.integers(1, 20, size=2))
-        cases.append((rng.integers(0, points + 1, size=shape).astype(np.uint8), points))
-    for budget in (1, 50, 300, 5000):
-        monkeypatch.setattr(G, "_BLOCK_WINDOWS", budget)
-        for counts, points in cases:
-            _assert_graded_equals_thresholds(counts, points)
-
-
 def test_graded_pass_refuses_counts_it_cannot_grade():
     with pytest.raises(ArgumentError, match="0..2"):
         G.audit_counters(np.full((2, 2), 3, np.uint8), 2)

@@ -101,9 +101,24 @@ def test_merge_invariance_across_shardings():
     base = MC.run_experiment(pr, 3, 800, seed=5)
     for block in (100, 13):
         budget = block * 4**3 * S.PEAK_BYTES_PER_CELL
-        assert MC._block_size(pr, 3, budget) == block
+        assert MC._block_size(pr, 3, budget, 1) == block
         other = MC.run_experiment(pr, 3, 800, seed=5, budget_bytes=budget)
         assert other.estimates == base.estimates, block
+
+
+def test_block_size_charges_the_draw_or_the_graded_scoring():
+    # (M, n, grid points) -> replicates per block at the default budget
+    pins = {(2, 8, 37): 4, (2, 12, 1): 1, (2, 4, 1): 1024, (3, 3, 1): 359, (2, 3, 1): 4096,
+            (2, 4, 300): 236}
+    for (M, n, points), block in pins.items():
+        pr = ModelParams(M, 0.7, 2)
+        assert MC._block_size(pr, n, S.DEFAULT_BUDGET_BYTES, points) == block, (M, n, points)
+    # where scoring outweighs the draw, the budget holds that many scored lattices
+    scored = 4**4 * MC.SCORE_BYTES_PER_CELL + 300 * MC.SCORE_BYTES_PER_POINT
+    assert scored > 4**4 * S.PEAK_BYTES_PER_CELL
+    pr = ModelParams(2, 0.7, 2)
+    assert MC._block_size(pr, 4, 10 * scored, 300) == 10
+    assert MC._block_size(pr, 4, 10 * scored - 1, 300) == 9
 
 
 def test_agreement_with_analytic_small():

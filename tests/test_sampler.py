@@ -90,7 +90,7 @@ def test_replicate_peak_memory_within_guard_model():
     n = 4
     for p in (0.7, 1.0):
         params = ModelParams(2, p, 2)
-        block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES)
+        block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES, 1)
         assert block > 1
         cells = block * 4**n
         tracemalloc.start()
@@ -104,7 +104,7 @@ def test_replicate_peak_memory_within_guard_model():
     # one default block over a coupled grid: the count stack, each grid
     # point's threshold and window pass; 300 points take uint16 counts
     n, params = 4, ModelParams(2, 1.0, 2)
-    block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES)
+    block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES, 37)
     cells = block * 4**n
     default_grid = [round(0.26 + 0.02 * j, 12) for j in range(37)]
     for grid, dtype in ((default_grid, np.uint8), (np.linspace(0.0, 1.0, 300), np.uint16)):
@@ -135,6 +135,24 @@ def test_replicate_peak_memory_within_guard_model():
             assert values.shape == (len(grid), count, 6)
             limit = min(S.PEAK_BYTES_PER_CELL * count * 4**n, budget)
             assert peak - values.nbytes <= limit, (len(grid), count, peak - values.nbytes)
+
+
+def test_small_blocks_peak_within_their_charge():
+    # blocks of 1 to 100 n = 4 lattices over the default 37-point grid, each
+    # drawn with a budget of exactly its charge, peak within that charge
+    grid = [round(0.26 + 0.02 * j, 12) for j in range(37)]
+    cells = 4**4
+    S.sample_grid(2, 2, grid, 4, 3, [0])  # numpy's one-time caches are no block's
+    for block in (1, 10, 50, 100):
+        charge = block * cells * S.PEAK_BYTES_PER_CELL
+        tracemalloc.start()
+        try:
+            counts = S.sample_grid(2, 2, grid, 4, 3, np.arange(block), charge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (block, 16, 16)
+        assert peak <= charge, (block, peak / (block * cells))
 
 
 def _reference_lattices(M, d, grid, n, seed, index):
