@@ -14,8 +14,12 @@ coupled p grid (a one-point grid by default), and one
 ``geometry.minkowski`` call given the grid size scores the whole block:
 V_0 .. V_d of F and C of every lattice at every point at cell side
 M^-n, by the window lookup over one point, one graded pass over several.
-Spanning thresholds the counts into each point's lattices and labels
-each lattice. A shard returns one float64 array, a row per
+Spanning labels no lattice it can prove needless. A replicate's lattices
+are nested in p, so spanning is monotone over the grid, and a bisection
+finds each axis's first spanning point in at most ceil(log2(G + 1))
+probes of G points (``_first_spanning``); a probe is ``geometry.spans``,
+which labels the lattice only where its coarse shadow spans. A shard
+returns one float64 array, a row per
 replicate for each grid point: V_0 .. V_d of F, then of C, then a 0/1
 column per spanning axis. The shards' rows are concatenated in replicate
 order and each column at the requested p becomes one estimate, so the
@@ -132,10 +136,16 @@ def _block_size(params: ModelParams, n: int, budget_bytes: int, points: int) -> 
     """Replicates per block over a grid of ``points`` p: each lattice is
     charged the larger of its draw and its graded scoring, and a block holds
     at most the charge of ``BLOCK_CELLS`` drawn cells, ``BLOCK_REPLICATES``
-    replicates and the memory budget."""
+    replicates and the memory budget. Raises
+    :class:`sampler.MemoryBudgetError` when the budget holds no lattice."""
     cells = params.M ** (params.d * n)
     lattice = max(cells * sampler.PEAK_BYTES_PER_CELL,
                   cells * SCORE_BYTES_PER_CELL + points * SCORE_BYTES_PER_POINT)
+    if lattice > budget_bytes:
+        raise sampler.MemoryBudgetError(
+            f"a lattice of {cells} cells scored at {points} point(s) needs {lattice} bytes,"
+            f" over {budget_bytes}"
+        )
     block = BLOCK_CELLS * sampler.PEAK_BYTES_PER_CELL // lattice
     return max(1, min(block, BLOCK_REPLICATES, budget_bytes // lattice))
 
@@ -158,12 +168,31 @@ def _run_shard(args):
         # (replicate, point) rows into the (point, replicate) table through a view
         values[:, first:last, :width] = geometry.minkowski(counts, side, d, G).reshape(
             last - first, G, width).swapaxes(0, 1)
-        for j in range(G) if axes else ():
-            stack = counts.view(bool) if G == 1 else counts >= G - j
-            for row, occ in zip(range(first, last), stack):
-                lab = geometry.label(occ, connectivity)
-                values[j, row, width:] = [getattr(lab, f"spans_{axis}") for axis in axes]
+        for row, lattice in zip(range(first, last), counts if axes else ()):
+            for column, j in enumerate(_first_spanning(lattice, G, axes, connectivity), width):
+                values[:j, row, column] = 0.0
+                values[j:, row, column] = 1.0
     return values
+
+
+def _first_spanning(counts: np.ndarray, G: int, axes: tuple, connectivity: int) -> list:
+    """Per axis of ``axes``, the first grid point j whose lattice
+    ``counts >= G - j`` spans along it, G if none. The lattices are nested
+    in j, so spanning is monotone in j and a bisection finds each point in
+    at most ceil(log2(G + 1)) probes; a probe's flags for every axis are
+    kept for the others' bisections."""
+    flags = {}
+    firsts = []
+    for a in range(len(axes)):
+        lo, hi = 0, G
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid not in flags:  # one point's 0/1 counts are its lattice: no copy
+                occ = counts.view(bool) if G == 1 else counts >= G - mid
+                flags[mid] = geometry.spans(occ, axes, connectivity)
+            lo, hi = (lo, mid) if flags[mid][a] else (mid + 1, hi)
+        firsts.append(lo)
+    return firsts
 
 
 def _shard_plan(samples: int, workers: int):
@@ -242,6 +271,7 @@ def run_experiment(
     grid = (p,) if grid is None else tuple(sampler._grid_points(params.M, params.d, grid).tolist())
     if p not in grid:
         raise ArgumentError(f"p = {p!r} is not a point of the grid {grid}")
+    _block_size(params, n, budget_bytes, len(grid))  # a budget under one lattice, refused here
     keys = [(t, f) for t in ("F", "C") for f in list(_FUNCTIONAL_INDEX)[: params.d + 1]]
     axes = tuple(dict.fromkeys(spanning_axes))
     values = _grid_values(

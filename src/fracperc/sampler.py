@@ -50,7 +50,7 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_shard``
 #: drawing and scoring it peaks at 25 over 37 points and at 39 over 300
 #: (blocks of 236), beside the value table it returns; blocks of 1, 10, 50
-#: and 100 lattices over 37 points (one hash chunk each) at 41, 45, 43, 33.
+#: and 100 lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call: bounds the hash's temporaries (32 bytes per
@@ -113,6 +113,15 @@ def _grid_points(M: int, d: int, grid) -> np.ndarray:
     return points
 
 
+def _count_below(u: np.ndarray, points, out: np.ndarray) -> None:
+    """Add to ``out`` the number of ``points`` p with ``u < p``, per uniform;
+    ``u`` and its mask are freed on return, before the next chunk hashes."""
+    below = np.empty(len(u), dtype=bool)
+    for p in points:
+        np.less(u, p, out=below)
+        np.add(out, below.view(np.uint8), out=out)
+
+
 def sample_grid(
     M: int,
     d: int,
@@ -168,11 +177,7 @@ def sample_grid(
                 key = keys[replicate]
                 replicate *= level_cells  # the buffer becomes the cell index
                 cell = np.subtract(part, replicate, out=replicate)
-            u = rng.cell_uniforms(key, cell)
-            below, out = np.empty(len(u), dtype=bool), own[lo : lo + _HASH_CHUNK]
-            for p in points:
-                np.less(u, p, out=below)
-                np.add(out, below.view(np.uint8), out=out)
+            _count_below(rng.cell_uniforms(key, cell), points, own[lo : lo + _HASH_CHUNK])
         flat = candidates.reshape(-1)
         flat[idx] = np.minimum(flat[idx], own, out=own)
         counts = candidates

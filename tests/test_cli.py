@@ -155,6 +155,16 @@ def test_budget_below_default_block_keeps_csv(tmp_path):
     assert csv_bytes[0] == csv_bytes[1]
 
 
+def test_budget_below_one_scored_lattice_exits_as_a_resource_guard(tmp_path, capsys):
+    # 12,288 bytes draw one n = 4 lattice but cannot score it over the 296-point grid
+    out = tmp_path / "refused"
+    rc = cli.main(["simulate", "-M", "2", "-n", "4", "--p-step", "0.0025", "--samples", "2",
+                   "--seed", "1", "--budget-bytes", "12288", "--out", str(out)])
+    assert rc == EXIT_RESOURCE
+    assert "296 point(s) needs 52480 bytes, over 12288" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curves_outputs(tmp_path):
     rc = cli.main(["curves", "-M", "2", "--out", str(tmp_path), "--n-list", "4,8",
                    "--m-list", "2,3"])

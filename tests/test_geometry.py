@@ -302,6 +302,71 @@ def test_spanning_detection_and_mask():
         lab.spanning_mask("z")
 
 
+def _counted_label(monkeypatch) -> list:
+    """Replace ``G.label`` by a wrapper recording each call: the record."""
+    calls, original = [], G.label
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(G, "label", counted)
+    return calls
+
+
+def _flags(lab, axes):
+    return tuple(getattr(lab, f"spans_{axis}") for axis in axes)
+
+
+@pytest.mark.parametrize("M, d, n", [(2, 2, 6), (3, 2, 4), (2, 1, 7), (3, 1, 4)])
+def test_spans_equal_label_flags(M, d, n):
+    # 12 replicates at 11 p on both sides of the spanning transition, as nested lattices
+    grid = [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.96, 0.98, 1.0]
+    counts = S.sample_grid(M, d, grid, n, 5, np.arange(12))
+    seen = set()
+    for j in range(len(grid)):
+        for occ in counts >= len(grid) - j:
+            for connectivity in (4, 8):
+                lab = G.label(occ, connectivity)
+                for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
+                    assert G.spans(occ, axes, connectivity) == _flags(lab, axes), (j, axes)
+                seen.add(lab.spans_x)
+    assert seen == {False, True}
+
+
+def test_spans_on_any_shape():
+    # sides with no divisor near their root have a coarse shadow, down to 1 x 1;
+    # a line along each border spans in the border tiles alone
+    rng = np.random.default_rng(4)
+    for shape in ((1, 1), (5, 7), (6, 10), (1, 9), (12, 8), (9, 27), (16, 16)):
+        lattices = [rng.random(shape) < density for density in (0.3, 0.5, 0.7, 0.9)]
+        for border in ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1)):
+            lattices.append(np.zeros(shape, bool))
+            lattices[-1][border] = True
+        for occ in lattices:
+            for connectivity in (4, 8):
+                lab = G.label(occ, connectivity)
+                assert G.spans(occ, ("x", "y"), connectivity) == _flags(lab, "xy"), shape
+
+
+def test_spans_labels_only_where_the_shadow_spans(monkeypatch):
+    calls = _counted_label(monkeypatch)
+    # the 27 x 27 shadow of this 729 x 729 lattice spans, the lattice does not
+    occ = S.sample(ModelParams(3, 0.8, 2), 6, 1, 0).occupancy
+    assert G.spans(occ, ("x", "y"), 8) == (False, False)
+    assert len(calls) == 1
+    # a bar across x: its 4 x 4 shadow spans x only, so a request for y labels nothing
+    bar = np.zeros((16, 16), bool)
+    bar[5] = True
+    assert G.spans(bar, ("y",), 4) == (False,) and len(calls) == 1
+    assert G.spans(bar, ("x", "y"), 4) == (True, False) and len(calls) == 2
+    assert G.spans(np.zeros((16, 16), bool)) == (False, False) and len(calls) == 2
+    with pytest.raises(ArgumentError, match="axis"):
+        G.spans(bar, ("z",))
+    with pytest.raises(ArgumentError, match="connectivity"):
+        G.spans(bar, ("x",), 6)
+
+
 def test_labels_constant_on_components():
     occ = np.array(
         [

@@ -37,6 +37,12 @@ def test_stderr_scales_like_inverse_sqrt_count():
     assert ratio == pytest.approx(0.25, rel=0.15)
 
 
+def _lattice_charge(cells, points):
+    """``MC._block_size``'s bytes for one lattice: its draw or its graded scoring."""
+    return max(cells * S.PEAK_BYTES_PER_CELL,
+               cells * MC.SCORE_BYTES_PER_CELL + points * MC.SCORE_BYTES_PER_POINT)
+
+
 def _per_replicate_reference(params, n, samples, seed, axes):
     """The estimates of run_experiment, one sample, window pass and labelling per replicate."""
     from fracperc import geometry as G
@@ -114,11 +120,31 @@ def test_block_size_charges_the_draw_or_the_graded_scoring():
         pr = ModelParams(M, 0.7, 2)
         assert MC._block_size(pr, n, S.DEFAULT_BUDGET_BYTES, points) == block, (M, n, points)
     # where scoring outweighs the draw, the budget holds that many scored lattices
-    scored = 4**4 * MC.SCORE_BYTES_PER_CELL + 300 * MC.SCORE_BYTES_PER_POINT
+    scored = _lattice_charge(4**4, 300)
     assert scored > 4**4 * S.PEAK_BYTES_PER_CELL
     pr = ModelParams(2, 0.7, 2)
     assert MC._block_size(pr, 4, 10 * scored, 300) == 10
     assert MC._block_size(pr, 4, 10 * scored - 1, 300) == 9
+    assert MC._block_size(pr, 4, scored, 300) == 1
+    with pytest.raises(S.MemoryBudgetError):
+        MC._block_size(pr, 4, scored - 1, 300)
+
+
+def test_budget_below_one_scored_lattice_refused(monkeypatch):
+    # 12,288 bytes hold one n = 4 lattice's draw, not its scoring over 300 points
+    grid = tuple(np.linspace(0.0, 1.0, 300).tolist())
+    pr = ModelParams(2, 1.0, 2)
+    assert 4**4 * S.PEAK_BYTES_PER_CELL == 12_288 < _lattice_charge(4**4, 300)
+
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(MC, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(S.MemoryBudgetError, match="300 point"):
+        MC.run_experiment(pr, 4, 2, 1, workers=2, budget_bytes=12_288, grid=grid)
+    # a budget of exactly one lattice's charge runs, one lattice per block
+    exact = MC.run_experiment(pr, 4, 2, 1, budget_bytes=_lattice_charge(4**4, 300), grid=grid)
+    assert exact.estimates == MC.run_experiment(pr, 4, 2, 1, grid=grid).estimates
 
 
 def test_agreement_with_analytic_small():
@@ -173,7 +199,7 @@ def test_grid_run_equals_one_point_runs(blocks, workers):
             assert got.spanning == alone.spanning, (d, p)
     # 256 points take uint16 counts; one graded pass per block still scores each
     grid = tuple(np.linspace(0.0, 1.0, 256).tolist())
-    budget = -(-23 // blocks) * 4**2 * S.PEAK_BYTES_PER_CELL
+    budget = -(-23 // blocks) * _lattice_charge(4**2, 256)
     kwargs = dict(spanning_axes=("x", "y"), workers=workers, budget_bytes=budget)
     coupled = [MC.run_experiment(ModelParams(2, p, 2), 2, 23, 17, grid=grid, **kwargs)
                for p in grid]
@@ -181,6 +207,44 @@ def test_grid_run_equals_one_point_runs(blocks, workers):
         alone = MC.run_experiment(ModelParams(2, grid[j], 2), 2, 23, 17, **kwargs)
         assert coupled[j].estimates == alone.estimates, grid[j]
         assert coupled[j].spanning == alone.spanning, grid[j]
+    # n = 6, where each replicate's first spanning point, found by bisection, falls mid-grid
+    grid = (0.55, 0.65, 0.72, 0.78, 0.82, 0.86, 0.9, 1.0)
+    budget = -(-23 // blocks) * _lattice_charge(4**6, len(grid))
+    for connectivity in (4, 8):
+        kwargs = dict(connectivity=connectivity, spanning_axes=("x", "y"), workers=workers,
+                      budget_bytes=budget)
+        coupled = [MC.run_experiment(ModelParams(2, p, 2), 6, 23, 17, grid=grid, **kwargs)
+                   for p in grid]
+        for p, got in zip(grid, coupled):
+            alone = MC.run_experiment(ModelParams(2, p, 2), 6, 23, 17, **kwargs)
+            assert got.spanning == alone.spanning, (connectivity, p)
+        means = [[got.spanning[axis].mean for got in coupled] for axis in ("x", "y")]
+        for column in means:
+            assert column[0] == 0.0 and column[-1] == 1.0
+            assert sum(0.0 < m < 1.0 for m in column) >= 2, (connectivity, column)
+
+
+def test_spanning_labels_a_bisection_per_replicate_and_axis(monkeypatch):
+    from fracperc import geometry as G
+
+    calls, original = [], G.label
+    monkeypatch.setattr(G, "label", lambda *args: calls.append(args) or original(*args))
+    default = tuple(round(0.26 + 0.02 * j, 12) for j in range(37))
+    for grid in ((0.9,), (0.6, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0), default):
+        for connectivity in (4, 8):
+            MC._grid_values.cache_clear()
+            calls.clear()
+            MC.run_experiment(ModelParams(2, grid[-1], 2), 6, 20, 3, connectivity,
+                              ("x", "y"), grid=grid)
+            probes = math.ceil(math.log2(len(grid) + 1))
+            assert 0 < len(calls) <= 20 * 2 * probes, (grid, connectivity, len(calls))
+    # no shadow of these six lattices spans (their 16 x 16 tiles): nothing is labelled
+    MC._grid_values.cache_clear()
+    calls.clear()
+    result = MC.run_experiment(ModelParams(2, 0.7, 2), 8, 6, 27, spanning_axes=("x", "y"))
+    assert calls == []
+    assert result.estimates[("F", "V2")].mean > 0
+    assert result.spanning["x"].mean == result.spanning["y"].mean == 0.0
 
 
 def test_grid_must_be_ascending_and_hold_p():
