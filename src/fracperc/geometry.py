@@ -19,14 +19,14 @@ outside, so one 81-entry table gives each window's contribution both to F,
 which reads 1 as occupied, and to the closed complement C, which reads 0
 as occupied: one histogram pass measures F and C of a lattice or a stack.
 ``audit_counters``, the graded pass, computes the same counters with
-direct reductions of an alive-count stack (``sampler.sample_grid``): each
-counter counts cells, pairs or windows whose min or max count reaches a
-threshold, so one histogram per quantity gives F and C at every point of a
-coupled p grid at once. Its bool (one-point) case is the audit route of
-the lookup; ``minkowski`` given a grid of several points takes its graded
-case, which scores Monte Carlo blocks drawn over that grid. A third,
-structurally different cross-check
-obtains the Euler characteristic as components minus holes from
+direct reductions of an alive-count stack (``sampler.sample_grid``): F
+counts the cells, pairs or windows whose max count reaches a threshold, C
+all but those whose min count does, so seven histograms shared by F and C
+give both at every point of a coupled p grid at once. Its bool (one-point)
+case is the audit route of the lookup; ``minkowski`` given a grid of
+several points takes its graded case, which scores Monte Carlo blocks
+drawn over that grid. A third, structurally different cross-check obtains
+the Euler characteristic as components minus holes from
 connected-component labelling (occupied cells 8-connected, complement
 cells 4-connected, matching closed-set semantics). A d = 1 lattice is one
 row of cells.
@@ -120,23 +120,6 @@ def window_counters(occ: np.ndarray) -> np.ndarray:
     return out.reshape(occ.shape[:-2] + (2, 4))
 
 
-def _reductions(cells: np.ndarray):
-    """(counter index, values) of a ``(B, H, W)`` count stack, one at a time:
-    the cells for faces, the max over adjacent pairs for edges_any and over
-    2x2 windows for vertices_any, the outside padded with 0, and the min
-    over interior pairs for edges_shared."""
-    B, H, W = cells.shape
-    P = np.zeros((B, H + 2, W + 2), dtype=cells.dtype)
-    P[:, 1:-1, 1:-1] = cells
-    columns = np.maximum(P[:, :-1], P[:, 1:])  # vertical pairs; their pairs are the windows
-    yield 0, cells
-    yield 1, columns[:, :, 1:-1]
-    yield 1, np.maximum(P[:, 1:-1, :-1], P[:, 1:-1, 1:])
-    yield 2, np.minimum(cells[:, :-1], cells[:, 1:])
-    yield 2, np.minimum(cells[:, :, :-1], cells[:, :, 1:])
-    yield 3, np.maximum(columns[:, :, :-1], columns[:, :, 1:])
-
-
 def _graded(counts: np.ndarray, G: int) -> np.ndarray:
     """The graded pass over a count stack of G points: int64
     ``counts.shape[:-2] + (G, 2, 4)``."""
@@ -145,20 +128,36 @@ def _graded(counts: np.ndarray, G: int) -> np.ndarray:
     block = counts.reshape((size, H, W))
     offsets = bins * np.arange(size).reshape(size, 1, 1)
     hist = np.zeros((2, 4, size * bins), dtype=np.int64)
-    for target, cells in zip(hist, (block, G - block)):
-        for quantity, values in _reductions(cells):
-            codes = values + offsets
-            target[quantity] += np.bincount(codes.ravel(), minlength=size * bins)
-            del codes, values  # before the generator makes the next
-    # in place, the counts at or above G, G - 1, .., 1: F at point j, C at point G - 1 - j
+    (_, edges_any, edges_shared, vertices), (_, c_any, c_shared, c_vertices) = hist
+
+    def count(target, values):
+        target += np.bincount((values + offsets).ravel(), minlength=size * bins)
+
+    count(hist[:, 0], block)  # faces, in F and in C
+    # a border cell once per border edge, in F's edges_any and in C's
+    count(hist[:, 1], np.hstack((block[:, 0], block[:, -1], block[:, :, 0], block[:, :, -1]))[:, None])
+    P = np.empty((size, H + 2, W + 2), dtype=block.dtype)
+    P[:, 1:-1, 1:-1] = block
+    # interior pairs by max for F's edges_any and C's edges_shared, by min the other
+    # way round; windows by max, the outside 0, for F, and by min, the outside G, for C
+    for pad, reduce, pairs, windows in ((0, np.maximum, c_shared, vertices),
+                                        (G, np.minimum, edges_shared, c_vertices)):
+        P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = pad
+        columns = reduce(P[:, :-1], P[:, 1:])  # vertical pairs; their pairs are the windows
+        count(pairs, columns[:, 1:-1, 1:-1])
+        count(pairs, reduce(block[:, :, :-1], block[:, :, 1:]))
+        count(windows, reduce(columns[:, :, :-1], columns[:, :, 1:]))
+    edges_any += c_shared
+    c_any += edges_shared
+    # in place, the items reaching G, G - 1, .., 1: point 0, 1, .., G - 1
     above = hist.reshape(2, 4, size, bins)[..., ::-1]
     np.cumsum(above, axis=-1, out=above)
-    # at or above 0: each cell, pair and window of each lattice binned once
-    binned = (H * W, (H + 1) * W + H * (W + 1), (H - 1) * W + H * (W - 1), (H + 1) * (W + 1))
-    assert (above[..., -1] == np.array(binned)[:, None]).all()
+    # at or above 0: each cell, pair and window of each lattice binned once, in F and in C
+    binned = np.array((H * W, (H + 1) * W + H * (W + 1), (H - 1) * W + H * (W - 1), (H + 1) * (W + 1)))
+    assert (above[..., -1] == binned[:, None]).all()
     out = np.empty((size, G, 2, 4), dtype=np.int64)
     out[:, :, 0] = above[0, ..., :G].transpose(1, 2, 0)
-    out[:, :, 1] = above[1, ..., G - 1 :: -1].transpose(1, 2, 0)
+    np.subtract(binned, above[1, ..., :G].transpose(1, 2, 0), out=out[:, :, 1])
     return out.reshape(counts.shape[:-2] + (G, 2, 4))
 
 
@@ -169,8 +168,8 @@ def _grades(counts, points) -> tuple:
     G, counts = _integer("grid points", points, 1), np.asarray(counts)
     if counts.dtype.kind not in "bu" or (counts.size and counts.max() > G):
         raise ArgumentError(f"counts must be unsigned integers in 0..{G}, got {counts.dtype}")
-    # G - counts stays in this dtype: no G + 1, which would wrap uint8 at G = 255;
-    # and no uint64, which bincount refuses
+    # the outside pads as G in this dtype: no G + 1, which would wrap uint8 at
+    # G = 255; and no uint64, which bincount refuses
     return G, counts.astype(np.min_scalar_type(G), copy=False)
 
 
@@ -184,15 +183,15 @@ def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
     Without ``points`` the lattice or stack is read as bool (G = 1) and the
     point axis is dropped: ``window_counters``' shape.
 
-    Each counter counts the cells, adjacent pairs or 2x2 windows whose
-    reduced count reaches the point's threshold: faces the counts,
-    edges_any the max over pairs and vertices_any the max over windows (the
-    outside padded with 0), edges_shared the min over interior pairs. C
-    takes the same reductions of ``G - counts``, whose outside pads as 0
-    too, so it is never in C. One ``bincount`` per quantity, offset by
-    lattice, histograms the values 0..G, and a reversed cumulative sum
-    counts those at or above every threshold. The stack is graded whole:
-    ``montecarlo._block_size`` sizes the blocks it scores.
+    F counts the cells, adjacent pairs or 2x2 windows whose reduced count
+    reaches the point's threshold: faces the counts, edges_any the max over
+    pairs and vertices_any over windows (the outside padded with 0),
+    edges_shared the min over interior pairs. C counts all items but those
+    whose min (the outside padded with G; the max for edges_shared) reaches
+    it, so F and C share seven histograms of the values 0..G and one of the
+    border cells, each one ``bincount`` offset by lattice, summed from the
+    top. The stack is graded whole: ``montecarlo._block_size`` sizes the
+    blocks it scores.
     """
     if points is None:
         return _graded(np.asarray(counts, dtype=bool).view(np.uint8), 1)[..., 0, :, :]
@@ -211,7 +210,7 @@ def minkowski(occ: np.ndarray, cell_side: float, d: int = 2,
     points (see :func:`audit_counters`) and the result gains a point axis,
     ``occ.shape[:-2] + (G, 2, d + 1)``, point j measuring ``occ >= G - j``.
     One point is measured by the window lookup, several by one graded pass
-    (at one point, n = 12, the graded pass is 18.6 times slower).
+    (at one point, n = 12, the graded pass takes 0.8 s, the lookup 85 ms).
     """
     if d not in (1, 2):
         raise ArgumentError(f"dimension d must be 1 or 2, got {d!r}")

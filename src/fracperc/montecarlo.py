@@ -67,7 +67,7 @@ BLOCK_REPLICATES = 4096
 #: Peak bytes of one ``geometry.minkowski`` call over a grid per lattice cell
 #: (the reductions and their int64 codes) and per lattice and grid point
 #: (int64 histograms and counters, integer scores, float64 V_k): traced at
-#: up to 17 and 152 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. Read only
+#: up to 16 and 144 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. Read only
 #: by ``_block_size``, which charges each lattice this or its draw.
 SCORE_BYTES_PER_CELL, SCORE_BYTES_PER_POINT = 20, 160
 

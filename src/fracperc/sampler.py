@@ -48,7 +48,7 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: lattices at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98
 #: peaks at 14, and at 19 with its thresholds and window passes; over 300
 #: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_shard``
-#: drawing and scoring it peaks at 25 over 37 points and at 39 over 300
+#: drawing and scoring it peaks at 24 over 37 points and at 39 over 300
 #: (blocks of 236), beside the value table it returns; blocks of 1, 10, 50
 #: and 100 lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
 PEAK_BYTES_PER_CELL = 48

@@ -125,6 +125,13 @@ def test_graded_pass_equals_window_counters_at_every_point():
         counts = rng.integers(0, min(points, 255) + 1, size=shape)
         counts[(0,) * counts.ndim] = min(points, 255)
         _assert_graded_equals_thresholds(counts.astype(np.uint8), points)
+    # lattices of border cells only, a 1 x 1 one with no interior pair: every
+    # count 0..G at every cell, neighbours apart, and one lattice all at G
+    for points in (2, 37, 255, 256):
+        for H, W in ((1, 1), (1, 7), (7, 1), (2, 2)):
+            values = (np.arange(points + 1)[:, None] + 5 * np.arange(H * W)) % (points + 1)
+            counts = np.concatenate((values.reshape(-1, H, W), np.full((1, H, W), points)))
+            _assert_graded_equals_thresholds(counts.astype(np.min_scalar_type(points)), points)
     _assert_graded_equals_thresholds(np.full((2, 3, 4), 255, np.uint8), 255)
     _assert_graded_equals_thresholds(np.arange(256, dtype=np.uint16).reshape(2, 8, 16), 256)
     # any unsigned width is graded in the least one holding G: uint64 too, for one lattice or more
