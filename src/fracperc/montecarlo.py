@@ -4,30 +4,30 @@ Each estimate is Welford's recurrence run once over a column of replicate
 values in replicate order (``McEstimate.of``). Because the sampler
 hashes ``(seed, sample index, tree position)`` rather than keeping
 generator state, the same seed always produces the same replicate set
-regardless of the worker count. The replicates are split into one
-contiguous shard per worker, and a shard walks its replicates in blocks.
-The block is the one memory decision (``_block_size``): each lattice is
-charged the larger of its draw and its graded scoring, and a block holds
-at most the charge of ``BLOCK_CELLS`` drawn cells, within the memory
-budget. One ``sampler.sample_grid`` call draws a block once for a whole
-coupled p grid (a one-point grid by default), and one
-``geometry.minkowski`` call given the grid size scores the whole block:
-V_0 .. V_d of F and C of every lattice at every point at cell side
+regardless of the worker count. The block is the one unit of work and
+of memory (``_block_size``): each lattice is charged the larger of its
+draw and its scoring, and a block holds at most the charge of
+``BLOCK_CELLS`` drawn cells, within the memory budget and a worker's
+share of the replicates. One worker runs the blocks in turn; several
+take them in contiguous runs. One ``sampler.sample_grid`` call draws a
+block once for a whole coupled p grid (a one-point grid by default), and
+one ``geometry.minkowski`` call given the grid size scores the whole
+block: V_0 .. V_d of F and C of every lattice at every point at cell side
 M^-n, by the window lookup over one point, one graded pass over several.
 Spanning labels no lattice it can prove needless. A replicate's lattices
 are nested in p, so spanning is monotone over the grid, and a bisection
 finds each axis's first spanning point in at most ceil(log2(G + 1))
 probes of G points (``_first_spanning``); a probe is ``geometry.spans``,
-which labels the lattice only where its coarse shadow spans. A shard
-returns one float64 array, a row per
-replicate for each grid point: V_0 .. V_d of F, then of C, then a 0/1
-column per spanning axis. The shards' rows are concatenated in replicate
-order and each column at the requested p becomes one estimate, so the
-estimates (and ``simulation.csv``) are bit-identical for every block
-size, worker count and grid that holds the p. A coupled sweep over a p
-grid draws its replicates once and reads one point per ``run_experiment``
-call from the cached values of the last grid. Independent per-p streams
-are derived on request and drawn one p at a time.
+which labels the lattice only where its coarse shadow spans. A block
+returns one float64 array, a row per replicate for each grid point:
+V_0 .. V_d of F, then of C, then a 0/1 column per spanning axis. The
+blocks' rows are concatenated in replicate order and each column at the
+requested p becomes one estimate, so the estimates (and
+``simulation.csv``) are bit-identical for every block size, worker count
+and grid that holds the p. A coupled sweep over a p grid draws its
+replicates once and reads one point per ``run_experiment`` call from the
+cached values of the last grid. Independent per-p streams are derived on
+request and drawn one p at a time.
 """
 
 from __future__ import annotations
@@ -57,19 +57,21 @@ _FUNCTIONAL_INDEX = {"V0": 0, "V1": 1, "V2": 2}
 #: n = 9 5087 at B = 1 (B = 2 and 4 up to 14 % slower at p >= 0.7).
 BLOCK_CELLS = 1 << 18
 
-#: Replicates per block at most: below n = 4 a block's int64 window
-#: histograms, counters and scores outweigh its cells. Traced peak of one
-#: block at M = 2, p = 1, n = 0 (sampling and window pass): 5.8 MB at this
-#: cap, 38 MB at the 262,144 replicates of BLOCK_CELLS alone; 100,000
-#: replicates at n = 0, 1 and 2 run at the same speed either way.
-BLOCK_REPLICATES = 4096
-
 #: Peak bytes of one ``geometry.minkowski`` call over a grid per lattice cell
 #: (the reductions and their int64 codes) and per lattice and grid point
 #: (int64 histograms and counters, integer scores, float64 V_k): traced at
 #: up to 16 and 144 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. Read only
 #: by ``_block_size``, which charges each lattice this or its draw.
 SCORE_BYTES_PER_CELL, SCORE_BYTES_PER_POINT = 20, 160
+
+#: Peak bytes of scoring per lattice whatever its size: the window lookup's
+#: two 81-bin int64 histograms (the running sum and one ``bincount``) and
+#: the block's counters. Traced through ``_run_block`` at p = 1, beside its
+#: value table, one point: 1,414 per lattice at n = 0 (blocks of 7,332),
+#: 1,234 of it beyond the cell and point terms. Every block of M = 2 and 3,
+#: d = 1 and 2, n = 0 .. 4, 1 .. 300 points, 1 MiB to the default budget,
+#: peaks within its charge, at most 0.95 of it (n = 0, 300 points, 1 MiB).
+SCORE_BYTES_PER_LATTICE = 1536
 
 
 @dataclass(frozen=True)
@@ -134,44 +136,38 @@ class ExperimentResult:
 
 def _block_size(params: ModelParams, n: int, budget_bytes: int, points: int) -> int:
     """Replicates per block over a grid of ``points`` p: each lattice is
-    charged the larger of its draw and its graded scoring, and a block holds
-    at most the charge of ``BLOCK_CELLS`` drawn cells, ``BLOCK_REPLICATES``
-    replicates and the memory budget. Raises
-    :class:`sampler.MemoryBudgetError` when the budget holds no lattice."""
+    charged the larger of its draw and its scoring (per cell, per lattice and
+    per point), and a block holds at most the charge of ``BLOCK_CELLS`` drawn
+    cells and the memory budget. Raises :class:`sampler.MemoryBudgetError`
+    when the budget holds no lattice."""
     cells = params.M ** (params.d * n)
     lattice = max(cells * sampler.PEAK_BYTES_PER_CELL,
-                  cells * SCORE_BYTES_PER_CELL + points * SCORE_BYTES_PER_POINT)
+                  cells * SCORE_BYTES_PER_CELL + SCORE_BYTES_PER_LATTICE
+                  + points * SCORE_BYTES_PER_POINT)
     if lattice > budget_bytes:
         raise sampler.MemoryBudgetError(
             f"a lattice of {cells} cells scored at {points} point(s) needs {lattice} bytes,"
             f" over {budget_bytes}"
         )
-    block = BLOCK_CELLS * sampler.PEAK_BYTES_PER_CELL // lattice
-    return max(1, min(block, BLOCK_REPLICATES, budget_bytes // lattice))
+    return max(1, min(BLOCK_CELLS * sampler.PEAK_BYTES_PER_CELL, budget_bytes) // lattice)
 
 
-def _run_shard(args):
-    """Values of replicates start .. start + count - 1 at every grid point,
-    shape ``(G, count, width)``: per replicate V_0 .. V_d of F, then of C,
+def _run_block(args):
+    """Values of replicates first .. last - 1 at every grid point, shape
+    ``(G, last - first, width)``: per replicate V_0 .. V_d of F, then of C,
     then a 0/1 column per spanning axis."""
-    params, grid, n, seed, start, count, connectivity, axes, budget_bytes = args
-    M, d = params.M, params.d
-    side = float(M) ** -n
+    params, grid, n, seed, first, last, connectivity, axes, budget_bytes = args
+    d, G = params.d, len(grid)
     width = 2 * (d + 1)
-    G = len(grid)
-    values = np.empty((G, count, width + len(axes)))
-    step = _block_size(params, n, budget_bytes, G)
-    for first in range(0, count, step):
-        last = min(first + step, count)
-        counts = sampler.sample_grid(M, d, grid, n, seed, np.arange(start + first, start + last),
-                                     budget_bytes)
-        # (replicate, point) rows into the (point, replicate) table through a view
-        values[:, first:last, :width] = geometry.minkowski(counts, side, d, G).reshape(
-            last - first, G, width).swapaxes(0, 1)
-        for row, lattice in zip(range(first, last), counts if axes else ()):
-            for column, j in enumerate(_first_spanning(lattice, G, axes, connectivity), width):
-                values[:j, row, column] = 0.0
-                values[j:, row, column] = 1.0
+    values = np.empty((G, last - first, width + len(axes)))
+    counts = sampler.sample_grid(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes)
+    # (replicate, point) rows into the (point, replicate) table through a view
+    values[..., :width] = geometry.minkowski(counts, float(params.M) ** -n, d, G).reshape(
+        last - first, G, width).swapaxes(0, 1)
+    for row, lattice in enumerate(counts if axes else ()):
+        for column, j in enumerate(_first_spanning(lattice, G, axes, connectivity), width):
+            values[:j, row, column] = 0.0
+            values[j:, row, column] = 1.0
     return values
 
 
@@ -195,32 +191,22 @@ def _first_spanning(counts: np.ndarray, G: int, axes: tuple, connectivity: int) 
     return firsts
 
 
-def _shard_plan(samples: int, workers: int):
-    """(start, count) of one contiguous shard per worker, sizes differing by at most one."""
-    base, extra = divmod(samples, workers)
-    start = 0
-    for i in range(workers):
-        count = base + (1 if i < extra else 0)
-        if count:
-            yield start, count
-        start += count
-
-
 @functools.lru_cache(maxsize=1)
 def _grid_values(params, grid, n, samples, seed, connectivity, axes, workers, budget_bytes):
     """Values of every replicate at every point of ``grid``, shape
     ``(G, samples, width)``, read-only; ``params`` is the model at the grid's
-    largest p. The key holds every argument, so a different worker count or
-    budget draws again."""
-    shard_args = [
-        (params, grid, n, seed, start, count, connectivity, axes, budget_bytes)
-        for start, count in _shard_plan(samples, workers)
-    ]
-    if len(shard_args) > 1:  # one process per shard: never more than samples
-        with ProcessPoolExecutor(max_workers=len(shard_args)) as pool:
-            partials = list(pool.map(_run_shard, shard_args))
+    largest p. The replicates run in blocks of ``_block_size``, cut to a
+    worker's share so that every worker has one; several workers take the
+    blocks in contiguous runs. The key holds every argument, so a different
+    worker count or budget draws again."""
+    step = min(_block_size(params, n, budget_bytes, len(grid)), -(-samples // workers))
+    blocks = [(params, grid, n, seed, first, min(first + step, samples), connectivity, axes,
+               budget_bytes) for first in range(0, samples, step)]
+    if workers == 1:
+        partials = list(map(_run_block, blocks))
     else:
-        partials = [_run_shard(a) for a in shard_args]
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            partials = list(pool.map(_run_block, blocks, chunksize=-(-len(blocks) // workers)))
     values = np.concatenate(partials, axis=1)
     values.flags.writeable = False
     return values
@@ -267,7 +253,7 @@ def run_experiment(
         if axis == "y" and params.d == 1:
             raise ArgumentError("spanning along y needs d = 2: a d = 1 lattice has one row")
     p = float(params.p)
-    # checked here, not only in the shards: before any worker pool starts
+    # checked here, not only in the blocks: before any worker pool starts
     grid = (p,) if grid is None else tuple(sampler._grid_points(params.M, params.d, grid).tolist())
     if p not in grid:
         raise ArgumentError(f"p = {p!r} is not a point of the grid {grid}")

@@ -47,10 +47,10 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: 11 at n = 8 and 17 for that block, and ``label`` at 5. A block of 1024
 #: lattices at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98
 #: peaks at 14, and at 19 with its thresholds and window passes; over 300
-#: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_shard``
-#: drawing and scoring it peaks at 24 over 37 points and at 39 over 300
-#: (blocks of 236), beside the value table it returns; blocks of 1, 10, 50
-#: and 100 lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
+#: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_block``
+#: on a block of 1000 over 37 points peaks at 24 beside its value table, on
+#: one of 230 over 300 points at 171, within its scoring charge. Blocks of 1,
+#: 10, 50 and 100 lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call: bounds the hash's temporaries (32 bytes per

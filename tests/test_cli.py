@@ -161,7 +161,7 @@ def test_budget_below_one_scored_lattice_exits_as_a_resource_guard(tmp_path, cap
     rc = cli.main(["simulate", "-M", "2", "-n", "4", "--p-step", "0.0025", "--samples", "2",
                    "--seed", "1", "--budget-bytes", "12288", "--out", str(out)])
     assert rc == EXIT_RESOURCE
-    assert "296 point(s) needs 52480 bytes, over 12288" in capsys.readouterr().err
+    assert "296 point(s) needs 54016 bytes, over 12288" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -38,9 +38,9 @@ def test_stderr_scales_like_inverse_sqrt_count():
 
 
 def _lattice_charge(cells, points):
-    """``MC._block_size``'s bytes for one lattice: its draw or its graded scoring."""
-    return max(cells * S.PEAK_BYTES_PER_CELL,
-               cells * MC.SCORE_BYTES_PER_CELL + points * MC.SCORE_BYTES_PER_POINT)
+    """``MC._block_size``'s bytes for one lattice: its draw or its scoring."""
+    return max(cells * S.PEAK_BYTES_PER_CELL, cells * MC.SCORE_BYTES_PER_CELL
+               + MC.SCORE_BYTES_PER_LATTICE + points * MC.SCORE_BYTES_PER_POINT)
 
 
 def _per_replicate_reference(params, n, samples, seed, axes):
@@ -101,7 +101,7 @@ def test_spanning_y_refused_in_one_dimension():
     assert _spanning(ModelParams(2, 1.0, 1), 3, 10, seed=0).mean == 1.0
 
 
-def test_merge_invariance_across_shardings():
+def test_merge_invariance_across_block_sizes():
     # one block of 800 replicates, then 8 blocks of 100 and 62 blocks of at most 13
     pr = ModelParams(2, 0.6, 2)
     base = MC.run_experiment(pr, 3, 800, seed=5)
@@ -115,7 +115,7 @@ def test_merge_invariance_across_shardings():
 def test_block_size_charges_the_draw_or_the_graded_scoring():
     # (M, n, grid points) -> replicates per block at the default budget
     pins = {(2, 8, 37): 4, (2, 12, 1): 1, (2, 4, 1): 1024, (3, 3, 1): 359, (2, 3, 1): 4096,
-            (2, 4, 300): 236}
+            (2, 4, 300): 230}
     for (M, n, points), block in pins.items():
         pr = ModelParams(M, 0.7, 2)
         assert MC._block_size(pr, n, S.DEFAULT_BUDGET_BYTES, points) == block, (M, n, points)
@@ -278,6 +278,44 @@ def test_independent_seeds_differ_from_coupled():
     assert not np.array_equal(a, b)
 
 
+def _face_count_variance(M, d, n, p):
+    """Var Z_n of the Galton-Watson generation Z_n with Binomial(M^d, p) offspring."""
+    m, sigma2 = M**d * p, M**d * p * (1 - p)
+    return sigma2 * m ** (n - 1) * (m**n - 1) / (m - 1)
+
+
+def test_face_count_variance_is_galton_watson():
+    # the law, not only the means: F_n's face count Z_n = V_d(F_n) M^(dn) is a
+    # Galton-Watson generation (Athreya & Ney, Branching Processes, 1972), and
+    # the mean of 20 independent batches' sample variances lies within 4
+    # batch standard errors of its variance
+    assert _face_count_variance(2, 2, 4, 0.6) == pytest.approx(305.0, abs=0.05)
+    for M, d, n, p in ((2, 2, 4, 0.6), (3, 2, 3, 0.7), (2, 1, 6, 0.8)):
+        scale = float(M) ** (d * n)
+        batches = [MC.run_experiment(ModelParams(M, p, d), n, 1000, seed)
+                   .estimates[("F", f"V{d}")].variance * scale**2 for seed in range(20)]
+        spread = McEstimate.of(batches)
+        exact = _face_count_variance(M, d, n, p)
+        assert abs(spread.mean - exact) < 4 * spread.stderr, (M, d, n, p, spread.mean, exact)
+
+
+def test_d1_spanning_probability_is_every_node_alive():
+    # a d = 1 lattice spans iff every node of levels 1..n lives:
+    # P = p^(M + M^2 + .. + M^n) = p^((M^(n+1) - M) / (M - 1))
+    from fractions import Fraction
+
+    from fracperc import oracle
+
+    for M, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)):
+        for p in (Fraction(0), Fraction(1, 3), Fraction(7, 10), Fraction(1)):
+            leaves = dict(oracle.leaf_distribution(M, p, n))
+            assert leaves[(1 << M**n) - 1] == p ** ((M ** (n + 1) - M) // (M - 1)), (M, n, p)
+    for M, n, p in ((2, 3, 0.95), (3, 2, 0.9), (2, 5, 0.98)):
+        exact = p ** ((M ** (n + 1) - M) // (M - 1))
+        est = _spanning(ModelParams(M, p, 1), n, 20000, seed=41)
+        assert abs(est.mean - exact) < 4 * math.sqrt(exact * (1 - exact) / 20000), (M, n, p)
+
+
 def test_d1_experiment():
     from fracperc import analytic
 
@@ -300,14 +338,15 @@ def test_workers_below_one_refused(workers):
         MC.run_experiment(ModelParams(2, 0.6, 2), 2, 10, seed=1, workers=workers)
 
 
-def test_worker_pool_sized_to_the_shard_plan(monkeypatch):
-    # ten replicates make ten shards, whatever the worker count; a stand-in
-    # pool records its size and maps in this process, so none is started
-    sizes = []
+def test_worker_pool_sized_to_the_blocks(monkeypatch):
+    # ten replicates make at most ten blocks, whatever the worker count; a
+    # stand-in pool records its size and chunks and maps in this process, so
+    # none is started
+    pools = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -315,20 +354,27 @@ def test_worker_pool_sized_to_the_shard_plan(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
+        def map(self, fn, iterable, chunksize=1):
+            pools.append(chunksize)
             return map(fn, iterable)
 
     monkeypatch.setattr(MC, "ProcessPoolExecutor", SerialPool)
     params = ModelParams(2, 0.6, 2)
     pooled = MC.run_experiment(params, 2, 10, seed=1, workers=5000)
-    assert sizes == [10]
+    assert pools == [10, 1]
     assert pooled.estimates == MC.run_experiment(params, 2, 10, seed=1).estimates
-    MC.run_experiment(params, 2, 10, seed=1, workers=3)
-    assert sizes == [10, 3]
+    MC.run_experiment(params, 2, 10, seed=1, workers=3)  # blocks of 4, 4 and 2
+    assert pools == [10, 1, 3, 1]
+    # a budget of one lattice: ten blocks of one, fed to three workers in runs of four
+    pools.clear()
+    one = _lattice_charge(4**2, 1)
+    pooled = MC.run_experiment(params, 2, 10, seed=1, workers=3, budget_bytes=one)
+    assert pools == [3, 4]
+    assert pooled.estimates == MC.run_experiment(params, 2, 10, seed=1).estimates
 
 
 def test_refused_grid_starts_no_workers(monkeypatch):
-    # the grid is checked before any pool is built, not in the shards
+    # the grid is checked before any pool is built, not in the blocks
     def no_pool(max_workers):
         raise AssertionError("a worker pool was started")
 

@@ -118,23 +118,29 @@ def test_replicate_peak_memory_within_guard_model():
             tracemalloc.stop()
         assert counts.dtype == dtype
         assert peak <= S.PEAK_BYTES_PER_CELL * cells, (len(grid), peak / cells)
-    # the shard that draws and scores the same block at every point in one
-    # graded pass, and a block of 256 cut by the budget: within the model,
-    # beside the value table the shard returns (its result, G x replicates x
-    # 6 float64, alone 56 B/cell over 300 points)
-    for grid in (default_grid, np.linspace(0.0, 1.0, 300)):
-        grid = tuple(float(p) for p in grid)
-        for count, budget in ((block, S.DEFAULT_BUDGET_BYTES),
-                              (256, 256 * 4**n * S.PEAK_BYTES_PER_CELL)):
+    # every block that _run_block draws and scores, sized by _block_size for
+    # its grid and budget, peaks within its charge beside the value table it
+    # returns (G x replicates x 2 (d + 1) float64); at n <= 2 the window
+    # lookup's histograms outweigh the cells
+    MC._run_block((params, (1.0,), 0, 3, 0, 2, 8, (), S.DEFAULT_BUDGET_BYTES))  # numpy's caches
+    cases = [(2, 2, n, G) for n in (0, 1, 2, 4) for G in (1, 2, 37, 300)]
+    for M, d, n, points in cases + [(3, 2, 2, 37), (2, 1, 6, 2)]:
+        params = ModelParams(M, 1.0, d)
+        grid = (1.0,) if points == 1 else tuple(np.linspace(0.0, 1.0, points).tolist())
+        cells = M ** (d * n)
+        charge = max(cells * S.PEAK_BYTES_PER_CELL, cells * MC.SCORE_BYTES_PER_CELL
+                     + MC.SCORE_BYTES_PER_LATTICE + points * MC.SCORE_BYTES_PER_POINT)
+        for budget in (1 << 20, S.DEFAULT_BUDGET_BYTES):
+            block = MC._block_size(params, n, budget, points)
             tracemalloc.start()
             try:
-                values = MC._run_shard((params, grid, n, 3, 0, count, 8, (), budget))
+                values = MC._run_block((params, grid, n, 3, 0, block, 8, (), budget))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert values.shape == (len(grid), count, 6)
-            limit = min(S.PEAK_BYTES_PER_CELL * count * 4**n, budget)
-            assert peak - values.nbytes <= limit, (len(grid), count, peak - values.nbytes)
+            assert values.shape == (points, block, 2 * (d + 1))
+            net = peak - values.nbytes
+            assert net <= block * charge, (M, d, n, points, budget, net / (block * charge))
 
 
 def test_small_blocks_peak_within_their_charge():
