@@ -12,13 +12,17 @@ V2 = s^2 #cells, with s the cell side length. ``vk_scores`` alone maps
 counters to the integer scores V_k / s^k, ``minkowski`` alone to float V_k.
 
 Two independent implementations are kept on purpose. ``window_counters``,
-the kernel of one-point Monte Carlo runs, the oracle and verification,
-counts the 2x2 windows of the image, one per lattice vertex (Michielsen &
-De Raedt, Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1 occupied or 2
-outside, so one 81-entry table gives each window's contribution both to F,
-which reads 1 as occupied, and to the closed complement C, which reads 0
-as occupied: one histogram pass measures F and C of a lattice or a stack.
-``audit_counters``, the graded pass, computes the same counters with
+which scores one-point Monte Carlo blocks, the oracle's patterns and
+verification, counts the 2x2 windows of the image, one per lattice vertex
+(Michielsen & De Raedt, Phys. Rep. 347, 461, 2001). A cell is 0 empty, 1
+occupied or 2 outside, so one 81-entry table gives each window's
+contribution both to F, which reads 1 as occupied, and to the closed
+complement C, which reads 0 as occupied: one histogram of window codes
+measures F and C of a lattice or a stack. A stack where few cells live
+(one in ``_SPARSE_RATIO`` or fewer, as at n = 12, p = 0.7) has its
+histogram read from the corner windows of its living cells, the windows
+they do not touch added per border class; any other is read window by
+window. ``audit_counters``, the graded pass, computes the same counters with
 direct reductions of an alive-count stack (``sampler.sample_grid``): F
 counts the cells, pairs or windows whose max count reaches a threshold, C
 all but those whose min count does, so seven histograms shared by F and C
@@ -41,6 +45,7 @@ to build and label, the 4096 x 4096 lattice 80-130 ms to label.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,16 +64,20 @@ _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 _BLOCK_WINDOWS = 1 << 20
 
 
+#: Per window code a + 3 b + 9 c + 27 d: the states of its cells NW, NE, SW,
+#: SE, each 0 empty, 1 occupied or 2 outside.
+_STATES = np.arange(81)[:, None] // 3 ** np.arange(4) % 3
+
+
 def _window_table() -> np.ndarray:
-    """Contributions of window code a + 3 b + 9 c + 27 d (cells NW, NE, SW, SE)
-    to the F, then the C (faces, edges_any, edges_shared, vertices), scaled by
-    4: the vertex is counted once per window, each incident edge is split
-    between its two endpoint windows and each cell between its four corners.
+    """Contributions of each window code to the F, then the C (faces,
+    edges_any, edges_shared, vertices), scaled by 4: the vertex is counted
+    once per window, each incident edge is split between its two endpoint
+    windows and each cell between its four corners.
     """
-    states = np.arange(81)[:, None] // 3 ** np.arange(4) % 3
     columns = []
     for inside in (1, 0):  # F reads 1 as occupied, C reads 0; outside is neither
-        a, b, c, d = (states == inside).T.astype(np.int64)
+        a, b, c, d = (_STATES == inside).T.astype(np.int64)
         pairs = ((a, b), (c, d), (a, c), (b, d))  # N, S, W, E edges at the vertex
         columns += [a + b + c + d, 2 * sum(x | y for x, y in pairs),
                     2 * sum(x & y for x, y in pairs), 4 * (a | b | c | d)]
@@ -76,6 +85,33 @@ def _window_table() -> np.ndarray:
 
 
 _WINDOW_TABLE = _window_table()
+
+#: Per window code: the share 12 / k of each of its k occupied cells (12 is
+#: the lcm of 1 .. 4; a code with none is never binned from a living cell),
+#: and its border class, the mask of its outside cells (NW 1, NE 2, SW 4,
+#: SE 8). The codes in order of class, where each class starts in that
+#: order, and per class the code of its windows that hold no occupied cell.
+_SHARES = 12 // np.maximum(1, (_STATES == 1).sum(axis=1))
+_CLASS = ((_STATES == 2) << np.arange(4)).sum(axis=1)
+_BY_CLASS = np.argsort(_CLASS, kind="stable")
+_CLASS_STARTS = np.searchsorted(_CLASS[_BY_CLASS], np.arange(16))
+_UNTOUCHED = (2 * (np.arange(16)[:, None] >> np.arange(4) & 1) * 3 ** np.arange(4)).sum(axis=1)
+
+#: The window histogram is read from the living cells of a stack where at
+#: most one cell in _SPARSE_RATIO lives, and from every window otherwise.
+#: Measured on a 2-vCPU box, M = 2, d = 2, Bernoulli lattices, time from the
+#: living cells over time from every window at 1 / 16, 1 / 24, 1 / 32 and
+#: 1 / 64 of the cells living: one lattice at n = 8 1.33, 0.80, 0.65, 0.44;
+#: n = 9 1.07, 0.74, 0.57, 0.32; n = 10 1.07, 0.80, 0.56, 0.37; n = 11 1.26,
+#: 0.80, 0.60, 0.36; n = 12 1.57, 0.95, 0.76, 0.39 (83 ms from every window);
+#: the default one-point blocks of 1,024 at n = 4 1.14, 0.95, 0.87, 0.72;
+#: 256 at n = 5 0.95, 0.72, 0.59, 0.42; 64 at n = 6 0.95, 0.68, 0.56, 0.32;
+#: 16 at n = 7 1.05, 0.92, 0.68, 0.37; 4 at n = 8 1.12, 0.71, 0.63, 0.42.
+#: One lattice at n = 4 .. 6 costs 1.3 .. 1.9 times as much at every share,
+#: and at n = 7 1.00 at 1 / 32: about 45 numpy calls against a pass of 40 ..
+#: 110 us; Monte Carlo draws such lattices in blocks. Sampled lattices at
+#: n = 12, p = 0.7 (1 in 61 to 68 living): 21-23 ms against 84-88 ms.
+_SPARSE_RATIO = 32
 
 
 def vk_scores(counters, d: int) -> np.ndarray:
@@ -87,36 +123,92 @@ def vk_scores(counters, d: int) -> np.ndarray:
     return np.array((v0, faces) if d == 1 else (v0, 2 * faces - edges_shared, faces)).T
 
 
+def _all_windows(block: np.ndarray) -> np.ndarray:
+    """The (lattices, 81) window histogram of a bool stack from every window.
+    A lattice with more than ``_BLOCK_WINDOWS`` windows is split into bands
+    of window rows, whose slices of the padded lattice overlap by one row,
+    so each window is counted once."""
+    size, H, W = block.shape
+    hist = np.zeros(81 * size, dtype=np.int64)
+    rows = max(1, _BLOCK_WINDOWS // (W + 1))
+    P = np.pad(block.view(np.uint8), ((0, 0), (1, 1), (1, 1)), constant_values=2)
+    offsets = 81 * np.arange(size)[:, None]
+    for top in range(0, H + 1, rows):
+        band = P[:, top : top + rows + 1]
+        codes = (band[:, :-1, :-1] + 3 * band[:, :-1, 1:]
+                 + 9 * band[:, 1:, :-1] + 27 * band[:, 1:, 1:])
+        hist += np.bincount((codes.reshape(size, -1) + offsets).ravel(), minlength=81 * size)
+    return hist.reshape(size, 81)
+
+
+def _living_windows(stack: np.ndarray) -> np.ndarray:
+    """The (lattices, 81) window histogram of a bool stack from its living
+    cells alone.
+
+    Each living cell reads its 3 x 3 neighbourhood, a neighbour beyond its
+    lattice as 2 (outside), and bins the codes of its four corner windows,
+    so a window with k occupied cells is binned k times. A window that no
+    living cell touches holds only empty and outside cells: its code is
+    fixed by its border class (interior, one of four edges or of four
+    corners), and it takes the windows of its class that were not touched.
+    """
+    size, H, W = stack.shape
+    cells = np.flatnonzero(stack)  # nonzeros of bool are found fastest
+    lattices, columns = np.divmod(cells, W)
+    lattices, rows = np.divmod(lattices, H)
+    lattices *= 81  # each lattice's offset into the histogram
+    # per neighbour row (column) offset -1, 0, 1: where it lies inside the lattice
+    inside_rows, inside_columns = (rows > 0, True, rows < H - 1), (columns > 0, True, columns < W - 1)
+    del rows, columns
+    flat = stack.reshape(-1).view(np.uint8)
+    state = {(1, 1): 1}
+    for i, j in itertools.product(range(3), repeat=2):
+        if (i, j) != (1, 1):
+            neighbour = flat.take(cells + ((i - 1) * W + j - 1), mode="clip")
+            state[i, j] = np.where(inside_rows[i] & inside_columns[j], neighbour, np.uint8(2))
+    del cells, inside_rows, inside_columns
+    codes = np.empty((4, len(lattices)), dtype=np.intp)
+    for k, (i, j) in enumerate(itertools.product(range(2), repeat=2)):  # the cell's NW corner .. SE
+        np.add(state[i, j] + 3 * state[i, j + 1] + 9 * state[i + 1, j] + 27 * state[i + 1, j + 1],
+               lattices, out=codes[k])
+    del state, lattices
+    hist = np.bincount(codes.reshape(-1), minlength=81 * size).reshape(size, 81)
+    del codes
+    # a touched window, binned once per occupied cell, takes 12 shares in all
+    hist *= _SHARES
+    assert not (hist % 12).any()
+    hist //= 12
+    touched = np.add.reduceat(hist[:, _BY_CLASS], _CLASS_STARTS, axis=1)
+    windows = np.zeros(16, dtype=np.int64)
+    for row_class, row_windows in ((3, 1), (0, H - 1), (12, 1)):  # the top row of windows .. bottom
+        for column_class, column_windows in ((5, 1), (0, W - 1), (10, 1)):
+            windows[row_class | column_class] = row_windows * column_windows
+    hist[:, _UNTOUCHED] = windows - touched
+    return hist
+
+
 def window_counters(occ: np.ndarray) -> np.ndarray:
     """Counters of F and C for one lattice or a stack on leading axes.
 
     Returns int64 of shape ``occ.shape[:-2] + (2, 4)``: F, then C, each
-    (faces, edges_any, edges_shared, vertices_any). Small lattices are
-    grouped into blocks of about ``_BLOCK_WINDOWS`` windows; a lattice with
-    more windows is split into bands of window rows, whose slices of the
-    padded lattice overlap by one row, so each window is counted once.
+    (faces, edges_any, edges_shared, vertices_any), the window histogram
+    times ``_WINDOW_TABLE``. The histograms of a stack whose living cells
+    are at most ``1 / _SPARSE_RATIO`` of its cells are read from those cells
+    (``_living_windows``), of any other from every window (``_all_windows``).
+    Small lattices are grouped into blocks of about ``_BLOCK_WINDOWS``
+    windows, each lattice also charged its 81 histogram bins.
     """
     occ = np.asarray(occ, dtype=bool)
     H, W = occ.shape[-2:]
     stack = occ.reshape((math.prod(occ.shape[:-2]), H, W))
+    sparse = stack.size and np.count_nonzero(stack) * _SPARSE_RATIO <= stack.size
+    histogram = _living_windows if sparse else _all_windows
     out = np.empty((len(stack), 8), dtype=np.int64)
     group = max(1, _BLOCK_WINDOWS // ((H + 1) * (W + 1) + 81))
-    rows = max(1, _BLOCK_WINDOWS // (W + 1))
     for start in range(0, len(stack), group):
-        block = stack[start : start + group]
-        size = len(block)
-        P = np.pad(block.view(np.uint8), ((0, 0), (1, 1), (1, 1)), constant_values=2)
-        offsets = 81 * np.arange(size)[:, None]
-        hist = np.zeros(81 * size, dtype=np.int64)
-        for top in range(0, H + 1, rows):
-            band = P[:, top : top + rows + 1]
-            codes = (band[:, :-1, :-1] + 3 * band[:, :-1, 1:]
-                     + 9 * band[:, 1:, :-1] + 27 * band[:, 1:, 1:])
-            hist += np.bincount((codes.reshape(size, -1) + offsets).ravel(), minlength=81 * size)
-        del P
-        counts4 = hist.reshape(size, 81) @ _WINDOW_TABLE
+        counts4 = histogram(stack[start : start + group]) @ _WINDOW_TABLE
         assert not (counts4 % 4).any()
-        out[start : start + size] = counts4 // 4
+        out[start : start + len(counts4)] = counts4 // 4
     return out.reshape(occ.shape[:-2] + (2, 4))
 
 
@@ -209,8 +301,10 @@ def minkowski(occ: np.ndarray, cell_side: float, d: int = 2,
     With ``points``, ``occ`` is an alive-count stack of G = ``points`` grid
     points (see :func:`audit_counters`) and the result gains a point axis,
     ``occ.shape[:-2] + (G, 2, d + 1)``, point j measuring ``occ >= G - j``.
-    One point is measured by the window lookup, several by one graded pass
-    (at one point, n = 12, the graded pass takes 0.8 s, the lookup 85 ms).
+    One point is measured by :func:`window_counters`, several by one graded
+    pass (at one point, n = 12, p = 0.7, the graded pass takes 0.8 s, the
+    window histogram read from every window 77 ms, from the living cells
+    18-28 ms).
     """
     if d not in (1, 2):
         raise ArgumentError(f"dimension d must be 1 or 2, got {d!r}")
@@ -251,11 +345,16 @@ class ClusterLabeling:
         return np.isin(self.labels, _spanning_labels(self.labels, axis))
 
 
-def _spanning_labels(labels: np.ndarray, axis: str) -> np.ndarray:
-    """Component labels present on both opposite borders along ``axis``."""
+def _checked_axis(axis: str) -> str:
+    """``axis``; ArgumentError unless it is 'x' or 'y'."""
     if axis not in ("x", "y"):
         raise ArgumentError(f"axis must be 'x' or 'y', got {axis!r}")
-    if axis == "x":
+    return axis
+
+
+def _spanning_labels(labels: np.ndarray, axis: str) -> np.ndarray:
+    """Component labels present on both opposite borders along ``axis``."""
+    if _checked_axis(axis) == "x":
         first, last = labels[:, 0], labels[:, -1]
     else:
         first, last = labels[0, :], labels[-1, :]
@@ -296,16 +395,19 @@ def spans(occ: np.ndarray, axes=("x", "y"), connectivity: int = 8) -> tuple:
     bools, labelling the lattice in full only where it can span.
 
     The shadow of the lattice marks the tiles that hold an occupied cell:
-    tiles of ``_tile(rows)`` x ``_tile(columns)`` cells, so a d = 1 row
-    has tiles of one row and a 4096 x 4096 lattice a 64 x 64 shadow. Two
-    adjacent cells lie in one tile or in adjacent tiles, and a border cell
-    in a border tile, so a component spanning an axis maps into one
-    spanning it in the shadow. The shadow is labelled first, and the
-    lattice only if it spans some axis of ``axes``.
+    tiles of ``_tile(rows)`` x ``_tile(columns)`` cells, so a 4096 x 4096
+    lattice has a 64 x 64 shadow. Two adjacent cells lie in one tile or in
+    adjacent tiles, and a border cell in a border tile, so a component
+    spanning an axis maps into one spanning it in the shadow. The shadow is
+    labelled first, and the lattice only if it spans some axis of ``axes``.
+    A lattice of one row (d = 1) is labelled nowhere: at either
+    connectivity it spans x iff every cell is occupied, y iff any cell is.
     """
     structure = _structure(connectivity)
     occ = np.asarray(occ, dtype=bool)
     H, W = occ.shape
+    if H == 1:
+        return tuple(bool(occ.all() if _checked_axis(axis) == "x" else occ.any()) for axis in axes)
     th, tw = _tile(H), _tile(W)
     # rows, then columns: 0.9 ms at 4096 x 4096, against 7 ms for one any() over both
     shadow = occ.reshape(H // th, th, W).any(axis=1).reshape(H // th, W // tw, tw).any(axis=2)

@@ -18,7 +18,8 @@ Spanning labels no lattice it can prove needless. A replicate's lattices
 are nested in p, so spanning is monotone over the grid, and a bisection
 finds each axis's first spanning point in at most ceil(log2(G + 1))
 probes of G points (``_first_spanning``); a probe is ``geometry.spans``,
-which labels the lattice only where its coarse shadow spans. A block
+which labels the lattice only where its coarse shadow spans, and a d = 1
+row nowhere. A block
 returns one float64 array, a row per replicate for each grid point:
 V_0 .. V_d of F, then of C, then a 0/1 column per spanning axis. The
 blocks' rows are concatenated in replicate order and each column at the
@@ -60,17 +61,25 @@ BLOCK_CELLS = 1 << 18
 #: Peak bytes of one ``geometry.minkowski`` call over a grid per lattice cell
 #: (the reductions and their int64 codes) and per lattice and grid point
 #: (int64 histograms and counters, integer scores, float64 V_k): traced at
-#: up to 16 and 144 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. Read only
-#: by ``_block_size``, which charges each lattice this or its draw.
+#: up to 16 and 144 for M = 2, d = 2, n = 4 .. 10, 2 .. 300 points. One
+#: point's window histogram peaks lower: read from every window at 10 per
+#: cell (n = 10) and 17 (a block of 1,024 at n = 4), from the living cells
+#: at about 52 per living cell, so 1.6 per cell at the most that takes that
+#: route (1 in 32 living): 1.8 at n = 10 and 0.85 at n = 12, p = 0.7, 5.6
+#: for a block of 1,024 at n = 4, p = 0.3. Read only by ``_block_size``,
+#: which charges each lattice this or its draw.
 SCORE_BYTES_PER_CELL, SCORE_BYTES_PER_POINT = 20, 160
 
-#: Peak bytes of scoring per lattice whatever its size: the window lookup's
-#: two 81-bin int64 histograms (the running sum and one ``bincount``) and
-#: the block's counters. Traced through ``_run_block`` at p = 1, beside its
-#: value table, one point: 1,414 per lattice at n = 0 (blocks of 7,332),
-#: 1,234 of it beyond the cell and point terms. Every block of M = 2 and 3,
-#: d = 1 and 2, n = 0 .. 4, 1 .. 300 points, 1 MiB to the default budget,
-#: peaks within its charge, at most 0.95 of it (n = 0, 300 points, 1 MiB).
+#: Peak bytes of scoring per lattice whatever its size: two 81-bin int64
+#: window histograms (read from every window: the histogram and one
+#: ``bincount``; from the living cells: the histogram and its copy in class
+#: order) and the block's counters. Traced through ``_run_block`` at p = 1,
+#: beside its value table, one point: 1,414 per lattice at n = 0 (blocks of
+#: 7,332), 1,234 of it beyond the cell and point terms; from the living
+#: cells at p = 0.02, 1,496 at n = 1 (blocks of 590, 0.84 of the charge).
+#: Every block of M = 2 and 3, d = 1 and 2, n = 0 .. 4, 1 .. 300 points,
+#: 1 MiB to the default budget, peaks within its charge, at most 0.95 of it
+#: (n = 0, 300 points, 1 MiB).
 SCORE_BYTES_PER_LATTICE = 1536
 
 

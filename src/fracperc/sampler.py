@@ -44,13 +44,15 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
 #: at p = 1, ``sample`` peaks at 18 at n = 8 and a one-point ``sample_grid``
 #: at 24 for a block of 256 lattices at n = 4; the F+C window pass peaks at
-#: 11 at n = 8 and 17 for that block, and ``label`` at 5. A block of 1024
-#: lattices at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98
-#: peaks at 14, and at 19 with its thresholds and window passes; over 300
-#: points up to p = 1 (uint16 counts) at 17 and 20. ``montecarlo._run_block``
-#: on a block of 1000 over 37 points peaks at 24 beside its value table, on
-#: one of 230 over 300 points at 171, within its scoring charge. Blocks of 1,
-#: 10, 50 and 100 lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
+#: 11 at n = 8 and 17 for that block read from every window, at 1.8 at
+#: n = 10, p = 0.7 and 0.85 at n = 12 read from the living cells (about 52
+#: per living cell), and ``label`` at 5. A block of 1024 lattices at n = 4
+#: drawn by ``sample_grid`` over 37 points up to 0.98 peaks at 14, and at 19
+#: with its thresholds and window passes; over 300 points up to p = 1
+#: (uint16 counts) at 17 and 20. ``montecarlo._run_block`` on a block of
+#: 1000 over 37 points peaks at 24 beside its value table, on one of 230 over
+#: 300 points at 171, within its scoring charge. Blocks of 1, 10, 50 and 100
+#: lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call: bounds the hash's temporaries (32 bytes per

@@ -7,6 +7,7 @@ import pytest
 from scipy import ndimage
 
 from fracperc import geometry as G
+from fracperc import oracle as O
 from fracperc import sampler as S
 from fracperc.analytic import ArgumentError, ModelParams
 
@@ -93,6 +94,84 @@ def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
         for occ, expected in zip(cases, whole):
             assert np.array_equal(G.window_counters(occ), expected), (budget, occ.shape)
             assert np.array_equal(G.window_counters(occ[0]), expected[0]), (budget, occ.shape)
+
+
+def _assert_branches_equal_audit(monkeypatch, occ):
+    """``window_counters(occ)`` equals ``audit_counters(occ)`` with its
+    histogram read from the living cells and from every window, each forced
+    through ``_SPARSE_RATIO``: 0 sends every stack to the living cells, 1e30
+    every stack with a living cell to the windows. Both histograms of the
+    stack are also compared directly, which covers the windows of an empty
+    stack."""
+    stack = np.asarray(occ, bool).reshape((-1,) + np.shape(occ)[-2:])
+    assert np.array_equal(G._living_windows(stack), G._all_windows(stack)), stack.shape
+    audit = G.audit_counters(occ)
+    for ratio in (0, 1e30):
+        monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
+        assert np.array_equal(G.window_counters(occ), audit), (np.shape(occ), ratio)
+
+
+def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
+    # sampled stacks near extinction (p = 1.1 / M^d) and at p = 0.7, one-row
+    # lattices too; each stack is also scored lattice by lattice
+    for M, d, n in ((2, 2, 10), (2, 2, 6), (3, 2, 5), (2, 1, 10), (3, 1, 6)):
+        for p in (1.1 / M**d, 0.7):
+            counts = S.sample_grid(M, d, [p], n, 9, np.arange(3 if n > 6 else 12))
+            _assert_branches_equal_audit(monkeypatch, counts.view(bool))
+            for occ in counts.view(bool)[:3]:
+                _assert_branches_equal_audit(monkeypatch, occ)
+    # empty lattices and stacks, down to one cell
+    for shape in ((1, 1), (1, 7), (7, 1), (5, 5), (3, 4, 6)):
+        _assert_branches_equal_audit(monkeypatch, np.zeros(shape, bool))
+    # one living cell at every position: on a border, in a corner, alone in a row or column
+    for H, W in ((1, 1), (1, 7), (7, 1), (3, 3), (5, 5)):
+        single = np.zeros((H * W, H, W), bool)
+        single.reshape(H * W, -1)[np.arange(H * W), np.arange(H * W)] = True
+        _assert_branches_equal_audit(monkeypatch, single)
+        for occ in single:
+            _assert_branches_equal_audit(monkeypatch, occ)
+    # mixed stacks: empty, full, single-cell and random lattices side by side
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        H, W = (int(v) for v in rng.integers(1, 12, size=2))
+        stack = rng.random((int(rng.integers(3, 9)), H, W)) < rng.choice((0.02, 0.1, 0.5, 0.9))
+        stack[0] = False
+        stack[1] = True
+        stack[2] = False
+        stack[2, rng.integers(H), rng.integers(W)] = True
+        _assert_branches_equal_audit(monkeypatch, stack)
+        _assert_branches_equal_audit(monkeypatch, np.stack((stack, stack[::-1])))
+
+
+def test_oracle_pattern_scores_from_either_branch(monkeypatch):
+    # every 4 x 4 pattern of the oracle's (M, n, d) = (2, 2, 2) table
+    keys = O._block_structure(2, 2, 2).keys
+    occ = (keys[:, None] >> (15 - np.arange(16)) & 1).astype(bool).reshape(-1, 4, 4)
+    audit = G.audit_counters(occ)
+    for ratio in (0, 1e30):
+        monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
+        scores = O._pattern_scores.__wrapped__(2, 2, 2)  # past the cache: scored again
+        assert np.array_equal(scores[..., :4], audit), ratio
+    assert np.array_equal(scores, O._pattern_scores(2, 2, 2))
+
+
+def test_window_counters_read_living_cells_under_the_ratio(monkeypatch):
+    # the branch is chosen over the stack it is given: living * ratio <= cells
+    calls = []
+    monkeypatch.setattr(G, "_living_windows", lambda stack: calls.append(stack.shape)
+                        or G._all_windows(stack))
+    occ = np.zeros((2, 8, 8), bool)
+    occ[0, 3, 3] = occ[0, 4, 4] = occ[1, 0, 0] = occ[1, 7, 7] = True  # 4 of 128 cells
+    G.window_counters(occ)
+    assert calls == [(2, 8, 8)]
+    G.window_counters(occ[0])  # 2 of 64
+    assert calls == [(2, 8, 8), (1, 8, 8)]
+    occ[0, 5, 5] = True  # 5 of 128, 3 of 64
+    G.window_counters(occ)
+    G.window_counters(occ[0])
+    assert len(calls) == 2
+    G.window_counters(np.zeros((0, 3), bool))  # no cells: every window is outside
+    assert len(calls) == 2
 
 
 def _assert_graded_equals_thresholds(counts, points):
@@ -354,6 +433,27 @@ def test_spans_on_any_shape():
             for connectivity in (4, 8):
                 lab = G.label(occ, connectivity)
                 assert G.spans(occ, ("x", "y"), connectivity) == _flags(lab, "xy"), shape
+
+
+def test_spans_of_one_row_without_labelling(monkeypatch):
+    # a 1 x L row spans x iff every cell is occupied and y iff any is, at
+    # either connectivity: the flags of label(), and no lattice labelled
+    rng = np.random.default_rng(17)
+    rows = [rng.random((1, int(rng.integers(1, 30)))) < density
+            for density in (0.0, 0.3, 0.7, 0.95, 1.0) for _ in range(40)]
+    calls = _counted_label(monkeypatch)
+    seen = set()
+    for occ in rows:
+        for connectivity in (4, 8):
+            lab = G.label(occ, connectivity)
+            labelled = len(calls)
+            for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
+                assert G.spans(occ, axes, connectivity) == _flags(lab, axes), (occ, axes)
+            assert len(calls) == labelled
+            seen.add(_flags(lab, "xy"))
+    assert seen == {(False, False), (False, True), (True, True)}
+    with pytest.raises(ArgumentError, match="axis"):
+        G.spans(rows[0], ("z",))
 
 
 def test_spans_labels_only_where_the_shadow_spans(monkeypatch):

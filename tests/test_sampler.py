@@ -73,7 +73,7 @@ def test_memory_guard():
         S.sample(ModelParams(2, 0.7, 2), 13, seed=0)
 
 
-def test_replicate_peak_memory_within_guard_model():
+def test_replicate_peak_memory_within_guard_model(monkeypatch):
     n = 8
     cells = 4**n
     for p in (0.7, 1.0):
@@ -141,6 +141,26 @@ def test_replicate_peak_memory_within_guard_model():
             assert values.shape == (points, block, 2 * (d + 1))
             net = peak - values.nbytes
             assert net <= block * charge, (M, d, n, points, budget, net / (block * charge))
+    # one-point blocks scored from their living cells, forced: at n = 10 and
+    # p = 0.7 about half the lattices have more than 1 / 32 of their cells living
+    monkeypatch.setattr(G, "_SPARSE_RATIO", 0)
+    for n, p in ((10, 0.7), (4, 0.3)):
+        params = ModelParams(2, p, 2)
+        cells = 4**n
+        charge = max(cells * S.PEAK_BYTES_PER_CELL, cells * MC.SCORE_BYTES_PER_CELL
+                     + MC.SCORE_BYTES_PER_LATTICE + MC.SCORE_BYTES_PER_POINT)
+        block = MC._block_size(params, n, S.DEFAULT_BUDGET_BYTES, 1)
+        assert block == (1 if n == 10 else 1024)
+        tracemalloc.start()
+        try:
+            values = MC._run_block((params, (p,), n, 3, 0, block, 8, (), S.DEFAULT_BUDGET_BYTES))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        living = values[0, :, 2].sum() * cells  # the area of F in cells
+        assert 0 < living < block * cells / 16, (n, p, living)
+        net = peak - values.nbytes
+        assert net <= block * charge, (n, p, net / (block * charge))
 
 
 def test_small_blocks_peak_within_their_charge():
