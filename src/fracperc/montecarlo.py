@@ -14,13 +14,10 @@ block once for a whole coupled p grid (a one-point grid by default), and
 one ``geometry.minkowski`` call given the grid size scores the whole
 block: V_0 .. V_d of F and C of every lattice at every point at cell side
 M^-n, by the window lookup over one point, one graded pass over several.
-Spanning labels no lattice it can prove needless. A replicate's lattices
-are nested in p, so spanning is monotone over the grid, and a bisection
-finds each axis's first spanning point in at most ceil(log2(G + 1))
-probes of G points (``_first_spanning``); a probe is ``geometry.spans``,
-which labels the lattice only where its coarse shadow spans, and a d = 1
-row nowhere. A block
-returns one float64 array, a row per replicate for each grid point:
+A replicate's lattices are nested in p, so spanning is monotone over the
+grid: one ``geometry.first_spanning`` call gives each lattice's first
+spanning point per axis, and the lattice spans at every point from it on.
+A block returns one float64 array, a row per replicate for each grid point:
 V_0 .. V_d of F, then of C, then a 0/1 column per spanning axis. The
 blocks' rows are concatenated in replicate order and each column at the
 requested p becomes one estimate, so the estimates (and
@@ -173,31 +170,10 @@ def _run_block(args):
     # (replicate, point) rows into the (point, replicate) table through a view
     values[..., :width] = geometry.minkowski(counts, float(params.M) ** -n, d, G).reshape(
         last - first, G, width).swapaxes(0, 1)
-    for row, lattice in enumerate(counts if axes else ()):
-        for column, j in enumerate(_first_spanning(lattice, G, axes, connectivity), width):
-            values[:j, row, column] = 0.0
-            values[j:, row, column] = 1.0
+    if axes:  # a lattice spans at every point from its first on
+        values[..., width:] = np.arange(G)[:, None, None] >= geometry.first_spanning(
+            counts, G, axes, connectivity)
     return values
-
-
-def _first_spanning(counts: np.ndarray, G: int, axes: tuple, connectivity: int) -> list:
-    """Per axis of ``axes``, the first grid point j whose lattice
-    ``counts >= G - j`` spans along it, G if none. The lattices are nested
-    in j, so spanning is monotone in j and a bisection finds each point in
-    at most ceil(log2(G + 1)) probes; a probe's flags for every axis are
-    kept for the others' bisections."""
-    flags = {}
-    firsts = []
-    for a in range(len(axes)):
-        lo, hi = 0, G
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid not in flags:  # one point's 0/1 counts are its lattice: no copy
-                occ = counts.view(bool) if G == 1 else counts >= G - mid
-                flags[mid] = geometry.spans(occ, axes, connectivity)
-            lo, hi = (lo, mid) if flags[mid][a] else (mid + 1, hi)
-        firsts.append(lo)
-    return firsts
 
 
 @functools.lru_cache(maxsize=1)
@@ -247,19 +223,18 @@ def run_experiment(
     those at ``params.p`` and equal a one-point run's. The last grid's
     values are cached, so a run at each of its points draws once.
 
-    An invalid level, sample count, worker count, seed, spanning axis or
-    grid, or a p outside ``grid``, raises :class:`ArgumentError` before any
-    replicate is drawn or worker started.
+    An invalid level, sample count, worker count, seed, connectivity,
+    spanning axis or grid, or a p outside ``grid``, raises
+    :class:`ArgumentError` before any replicate is drawn or worker started.
     """
     _integer("level n", n, 0)
     _integer("samples", samples, 2)  # a standard error needs two
     _integer("workers", workers, 1)
     # the seed also here: the cache would serve seed True the draw of seed 1
     _integer("seed", seed, 0, 2**64 - 1)
+    geometry._structure(connectivity)
     for axis in spanning_axes:
-        if axis not in ("x", "y"):
-            raise ArgumentError(f"spanning axis must be 'x' or 'y', got {axis!r}")
-        if axis == "y" and params.d == 1:
+        if geometry._checked_axis(axis) == "y" and params.d == 1:
             raise ArgumentError("spanning along y needs d = 2: a d = 1 lattice has one row")
     p = float(params.p)
     # checked here, not only in the blocks: before any worker pool starts

@@ -404,20 +404,31 @@ def _flags(lab, axes):
     return tuple(getattr(lab, f"spans_{axis}") for axis in axes)
 
 
+def _assert_first_spanning(counts, points, axes, connectivity) -> set:
+    """Assert that first_spanning gives label()'s span flags for every lattice
+    of a count stack at every grid point; return the flags seen."""
+    firsts = G.first_spanning(counts, points, axes, connectivity)
+    assert firsts.dtype == np.int64 and firsts.shape == counts.shape[:-2] + (len(axes),)
+    seen = set()
+    for j in range(points):
+        for occ, first in zip((counts >= points - j).reshape((-1,) + counts.shape[-2:]),
+                              firsts.reshape(-1, len(axes))):
+            flags = _flags(G.label(occ, connectivity), axes)
+            assert tuple((first <= j).tolist()) == flags, (j, axes, connectivity)
+            seen.add(flags)
+    return seen
+
+
 @pytest.mark.parametrize("M, d, n", [(2, 2, 6), (3, 2, 4), (2, 1, 7), (3, 1, 4)])
 def test_spans_equal_label_flags(M, d, n):
     # 12 replicates at 11 p on both sides of the spanning transition, as nested lattices
     grid = [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.96, 0.98, 1.0]
     counts = S.sample_grid(M, d, grid, n, 5, np.arange(12))
     seen = set()
-    for j in range(len(grid)):
-        for occ in counts >= len(grid) - j:
-            for connectivity in (4, 8):
-                lab = G.label(occ, connectivity)
-                for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
-                    assert G.spans(occ, axes, connectivity) == _flags(lab, axes), (j, axes)
-                seen.add(lab.spans_x)
-    assert seen == {False, True}
+    for connectivity in (4, 8):
+        for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
+            seen |= _assert_first_spanning(counts, len(grid), axes, connectivity)
+    assert {(False,), (True,)} <= seen
 
 
 def test_spans_on_any_shape():
@@ -425,53 +436,82 @@ def test_spans_on_any_shape():
     # a line along each border spans in the border tiles alone
     rng = np.random.default_rng(4)
     for shape in ((1, 1), (5, 7), (6, 10), (1, 9), (12, 8), (9, 27), (16, 16)):
-        lattices = [rng.random(shape) < density for density in (0.3, 0.5, 0.7, 0.9)]
-        for border in ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1)):
-            lattices.append(np.zeros(shape, bool))
-            lattices[-1][border] = True
-        for occ in lattices:
+        for points in (1, 5):
+            lattices = [rng.integers(0, points + 1, shape) * (rng.random(shape) < density)
+                        for density in (0.3, 0.5, 0.7, 0.9)]
+            for border in ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1)):
+                lattices.append(np.zeros(shape, np.uint8))
+                lattices[-1][border] = rng.integers(1, points + 1, shape)[border]
+            counts = np.array(lattices, dtype=np.uint8)
             for connectivity in (4, 8):
-                lab = G.label(occ, connectivity)
-                assert G.spans(occ, ("x", "y"), connectivity) == _flags(lab, "xy"), shape
+                _assert_first_spanning(counts, points, ("x", "y"), connectivity)
+        # a bool lattice is one point's
+        occ = rng.random(shape) < 0.7
+        assert np.array_equal(G.first_spanning(occ, 1), G.first_spanning(occ.view(np.uint8), 1))
 
 
 def test_spans_of_one_row_without_labelling(monkeypatch):
     # a 1 x L row spans x iff every cell is occupied and y iff any is, at
     # either connectivity: the flags of label(), and no lattice labelled
     rng = np.random.default_rng(17)
-    rows = [rng.random((1, int(rng.integers(1, 30)))) < density
-            for density in (0.0, 0.3, 0.7, 0.95, 1.0) for _ in range(40)]
     calls = _counted_label(monkeypatch)
-    seen = set()
-    for occ in rows:
-        for connectivity in (4, 8):
-            lab = G.label(occ, connectivity)
-            labelled = len(calls)
-            for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
-                assert G.spans(occ, axes, connectivity) == _flags(lab, axes), (occ, axes)
-            assert len(calls) == labelled
-            seen.add(_flags(lab, "xy"))
-    assert seen == {(False, False), (False, True), (True, True)}
+    for points in (1, 3, 11):
+        for length in (1, 2, 9, 29):
+            rows = rng.integers(0, points + 1, (5, 8, 1, length)).astype(np.uint8)
+            rows[0] = points  # occupied at every point
+            rows[1] = 0  # at none
+            seen = set()
+            for connectivity in (4, 8):
+                for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
+                    G.first_spanning(rows, points, axes, connectivity)
+                    assert calls == []
+                    seen |= _assert_first_spanning(rows, points, axes, connectivity)
+                    calls.clear()
+            assert {(False, False), (True, True)} <= seen, (points, length)
     with pytest.raises(ArgumentError, match="axis"):
-        G.spans(rows[0], ("z",))
+        G.first_spanning(rows, 11, ("z",))
+    with pytest.raises(ArgumentError, match="connectivity"):
+        G.first_spanning(rows, 11, ("x",), 6)
+    with pytest.raises(ArgumentError, match="counts"):
+        G.first_spanning(rows, 3, ("x",))
 
 
 def test_spans_labels_only_where_the_shadow_spans(monkeypatch):
     calls = _counted_label(monkeypatch)
     # the 27 x 27 shadow of this 729 x 729 lattice spans, the lattice does not
     occ = S.sample(ModelParams(3, 0.8, 2), 6, 1, 0).occupancy
-    assert G.spans(occ, ("x", "y"), 8) == (False, False)
+    assert G.first_spanning(occ, 1, ("x", "y"), 8).tolist() == [1, 1]
     assert len(calls) == 1
-    # a bar across x: its 4 x 4 shadow spans x only, so a request for y labels nothing
-    bar = np.zeros((16, 16), bool)
-    bar[5] = True
-    assert G.spans(bar, ("y",), 4) == (False,) and len(calls) == 1
-    assert G.spans(bar, ("x", "y"), 4) == (True, False) and len(calls) == 2
-    assert G.spans(np.zeros((16, 16), bool)) == (False, False) and len(calls) == 2
+    # a bar across x, alive at the points 4 .. 6 of 7: its 4 x 4 shadow spans x
+    # only, so a request for y labels nothing, and x at most 3 probes
+    bar = np.zeros((16, 16), np.uint8)
+    bar[5] = 3
+    calls.clear()
+    assert G.first_spanning(bar, 7, ("y",), 4).tolist() == [7] and calls == []
+    assert G.first_spanning(bar, 7, ("x", "y"), 4).tolist() == [4, 7]
+    assert 0 < len(calls) <= 2 * 3
+    calls.clear()
+    assert G.first_spanning(np.zeros((3, 16, 16), np.uint8), 7).tolist() == [[7, 7]] * 3
+    assert calls == []
+    # sampled lattices over 11 points: at most ceil(log2(12)) = 4 labellings per
+    # lattice and axis, none for those whose shadow never spans
+    grid = [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.96, 0.98, 1.0]
+    for M, n in ((2, 6), (3, 4)):
+        counts = S.sample_grid(M, 2, grid, n, 5, np.arange(12))
+        for axes in (("x",), ("y",), ("x", "y")):
+            for lattice in counts:
+                calls.clear()
+                G.first_spanning(lattice, len(grid), axes, 8)
+                assert len(calls) <= 4 * len(axes), (M, n, axes)
+    sparse = S.sample_grid(2, 2, [0.3, 0.4, 0.5], 8, 5, np.arange(4))
+    calls.clear()
+    assert (G.first_spanning(sparse, 3) == 3).all() and calls == []
     with pytest.raises(ArgumentError, match="axis"):
-        G.spans(bar, ("z",))
+        G.first_spanning(bar, 7, ("z",))
     with pytest.raises(ArgumentError, match="connectivity"):
-        G.spans(bar, ("x",), 6)
+        G.first_spanning(bar, 7, ("x",), 6)
+    with pytest.raises(ArgumentError, match="counts"):
+        G.first_spanning(bar, 2)
 
 
 def test_labels_constant_on_components():

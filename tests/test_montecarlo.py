@@ -397,6 +397,25 @@ def test_refused_level_starts_no_workers(monkeypatch):
         MC.run_experiment(ModelParams(2, 0.6, 2), -1, 10, seed=1, workers=2)
 
 
+def test_refused_connectivity_draws_nothing(monkeypatch):
+    # the connectivity is checked before any block is drawn or pool started,
+    # whether or not spanning is requested
+    draws = []
+
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(MC, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(S, "sample_grid", lambda *args: draws.append(args))
+    for workers in (1, 2):
+        for axes in ((), ("x",), ("x", "y")):
+            MC._grid_values.cache_clear()
+            with pytest.raises(ArgumentError, match="connectivity"):
+                MC.run_experiment(ModelParams(2, 0.7, 2), 3, 10, 0, connectivity=6,
+                                  spanning_axes=axes, workers=workers)
+    assert draws == []
+
+
 def test_default_functionals_cover_every_k_up_to_d():
     res = MC.run_experiment(ModelParams(3, 0.7, 1), 3, 20, seed=4)
     assert set(res.estimates) == {(t, f) for t in ("F", "C") for f in ("V0", "V1")}
