@@ -2,8 +2,9 @@
 
 A realization of ``F_n`` is generated level by level: each surviving cell
 of level ``l-1`` spawns ``M^d`` candidate children, and only candidates of
-living parents draw a uniform (dead subtrees are pruned, so the work is
-proportional to the number of living nodes). Uniforms come from the
+living parents draw a uniform (dead subtrees are pruned, so the work and
+the memory up to the last level are proportional to the number of living
+nodes). Uniforms come from the
 counter-based hash in :mod:`fracperc.rng`, so equal
 ``(M, p, d, n, seed, sample_index)`` always reproduce the grid bit for
 bit, in any traversal order and on any machine.
@@ -19,11 +20,14 @@ bit.
 
 Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
 array has a single row so the 2-d code paths are shared. A block of
-replicates is one ``(B, rows, columns)`` stack: each level hashes one key
-per replicate, and one pass over the stack's living candidates splits each
-flat position into (replicate, cell) and draws its uniform from that
-replicate's key, so every lattice of the stack equals the one ``sample``
-draws for its index. ``sample`` is the one-replicate, one-point grid,
+replicates is one ``(B, rows, columns)`` stack. Below the last level only
+the living cells are kept, as their flat positions in the level's stack and
+their counts; each level makes their children's positions arithmetically,
+hashes one key per replicate, splits each position into (replicate, cell)
+and draws its uniform from that replicate's key. The last level's children
+are written into one zeroed stack, so every lattice of the stack equals the
+one ``sample`` draws for its index, and no level's lattice is ever expanded
+or scanned in full. ``sample`` is the one-replicate, one-point grid,
 whose 0/1 counts are the lattice viewed as bool. Only ``F_n`` is drawn:
 the functionals of its closed complement ``C_n`` come from the same
 lattice through the window pass of :mod:`fracperc.geometry`.
@@ -42,21 +46,26 @@ from .analytic import ArgumentError, ModelParams, _integer
 DEFAULT_BUDGET_BYTES = 2 << 30
 
 #: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
-#: at p = 1, ``sample`` peaks at 18 at n = 8 and a one-point ``sample_grid``
-#: at 24 for a block of 256 lattices at n = 4; the F+C window pass peaks at
-#: 11 at n = 8 and 17 for that block read from every window, at 1.8 at
-#: n = 10, p = 0.7 and 0.85 at n = 12 read from the living cells (about 52
-#: per living cell), and ``label`` at 5. A block of 1024 lattices at n = 4
-#: drawn by ``sample_grid`` over 37 points up to 0.98 peaks at 14, and at 19
-#: with its thresholds and window passes; over 300 points up to p = 1
-#: (uint16 counts) at 17 and 20. ``montecarlo._run_block`` on a block of
-#: 1000 over 37 points peaks at 24 beside its value table, on one of 230 over
-#: 300 points at 171, within its scoring charge. Blocks of 1, 10, 50 and 100
-#: lattices over 37 points (one hash chunk each) at 40, 42, 40, 30.
+#: at p = 1, ``sample`` peaks at 9.5 at n = 8 and 3.8 at n = 10 and 12 (the
+#: stack, the living cells of level n - 1 and one hash chunk), at 1.1 at
+#: n = 12, p = 0.7, and a one-point ``sample_grid`` at 13 for a block of 256
+#: lattices at n = 4; the F+C window pass peaks at 11 at n = 8 and 17 for
+#: that block read from every window, at 1.8 at n = 10, p = 0.7 and 0.85 at
+#: n = 12 read from the living cells (about 52 per living cell), and
+#: ``label`` at 5. A block of 1024 lattices at n = 4 drawn by ``sample_grid``
+#: over 37 points up to 0.98 peaks at 5.5, and at 19 with its thresholds and
+#: window passes; over 300 points up to p = 1 (uint16 counts) at 6.9 and 20.
+#: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
+#: beside its value table, on one of 230 over 300 points at 171, within its
+#: scoring charge. Blocks of 1, 10, 50 and 100 lattices over 37 points peak
+#: at 36, 40, 39 and 27, where fixed costs of a few kB weigh most. The
+#: constant stays above every figure, and the block sizes rest on it.
 PEAK_BYTES_PER_CELL = 48
 
-#: Candidates hashed per call: bounds the hash's temporaries (32 bytes per
-#: candidate: its cell, key, hash buffer and one temporary) to a constant.
+#: Candidates hashed per call, the children of ``_HASH_CHUNK // M^d`` living
+#: parents (of one parent where M^d is larger): bounds the hash's
+#: temporaries (about 32 bytes per candidate: its position, cell, hash
+#: buffer and one temporary) to a constant.
 _HASH_CHUNK = 1 << 14
 
 
@@ -82,11 +91,21 @@ class GridRealization:
         return float(self.M) ** -self.n
 
 
-def _expand(occ: np.ndarray, M: int, d: int) -> np.ndarray:
-    """Blow each cell up into its M^d children (on the last two axes)."""
-    out = np.repeat(occ, M, axis=-1)
+def _children(f: np.ndarray, offsets: list, M: int, d: int, side: int) -> np.ndarray:
+    """Flat stack positions of the children of the cells at positions ``f``
+    of a level of side ``side``, shape ``(M^d, len(f))``: row k at
+    ``offsets[k]`` from each parent's first child. A parent at row r, column
+    c of the stack (rows run on across replicates) has its first child at
+    ``r * M^2 * side + c * M``, that is ``M * (f + r * (M - 1) * side)``,
+    or at ``M * f`` for d = 1."""
+    base = f * M
     if d == 2:
-        out = np.repeat(out, M, axis=-2)
+        row = f // side  # the stack's row, across replicates
+        row *= M * (M - 1) * side
+        base += row
+    out = np.empty((len(offsets), len(f)), dtype=base.dtype)
+    for k, offset in enumerate(offsets):  # one add per child offset
+        np.add(base, offset, out=out[k])
     return out
 
 
@@ -144,10 +163,13 @@ def sample_grid(
     ``indices[k]``, an integer in [0, 2^64), as is ``seed`` (ArgumentError
     otherwise). A cell's uniform u passes the test ``u < p`` at
     ``sum(u < p for p in grid)`` points, and its count is the smaller of
-    that and its parent's; level 0 counts G. Each level hashes one key per
-    replicate, then the uniforms of the whole stack's candidates with a
-    nonzero parent count, ``_HASH_CHUNK`` at a time, so a cell dead at the
-    grid's largest p hashes no children.
+    that and its parent's; level 0 counts G. Each level keeps only the
+    cells with a nonzero count, as flat stack positions, and makes their
+    children's positions from them (``_children``), so a cell dead at the
+    grid's largest p hashes no children and no lattice below level n is
+    built. Each level hashes one key per replicate, then the children's
+    uniforms ``_HASH_CHUNK`` at a time; the last level's counts are written
+    into the zeroed stack that is returned.
 
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
@@ -163,27 +185,47 @@ def sample_grid(
             f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
         )
     dtype = np.min_scalar_type(len(points))
-    counts = np.full((len(indices), 1, 1), len(points), dtype=dtype)
+    per_chunk = max(1, _HASH_CHUNK // M**d)  # parents whose children one hash chunk holds
+    live = np.arange(len(indices))  # flat stack positions of the living cells, level 0
+    counts = np.full(len(indices), len(points), dtype=dtype)  # and their counts
     for level in range(1, n + 1):
-        candidates = _expand(counts, M, d)
-        idx = np.flatnonzero(candidates != 0)  # numpy finds nonzeros of bool faster
         keys = rng.node_key(seed, indices, level)
+        side = M ** (level - 1)  # of the parents' level
         level_cells = M ** (d * level)
-        own = np.zeros(len(idx), dtype=dtype)
-        for lo in range(0, len(idx), _HASH_CHUNK):
-            part = idx[lo : lo + _HASH_CHUNK]
+        # a child in row a, column b of its parent's M x M block sits at
+        # a * M * side + b from the parent's first child (b for d = 1)
+        offsets = [a * M * side + b for a in range(M if d == 2 else 1) for b in range(M)]
+        parents = counts
+        if level == n:  # the last level is the stack itself
+            counts = np.zeros(len(indices) * level_cells, dtype=dtype)
+        else:
+            counts = np.empty(len(live) * M**d, dtype=dtype)
+            children, kept = np.empty(len(counts), dtype=live.dtype), 0
+        for first in range(0, len(live), per_chunk):
+            f = live[first : first + per_chunk]
+            part = _children(f, offsets, M, d, side)
             if len(indices) == 1:  # one replicate: the flat position is the cell
                 key, cell = keys[0], part
             else:
-                replicate = part // level_cells
-                key = keys[replicate]
-                replicate *= level_cells  # the buffer becomes the cell index
-                cell = np.subtract(part, replicate, out=replicate)
-            _count_below(rng.cell_uniforms(key, cell), points, own[lo : lo + _HASH_CHUNK])
-        flat = candidates.reshape(-1)
-        flat[idx] = np.minimum(flat[idx], own, out=own)
-        counts = candidates
-    return counts
+                replicate = f // side**d
+                key = np.broadcast_to(keys[replicate], part.shape)  # each parent's, for its children
+                cell = part - replicate * level_cells
+            own = np.zeros(part.shape, dtype=dtype)
+            _count_below(rng.cell_uniforms(key, cell).reshape(-1), points, own.reshape(-1))
+            del key, cell
+            np.minimum(own, parents[first : first + per_chunk], out=own)
+            if level == n:
+                counts[part] = own
+            else:
+                alive = np.flatnonzero(own != 0)  # numpy finds nonzeros of bool faster
+                counts[kept : kept + len(alive)] = own.reshape(-1)[alive]
+                children[kept : kept + len(alive)] = part.reshape(-1)[alive]
+                kept += len(alive)
+                del alive
+            del part, own  # before the next chunk hashes
+        if level < n:
+            live, counts = children[:kept], counts[:kept]
+    return counts.reshape(len(indices), M**n if d == 2 else 1, M**n)
 
 
 def sample(

@@ -37,7 +37,7 @@ def test_hierarchical_consistency():
     for n in (1, 3, 6):
         fine = S.sample(pr, n, seed=11, sample_index=2).occupancy
         coarse = S.sample(pr, n - 1, seed=11, sample_index=2).occupancy
-        parents = S._expand(coarse, 2, 2)
+        parents = np.kron(coarse, np.ones((2, 2), bool))
         assert not (fine & ~parents).any()
 
 
@@ -213,6 +213,32 @@ def test_sample_grid_matches_level_by_level_reference(M, d):
     j = grid.index(u)
     counts = S.sample_grid(M, d, grid, 1, seed, [4])
     assert counts[0].flat[1] == len(grid) - j - 1
+
+
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_grid_small_chunks_and_extinction_match_reference(M, d, monkeypatch):
+    # chunks of 13 candidates hold whole parents (one at M^d = 9), so a level
+    # takes many chunks, and most chunks of 2 or more parents mix replicates
+    monkeypatch.setattr(S, "_HASH_CHUNK", 13)
+    seed, indices = 8, list(range(12))
+    top = 1.2 / M**d  # a mean of 1.2 children: some replicates die out, some live
+    doomed, mixed = [0.05 / M**d, 0.1 / M**d], [top / 3, top / 2, top]
+    for grid in (doomed, mixed):
+        for n in range(5):
+            counts = S.sample_grid(M, d, grid, n, seed, indices)
+            assert counts.shape == (12, M**n if d == 2 else 1, M**n)
+            for k, index in enumerate(indices):
+                reference = _reference_lattices(M, d, grid, n, seed, index)
+                for j, occ in enumerate(reference):
+                    assert np.array_equal(counts[k] >= len(grid) - j, occ), (grid, n, index, j)
+    # n = 0 is one cell living at every point
+    assert np.array_equal(S.sample_grid(M, d, mixed, 0, seed, indices), np.full((12, 1, 1), 3))
+    # every doomed replicate is dead by level 3, so level 4 starts with no
+    # living cell; the mixed block loses some replicates by level 4, not all
+    assert not S.sample_grid(M, d, doomed, 3, seed, indices).any()
+    living = S.sample_grid(M, d, mixed, 4, seed, indices).reshape(12, -1).any(axis=1)
+    assert living.any() and not living.all(), living
 
 
 def test_sample_grid_refuses_a_bad_grid():
