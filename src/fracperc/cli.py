@@ -236,6 +236,13 @@ def _p_grid(config: RunConfig, d: int) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _write_table(path: Path, headers: list, rows: list) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(headers) + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
 def cmd_curves(config: RunConfig) -> int:
     grid = _p_grid(config, 2)
     m_list = tuple(config.m_list)
@@ -249,39 +256,17 @@ def cmd_curves(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     n_list = tuple(config.n_list)
     headers = ["p"] + [f"n{n}" for n in n_list] + ["ninf"]
-    for target, fname in (("F", "curves_f.csv"), ("C", "curves_c.csv")):
-        with open(out / fname, "w", encoding="ascii") as fh:
-            fh.write(",".join(headers) + "\n")
-            for p in grid:
-                params = ModelParams(config.M, p, 2)
-                row = [format_float(p)]
-                for n in n_list:
-                    if target == "F":
-                        value = float(analytic.vbar0_2d_finite(params, n))
-                    else:
-                        value = -float(analytic.vbarc0_2d_finite(params, n).vbar)
-                    row.append(format_float(value))
-                limit = float(analytic.limit_vk_2d(params, 0)) if target == "F" else -float(
-                    analytic.limit_vck_2d(params, 0)
-                )
-                row.append(format_float(limit))
-                fh.write(",".join(row) + "\n")
-    headers = (
-        ["p"]
-        + [f"f_M{m}" for m in m_list] + ["f_inf"]
-        + [f"c_M{m}" for m in m_list] + ["c_inf"]
-    )
-    with open(out / "limits.csv", "w", encoding="ascii") as fh:
-        fh.write(",".join(headers) + "\n")
-        for p in limits_grid:
-            row = [format_float(p)]
-            for m in m_list:
-                row.append(format_float(float(analytic.limit_vk_2d(ModelParams(m, p, 2), 0))))
-            row.append(format_float(float(analytic.large_m_v(p))))
-            for m in m_list:
-                row.append(format_float(-float(analytic.limit_vck_2d(ModelParams(m, p, 2), 0))))
-            row.append(format_float(float(analytic.large_m_vc(p))))
-            fh.write(",".join(row) + "\n")
+    f, c = thresholds.euler_curve, thresholds.complement_curve
+    for fname, curve in {"curves_f.csv": f, "curves_c.csv": c}.items():
+        rows = [[p, *(curve(config.M, p, n) for n in n_list), curve(config.M, p)] for p in grid]
+        _write_table(out / fname, headers, rows)
+    headers = ["p", *(f"f_M{m}" for m in m_list), "f_inf", *(f"c_M{m}" for m in m_list), "c_inf"]
+    rows = [
+        [p, *(f(m, p) for m in m_list), analytic.large_m_v(p),
+         *(c(m, p) for m in m_list), analytic.large_m_vc(p)]
+        for p in limits_grid
+    ]
+    _write_table(out / "limits.csv", headers, rows)
     print(f"wrote {out / 'curves_f.csv'}, {out / 'curves_c.csv'}, {out / 'limits.csv'}")
     return EXIT_OK
 

@@ -1,12 +1,15 @@
-"""Characteristic parameters of the limit curves and known threshold bounds.
+"""The paper's two Euler-characteristic curves, their characteristic
+parameters, and known threshold bounds.
 
-For each subdivision count M the rescaled Euler-characteristic curve of
-the construction sets has a unique zero p0 and a unique minimum p_min in
-(1/M^2, 1), and the negated complement curve has a unique zero p1. These
-are located by bisection and golden-section search on the closed-form
-limits (never on Monte Carlo estimates). Known rigorous bounds on the
-percolation threshold are tabulated for comparison; p0 and p1 act as
-lower-bound proxies for small M only.
+:func:`euler_curve` (construction sets F_n) and :func:`complement_curve`
+(negated, closed complements C_n) are the one definition of each curve,
+at a level n or in the limit; ``fracperc curves`` tabulates both and the
+searches read their limits. For each M the Euler curve has a unique zero
+p0 and minimum p_min in (1/M^2, 1), the complement curve a unique zero p1;
+bisection and golden-section search locate them on the closed-form limits
+(never on Monte Carlo estimates). Known rigorous bounds on the percolation
+threshold are tabulated for comparison; p0 and p1 act as lower-bound
+proxies for small M only.
 """
 
 from __future__ import annotations
@@ -85,35 +88,42 @@ def _bisect(f, lo: float, hi: float, width: float = 1e-13) -> RootResult:
     return RootResult(root, (lo, hi), abs(f(root)))
 
 
-def _assert_root(result: RootResult, what: str) -> None:
+def euler_curve(M: int, p: float, n: int | None = None) -> float:
+    """Rescaled Euler-characteristic curve of F_n in the plane; its limit
+    when n is omitted. p0 is its zero and p_min its minimum."""
+    params = ModelParams(M, p, 2)
+    if n is None:
+        return float(analytic.limit_vk_2d(params, 0))
+    return float(analytic.vbar0_2d_finite(params, n))
+
+
+def complement_curve(M: int, p: float, n: int | None = None) -> float:
+    """Negated rescaled Euler-characteristic curve of C_n in the plane; its
+    limit when n is omitted. p1 is its zero."""
+    params = ModelParams(M, p, 2)
+    if n is None:
+        return -float(analytic.limit_vck_2d(params, 0))
+    return -float(analytic.vbarc0_2d_finite(params, n).vbar)
+
+
+def _zero(curve, M: int, what: str) -> RootResult:
+    """Certified zero of the limit of ``curve`` in (1/M^2, 1)."""
+    result = _bisect(lambda p: curve(M, p), *_domain(M))
     if result.bracket[1] - result.bracket[0] >= 1e-12 or result.residual >= 1e-12:
         raise BracketingError(
-            f"{what}: bracket {result.bracket} residual {result.residual} too loose"
+            f"{what}({M}): bracket {result.bracket} residual {result.residual} too loose"
         )
+    return result
 
 
 def find_p0(M: int) -> float:
     """Zero of the construction-set limit curve in (1/M^2, 1)."""
-    return find_p0_result(M).value
-
-
-def find_p0_result(M: int) -> RootResult:
-    f = lambda p: float(analytic.limit_vk_2d(ModelParams(M, p, 2), 0))
-    result = _bisect(f, *_domain(M))
-    _assert_root(result, f"p0({M})")
-    return result
+    return _zero(euler_curve, M, "p0").value
 
 
 def find_p1(M: int) -> float:
     """Zero of the negated complement limit curve in (1/M^2, 1)."""
-    return find_p1_result(M).value
-
-
-def find_p1_result(M: int) -> RootResult:
-    f = lambda p: -float(analytic.limit_vck_2d(ModelParams(M, p, 2), 0))
-    result = _bisect(f, *_domain(M))
-    _assert_root(result, f"p1({M})")
-    return result
+    return _zero(complement_curve, M, "p1").value
 
 
 def _grid_scan_unimodal(f, lo: float, hi: float, points: int = 1000) -> tuple:
@@ -130,18 +140,14 @@ def _grid_scan_unimodal(f, lo: float, hi: float, points: int = 1000) -> tuple:
     return xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]
 
 
-def find_pmin(M: int) -> float:
-    """Minimizer of the construction-set limit curve in (1/M^2, 1)."""
-    return find_pmin_result(M).value
-
-
-def find_pmin_result(M: int, width: float = 1e-10) -> RootResult:
-    f = lambda p: float(analytic.limit_vk_2d(ModelParams(M, p, 2), 0))
+def _minimum(M: int) -> RootResult:
+    """Golden-section minimum of the construction-set limit curve."""
+    f = lambda p: euler_curve(M, p)
     lo, hi = _grid_scan_unimodal(f, *_domain(M))
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > width:
+    while hi - lo > 1e-10:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -152,6 +158,11 @@ def find_pmin_result(M: int, width: float = 1e-10) -> RootResult:
             fd = f(d)
     mid = 0.5 * (lo + hi)
     return RootResult(mid, (lo, hi), f(mid))
+
+
+def find_pmin(M: int) -> float:
+    """Minimizer of the construction-set limit curve in (1/M^2, 1)."""
+    return _minimum(M).value
 
 
 def known_bounds(M: int) -> tuple:
@@ -167,9 +178,9 @@ def known_bounds(M: int) -> tuple:
 
 def threshold_report(M: int) -> ThresholdReport:
     """Locate p0, p_min and p1 for one M and bundle the certificates."""
-    r0 = find_p0_result(M)
-    rmin = find_pmin_result(M)
-    r1 = find_p1_result(M)
+    r0 = _zero(euler_curve, M, "p0")
+    rmin = _minimum(M)
+    r1 = _zero(complement_curve, M, "p1")
     return ThresholdReport(
         M=M,
         p0=r0.value,

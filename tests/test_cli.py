@@ -344,6 +344,13 @@ def test_thresholds_command(tmp_path, capsys):
     assert json.loads(out.read_text())[0]["M"] == 2
 
 
+def test_thresholds_stdout_digest_pinned(capsys):
+    # the float bits of p0, p_min, p1 and their residuals, found on the limit curves
+    assert cli.main(["thresholds", "--m-list", "2,3,4,8,32,128,1024"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "6b2823478d1b797f9e6e7038305f60f57b6d37ed71cd6a0bb8fbb96b7fb6240e"
+
+
 def test_verify_passes(capsys):
     rc = cli.main(["verify", "--seed", "20240801"])
     assert rc == EXIT_OK

@@ -33,6 +33,8 @@ def test_roots_change_sign_and_are_tight():
         assert f(rep.p0 - eps) > 0 > f(rep.p0 + eps)
         g = lambda p: -float(analytic.limit_vck_2d(ModelParams(M, p, 2), 0))
         assert g(rep.p1 - eps) > 0 > g(rep.p1 + eps)
+        # the single-value searches are the report's searches
+        assert (T.find_p0(M), T.find_p1(M), T.find_pmin(M)) == (rep.p0, rep.p1, rep.pmin)
 
 
 def test_order_zero_min_below_one():
