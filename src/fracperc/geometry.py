@@ -26,7 +26,9 @@ window. ``audit_counters``, the graded pass, computes the same counters with
 direct reductions of an alive-count stack (``sampler.sample_grid``): F
 counts the cells, pairs or windows whose max count reaches a threshold, C
 all but those whose min count does, so seven histograms shared by F and C
-give both at every point of a coupled p grid at once. Its bool (one-point)
+give both at every point of a coupled p grid at once. Where a lattice has
+a few windows per (max, min) pair of counts, each pair and window is binned
+once by that pair and the histograms are its marginals. Its bool (one-point)
 case is the audit route of the lookup; ``minkowski`` given a grid of
 several points takes its graded case, which scores Monte Carlo blocks
 drawn over that grid. A third, structurally different cross-check obtains
@@ -112,6 +114,23 @@ _UNTOUCHED = (2 * (np.arange(16)[:, None] >> np.arange(4) & 1) * 3 ** np.arange(
 #: 110 us; Monte Carlo draws such lattices in blocks. Sampled lattices at
 #: n = 12, p = 0.7 (1 in 61 to 68 living): 21-23 ms against 84-88 ms.
 _SPARSE_RATIO = 32
+
+#: The graded pass bins each pair and window once by (max, min) where a
+#: lattice has at least _JOINT_RATIO windows per joint bin, (G + 1)^2, and by
+#: max and by min apart otherwise. Measured on a 2-vCPU box, sampled stacks
+#: of the default block sizes, M = 2, d = 2: time apart over time jointly at
+#: 0.73 .. 0.89 windows per bin 0.72 (300 points, n = 8), 0.87 (37, n = 5),
+#: 1.04 (17, n = 4), 1.05 (9, n = 3); at 1.47 .. 1.65 1.03 .. 1.20; at 2.0 ..
+#: 2.3 1.09 .. 1.21 and 0.95 .. 0.99 for blocks of 7,084 one-point n = 1
+#: lattices; at 2.9 .. 6.5 1.15 .. 1.29; at 11 .. 180 1.25 .. 1.43 (37 points:
+#: 3.4 against 4.6 ms at n = 8, 4 lattices). A joint histogram holds 8 bytes
+#: per bin, so at most 4 per window here. A stack of fewer than
+#: _JOINT_WINDOWS windows in all bins apart: there the joint route's extra
+#: numpy calls outweigh the ``bincount`` they save. One lattice at one point,
+#: per pair kind or the windows: 47 x 47 cells 26 against 21 us jointly and
+#: apart, 64 x 64 32 against 35, 90 x 90 48 against 60; 16 lattices of
+#: 16 x 16 39 against 41.
+_JOINT_RATIO, _JOINT_WINDOWS = 2, 4096
 
 
 def vk_scores(counters, d: int) -> np.ndarray:
@@ -212,9 +231,32 @@ def window_counters(occ: np.ndarray) -> np.ndarray:
     return out.reshape(occ.shape[:-2] + (2, 4))
 
 
+def _bin_jointly(by_max: np.ndarray, by_min: np.ndarray, high: np.ndarray, low: np.ndarray,
+                 bins: int) -> None:
+    """Add to the flat (lattice, count) histograms ``by_max`` and ``by_min``
+    the items of a stack whose max counts are ``high`` and min counts
+    ``low``: one ``bincount`` of max * bins + min, offset by lattice, and
+    its two marginals. The codes take the least unsigned dtype that holds
+    them: at 4 lattices and 37 points uint16, which cut a call from 0.83 to
+    0.62 ms against intp."""
+    size = len(high)
+    dtype = np.min_scalar_type(size * bins * bins - 1)
+    code = np.multiply(high, bins, dtype=dtype)
+    code += low
+    code += (bins * bins * np.arange(size)).astype(dtype).reshape(size, 1, 1)
+    joint = np.bincount(code.reshape(-1), minlength=size * bins * bins).reshape(size, bins, bins)
+    del code
+    # einsum: 3-5 times numpy's sum over the short axes of many lattices
+    by_max += np.einsum("lhm->lh", joint).reshape(-1)
+    by_min += np.einsum("lhm->lm", joint).reshape(-1)
+
+
 def _graded(counts: np.ndarray, G: int) -> np.ndarray:
     """The graded pass over a count stack of G points: int64
-    ``counts.shape[:-2] + (G, 2, 4)``."""
+    ``counts.shape[:-2] + (G, 2, 4)``. Pairs and windows are binned jointly
+    by (max, min) (``_bin_jointly``) where a lattice has ``_JOINT_RATIO``
+    windows per joint bin or more and the stack ``_JOINT_WINDOWS`` windows,
+    and by max and by min apart otherwise."""
     H, W = counts.shape[-2:]
     size, bins = math.prod(counts.shape[:-2]), G + 1
     block = counts.reshape((size, H, W))
@@ -232,13 +274,30 @@ def _graded(counts: np.ndarray, G: int) -> np.ndarray:
     P[:, 1:-1, 1:-1] = block
     # interior pairs by max for F's edges_any and C's edges_shared, by min the other
     # way round; windows by max, the outside 0, for F, and by min, the outside G, for C
-    for pad, reduce, pairs, windows in ((0, np.maximum, c_shared, vertices),
-                                        (G, np.minimum, edges_shared, c_vertices)):
-        P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = pad
-        columns = reduce(P[:, :-1], P[:, 1:])  # vertical pairs; their pairs are the windows
-        count(pairs, columns[:, 1:-1, 1:-1])
-        count(pairs, reduce(block[:, :, :-1], block[:, :, 1:]))
-        count(windows, reduce(columns[:, :, :-1], columns[:, :, 1:]))
+    lattice_windows = (H + 1) * (W + 1)
+    if bins * bins * _JOINT_RATIO <= lattice_windows and size * lattice_windows >= _JOINT_WINDOWS:
+        # horizontal pairs, vertical pairs (interior columns of the padded
+        # ones), windows: each item binned once by (max, min)
+        _bin_jointly(c_shared, edges_shared, np.maximum(block[:, :, :-1], block[:, :, 1:]),
+                     np.minimum(block[:, :, :-1], block[:, :, 1:]), bins)
+        P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = 0
+        high = np.maximum(P[:, :-1], P[:, 1:])
+        P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = G
+        low = np.minimum(P[:, :-1], P[:, 1:])
+        del P
+        _bin_jointly(c_shared, edges_shared, high[:, 1:-1, 1:-1], low[:, 1:-1, 1:-1], bins)
+        high = np.maximum(high[:, :, :-1], high[:, :, 1:])
+        low = np.minimum(low[:, :, :-1], low[:, :, 1:])
+        _bin_jointly(vertices, c_vertices, high, low, bins)
+        del high, low
+    else:
+        for pad, reduce, pairs, windows in ((0, np.maximum, c_shared, vertices),
+                                            (G, np.minimum, edges_shared, c_vertices)):
+            P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = pad
+            columns = reduce(P[:, :-1], P[:, 1:])  # vertical pairs; their pairs are the windows
+            count(pairs, columns[:, 1:-1, 1:-1])
+            count(pairs, reduce(block[:, :, :-1], block[:, :, 1:]))
+            count(windows, reduce(columns[:, :, :-1], columns[:, :, 1:]))
     edges_any += c_shared
     c_any += edges_shared
     # in place, the items reaching G, G - 1, .., 1: point 0, 1, .., G - 1
@@ -281,9 +340,13 @@ def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
     edges_shared the min over interior pairs. C counts all items but those
     whose min (the outside padded with G; the max for edges_shared) reaches
     it, so F and C share seven histograms of the values 0..G and one of the
-    border cells, each one ``bincount`` offset by lattice, summed from the
-    top. The stack is graded whole: ``montecarlo._block_size`` sizes the
-    blocks it scores.
+    border cells, summed from the top. Each is a ``bincount`` offset by
+    lattice, or, where a lattice has ``_JOINT_RATIO`` windows per bin of
+    (G + 1)^2 or more and the stack ``_JOINT_WINDOWS`` windows (a bool
+    lattice from 63 x 63 cells on), a pair kind's or the windows' max and
+    min histograms are the marginals of one ``bincount`` of (max, min). The
+    stack is graded whole: ``montecarlo._block_size`` sizes the blocks it
+    scores.
     """
     if points is None:
         return _graded(np.asarray(counts, dtype=bool).view(np.uint8), 1)[..., 0, :, :]

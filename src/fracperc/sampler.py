@@ -16,7 +16,10 @@ grid points at which the cell lives (in the smallest unsigned dtype that
 holds the grid's size), the least over its ancestry of the points p with
 ``u < p``, so a cell dead at the grid's largest p hashes no children.
 Thresholding the counts at a grid point gives that p's lattice, bit for
-bit.
+bit. A grid of a few points is counted one compare per point; a larger
+one from a bucket table built once per call: [0, 1) cut into a power of
+two of buckets, so that the points above a uniform's bucket are one
+lookup and only the points inside it are compared.
 
 Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
 array has a single row so the 2-d code paths are shared. A block of
@@ -58,15 +61,33 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
 #: beside its value table, on one of 230 over 300 points at 171, within its
 #: scoring charge. Blocks of 1, 10, 50 and 100 lattices over 37 points peak
-#: at 36, 40, 39 and 27, where fixed costs of a few kB weigh most. The
-#: constant stays above every figure, and the block sizes rest on it.
+#: at 43, 41, 39 and 27, where fixed costs of a few kB weigh most (the block
+#: of 1 holds the 1.2 kB bucket table and counts its 256-uniform chunks by
+#: compares, ``_TABLE_CANDIDATES``). The constant stays above every figure,
+#: and the block sizes rest on it.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call, the children of ``_HASH_CHUNK // M^d`` living
 #: parents (of one parent where M^d is larger): bounds the hash's
 #: temporaries (about 32 bytes per candidate: its position, cell, hash
-#: buffer and one temporary) to a constant.
+#: buffer and one temporary) and the count's (its position, uniform, the
+#: bucket table's intp indices and gathered points, about 35) to a constant.
 _HASH_CHUNK = 1 << 14
+
+#: Grids of _TABLE_POINTS points or more count a chunk of _TABLE_CANDIDATES
+#: uniforms or more from a bucket table (``_bucket_table``); smaller grids
+#: and chunks take one compare per point. Measured on a 2-vCPU box, points
+#: 0.26 .. 0.98: a 16,384-uniform chunk takes 5.4 us per point by compares
+#: (19 at 2 points, 80 at 12, 198-207 at 37) and 73-89 us from the table at
+#: any grid size (90 at 300 points); 2,048 uniforms 9 .. 61 us by compares
+#: at 2 .. 20 points, 18-24 from the table. ``sample_grid`` per block of 4 at
+#: n = 8, 64 at n = 6 and 1,024 at n = 4, compares against table: even at
+#: 10 to 16 points, the table slower by 6 to 20 % at 2 to 8, faster by 20 to
+#: 45 % at 37. The table holds about 17 bytes per uniform more than the
+#: compares (its intp indices and gathered points); in a chunk of a few
+#: hundred, as in a block of one n = 4 lattice, that lifted the block's
+#: traced peak from 40 to 56 bytes per cell, over its charge.
+_TABLE_POINTS, _TABLE_CANDIDATES = 12, 1024
 
 
 class MemoryBudgetError(RuntimeError):
@@ -134,12 +155,52 @@ def _grid_points(M: int, d: int, grid) -> np.ndarray:
     return points
 
 
-def _count_below(u: np.ndarray, points, out: np.ndarray) -> None:
-    """Add to ``out`` the number of ``points`` p with ``u < p``, per uniform;
-    ``u`` and its mask are freed on return, before the next chunk hashes."""
+def _bucket_table(points: np.ndarray) -> tuple:
+    """The bucket table of an ascending grid of G points: (K, above, inside).
+
+    [0, 1) is split into K buckets, K the least power of two at or above
+    2G, so u K and p K are exact and bucket b = floor(p K) orders as p does
+    (p = 1 falls in bucket K, above every uniform). ``above[b]`` is the
+    number of points in buckets above b, in the counts' dtype; row r of
+    ``inside`` holds the r-th point of each bucket times K, -1 where the
+    bucket has fewer than r + 1 points. Repeated or clustered points only
+    add rows: there is one where the points lie 1 / K apart or more.
+    """
+    K = 1 << (2 * len(points) - 1).bit_length()
+    scaled = points * K
+    bucket = scaled.astype(np.int64)
+    above = len(points) - np.searchsorted(bucket, np.arange(K), side="right")
+    inner = bucket < K
+    rank = np.arange(len(points)) - np.searchsorted(bucket, bucket)  # within its bucket
+    inside = np.full((rank[inner].max(initial=-1) + 1, K), -1.0)
+    inside[rank[inner], bucket[inner]] = scaled[inner]
+    return K, above.astype(np.min_scalar_type(len(points))), inside
+
+
+def _count_below(u: np.ndarray, points: np.ndarray, table, out: np.ndarray) -> None:
+    """Write to ``out`` the number of ``points`` p with ``u < p``, per uniform.
+
+    With their ``_bucket_table`` ``table``, a chunk of ``_TABLE_CANDIDATES``
+    uniforms or more is read from it: the points above u's bucket, and one
+    compare per row with the points inside it. Otherwise each point is one
+    compare. ``u`` may be scaled by K in place; it, its bucket indices
+    (uint8 up to K = 256) and the gathered points are freed on return,
+    before the next chunk hashes."""
     below = np.empty(len(u), dtype=bool)
-    for p in points:
-        np.less(u, p, out=below)
+    if table is None or len(u) < _TABLE_CANDIDATES:
+        out.fill(0)
+        for p in points:
+            np.less(u, p, out=below)
+            np.add(out, below.view(np.uint8), out=out)
+        return
+    K, above, inside = table
+    u *= K
+    index = u.astype(np.min_scalar_type(K - 1))  # the floor: u K lies in [0, K)
+    above.take(index, out=out, mode="clip")  # "clip" writes out unbuffered; no index clips
+    gathered = np.empty(len(u))
+    for row in inside:
+        row.take(index, out=gathered, mode="clip")
+        np.less(u, gathered, out=below)
         np.add(out, below.view(np.uint8), out=out)
 
 
@@ -185,6 +246,7 @@ def sample_grid(
             f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
         )
     dtype = np.min_scalar_type(len(points))
+    table = _bucket_table(points) if len(points) >= _TABLE_POINTS and n else None
     per_chunk = max(1, _HASH_CHUNK // M**d)  # parents whose children one hash chunk holds
     live = np.arange(len(indices))  # flat stack positions of the living cells, level 0
     counts = np.full(len(indices), len(points), dtype=dtype)  # and their counts
@@ -210,9 +272,11 @@ def sample_grid(
                 replicate = f // side**d
                 key = np.broadcast_to(keys[replicate], part.shape)  # each parent's, for its children
                 cell = part - replicate * level_cells
-            own = np.zeros(part.shape, dtype=dtype)
-            _count_below(rng.cell_uniforms(key, cell).reshape(-1), points, own.reshape(-1))
+            u = rng.cell_uniforms(key, cell).reshape(-1)
             del key, cell
+            own = np.empty(part.shape, dtype=dtype)
+            _count_below(u, points, table, own.reshape(-1))
+            del u
             np.minimum(own, parents[first : first + per_chunk], out=own)
             if level == n:
                 counts[part] = own

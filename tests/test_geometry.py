@@ -220,6 +220,34 @@ def test_graded_pass_equals_window_counters_at_every_point():
     _assert_graded_equals_thresholds(wide.astype(np.uint32), 300)
 
 
+def test_graded_pass_takes_the_joint_route_from_its_boundaries(monkeypatch):
+    # a stack bins its pairs and windows jointly by (max, min), three calls,
+    # where each lattice has _JOINT_RATIO windows per joint bin, (G + 1)^2,
+    # and the stack _JOINT_WINDOWS windows: exactly at each boundary, and
+    # apart, no call, one column or one lattice fewer
+    calls = []
+    joint = G._bin_jointly
+    monkeypatch.setattr(G, "_bin_jointly", lambda *args: calls.append(args[-1]) or joint(*args))
+    rng = np.random.default_rng(32)
+    cases = []
+    for points in (1, 2, 37, 255, 256):  # at 255 points one lattice's codes fill uint16
+        # H = G and W = (G + 1) _JOINT_RATIO - 1: the ratio's boundary
+        H, W = points, (points + 1) * G._JOINT_RATIO - 1
+        assert (H + 1) * (W + 1) == (points + 1) ** 2 * G._JOINT_RATIO
+        size = -(-G._JOINT_WINDOWS // ((H + 1) * W))  # the stack's windows above its bound
+        cases += [(points, (size, H, W), True), (points, (size, H, W - 1), False)]
+    # 7 x 7 lattices at one point have 64 windows, 16 per joint bin
+    size = G._JOINT_WINDOWS // 64
+    assert size * 64 == G._JOINT_WINDOWS
+    cases += [(1, (size, 7, 7), True), (1, (size - 1, 7, 7), False)]
+    for points, shape, jointly in cases:
+        counts = rng.integers(0, points + 1, size=shape)
+        counts[0, 0, 0] = points
+        calls.clear()
+        _assert_graded_equals_thresholds(counts.astype(np.min_scalar_type(points)), points)
+        assert calls == [points + 1] * (3 if jointly else 0), (points, shape)
+
+
 def test_graded_pass_refuses_counts_it_cannot_grade():
     with pytest.raises(ArgumentError, match="0..2"):
         G.audit_counters(np.full((2, 2), 3, np.uint8), 2)

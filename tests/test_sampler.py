@@ -241,6 +241,51 @@ def test_sample_grid_small_chunks_and_extinction_match_reference(M, d, monkeypat
     assert living.any() and not living.all(), living
 
 
+def test_bucket_count_equals_the_per_point_count(monkeypatch):
+    # per uniform, the bucket table's count and the per-point loop's equal the
+    # plain sum of u < p: at every point itself (u == p counts nothing), at
+    # its float neighbours on both sides, at 0 and at the largest uniform
+    monkeypatch.setattr(S, "_TABLE_CANDIDATES", 1)  # the table reads any chunk
+    for G in (2, 37, 255, 256, 300):
+        spread = np.linspace(0.05, 0.95, G)
+        grids = {
+            "spread": spread,
+            "with p = 1": np.append(spread[:-1], 1.0),
+            "repeated": np.sort(np.concatenate((spread[: G // 2], spread[: G - G // 2]))),
+            "clustered": 0.5 + 1e-4 * np.arange(G),
+        }
+        for name, points in grids.items():
+            table = S._bucket_table(points)
+            K, above, inside = table
+            assert K >= 2 * G and above.dtype == np.min_scalar_type(G)
+            assert (len(inside) > 1) == (name in ("repeated", "clustered")), (G, name, len(inside))
+            u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                                [0.0, 1.0 - 2.0**-53]))
+            u = u[u < 1.0]
+            expected = (u[:, None] < points).sum(axis=1)
+            for route in (table, None):
+                out = np.empty(len(u), dtype=np.min_scalar_type(G))
+                S._count_below(u.copy(), points, route, out)
+                assert np.array_equal(out, expected), (G, name, route is None)
+
+
+def test_clustered_grid_draws_equal_the_reference(monkeypatch):
+    # points within one bucket, repeated and at p = 1, counted from the table
+    # at every chunk, then as sample_grid chooses (one compare per point, as
+    # the grid has fewer than _TABLE_POINTS points)
+    seed, indices = 17, [0, 3, 8]
+    grid = [0.5, 0.5, 0.5001, 0.5002, 0.7, 0.7, 1.0]
+    for points, candidates in ((2, 1), (S._TABLE_POINTS, S._TABLE_CANDIDATES)):
+        monkeypatch.setattr(S, "_TABLE_POINTS", points)
+        monkeypatch.setattr(S, "_TABLE_CANDIDATES", candidates)
+        for M, d in ((2, 2), (3, 2), (2, 1)):
+            for n in range(5):
+                counts = S.sample_grid(M, d, grid, n, seed, indices)
+                for k, index in enumerate(indices):
+                    for j, occ in enumerate(_reference_lattices(M, d, grid, n, seed, index)):
+                        assert np.array_equal(counts[k] >= len(grid) - j, occ), (points, M, d, n, j)
+
+
 def test_sample_grid_refuses_a_bad_grid():
     for grid in ([], [0.5, 0.4], [0.2, float("nan")], [-0.1, 0.5], [0.5, 1.5], [[0.5]]):
         with pytest.raises(ValueError):
