@@ -34,8 +34,12 @@ several points takes its graded case, which scores Monte Carlo blocks
 drawn over that grid. A third, structurally different cross-check obtains
 the Euler characteristic as components minus holes from
 connected-component labelling (occupied cells 8-connected, complement
-cells 4-connected, matching closed-set semantics). A d = 1 lattice is one
-row of cells.
+cells 4-connected, matching closed-set semantics), of a lattice or a stack
+in two ``ndimage.label`` calls: 3-D structures that join no two lattices,
+each lattice's count read off its label range, which is asserted to follow
+the earlier lattices' (on a 2-vCPU box, verification's duality group
+scores its 2,000 grids in 44 stacks in 0.12-0.19 s, one by one in 0.58-0.69
+s). A d = 1 lattice is one row of cells.
 
 Cluster labelling and spanning detection (``label``) are one
 ``scipy.ndimage.label`` call at 4- or 8-connectivity. ``first_spanning``
@@ -505,14 +509,46 @@ def first_spanning(counts: np.ndarray, points: int, axes=("x", "y"),
     return firsts.reshape(counts.shape[:-2] + (len(axes),))
 
 
-def euler_crosscheck(grid) -> int:
-    """Euler characteristic as components minus holes (independent route).
+def _components(stack: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """Per lattice of a ``(B, H, W)`` bool stack, the number of components
+    under the 2-D structure ``plane``: int64 ``(B,)`` from one
+    ``ndimage.label`` call. Its 3-D structure is ``plane`` in the middle
+    slice alone, so no component crosses from one lattice to another, and a
+    lattice's count is its largest label less the largest of the lattices
+    before it. That holds only where each lattice's labels follow every
+    earlier lattice's, which is asserted, not assumed of ``ndimage``."""
+    structure = np.zeros((3, 3, 3), dtype=int)
+    structure[1] = plane
+    labels, _ = ndimage.label(stack, structure=structure)
+    flat = labels.reshape(len(stack), math.prod(stack.shape[1:]))
+    # before[b]: the largest label of lattices 0 .. b - 1, a running maximum
+    before = np.maximum.accumulate(np.concatenate(([0], flat.max(axis=1, initial=0))))
+    # in place, no second full-size array: label 0 wraps to the largest
+    # unsigned value, so the min is each lattice's least label less one
+    flat -= 1
+    unsigned = flat.view(f"u{flat.itemsize}")
+    least = unsigned.min(axis=1, initial=np.iinfo(unsigned.dtype).max).astype(np.int64) + 1
+    assert (least > before[:-1]).all(), "a lattice's labels do not follow the earlier lattices'"
+    return np.diff(before)
+
+
+def euler_crosscheck(grid):
+    """Euler characteristic as components minus holes (independent route)
+    of a lattice or a stack on leading axes: a Python ``int`` for a lattice
+    or a ``GridRealization``, int64 of shape ``occ.shape[:-2]`` for a stack.
 
     Components of occupied cells are 8-connected; holes are 4-connected
-    components of empty cells that do not reach the lattice boundary.
+    components of empty cells that do not reach the lattice boundary. A
+    stack takes two ``ndimage.label`` calls in all (``_components``): its
+    lattices are labelled as slices of one 3-D array that no component
+    crosses, and each lattice's labels are asserted to follow the earlier
+    lattices' before its count is read off the label range.
     """
     occ = grid.occupancy if isinstance(grid, GridRealization) else np.asarray(grid, bool)
-    _, ncomp = ndimage.label(occ, structure=_EIGHT)
+    H, W = occ.shape[-2:]
+    stack = occ.reshape((math.prod(occ.shape[:-2]), H, W))
+    components = _components(stack, _EIGHT)
     # the empty ring joins every empty component that reaches the boundary into one
-    _, empty = ndimage.label(np.pad(~occ, 1, constant_values=True), structure=_FOUR)
-    return int(ncomp - (empty - 1))
+    empty = _components(np.pad(~stack, ((0, 0), (1, 1), (1, 1)), constant_values=True), _FOUR)
+    chi = components - (empty - 1)
+    return int(chi[0]) if occ.ndim == 2 else chi.reshape(occ.shape[:-2])

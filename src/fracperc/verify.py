@@ -97,19 +97,26 @@ def _group_limit_consistency() -> dict:
 
 def _group_geometry(seed: int, grids: int) -> dict:
     rng_local = np.random.default_rng(seed)
-    worst = 0
-    ok = True
+    by_side = {}
     for _ in range(grids):
         side = int(rng_local.integers(4, 48))
         occ = rng_local.random((side, side)) < rng_local.choice((0.2, 0.5, 0.8))
-        # both halves of the single window pass against the counting path
+        by_side.setdefault(side, []).append(occ)
+    worst, scored = 0, 0
+    for occ in map(np.stack, by_side.values()):
+        # one call per route on the stack of each side's grids: both halves of
+        # the single window pass against the counting path and the Euler
+        # cross-check, each route reading the raw stack alone
         window, audit = geometry.window_counters(occ), geometry.audit_counters(occ)
-        (v0, v0_c), (b0, b0_c) = geometry.vk_scores((window, audit), 2)[..., 0].tolist()
+        (v0, v0_c), (b0, b0_c) = geometry.vk_scores((window, audit), 2)[..., 0].transpose(0, 2, 1)
         c = geometry.euler_crosscheck(occ)
-        if not np.array_equal(window, audit) or v0 != c:
-            ok = False
-            worst = max(worst, abs(v0 - c), abs(v0 - b0), abs(v0_c - b0_c))
-    return _group("geometry_duality", ok, float(worst), {"grids": grids})
+        # a grid fails exactly where its residual is nonzero: a V0 gap or a
+        # gap in any of the eight counters
+        gap = np.abs(window - audit).max(axis=(1, 2))
+        residual = np.max((np.abs(v0 - c), np.abs(v0 - b0), np.abs(v0_c - b0_c), gap), axis=0)
+        worst = max(worst, int(residual.max()))
+        scored += len(occ)
+    return _group("geometry_duality", worst == 0, float(worst), {"grids": scored})
 
 
 def _group_mc(seed: int, samples: int) -> dict:

@@ -194,17 +194,22 @@ def test_acceptance_5_convergence_rate():
 def test_acceptance_6_geometry_duality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240806)
+    by_side = {}
     for i in range(10_000):
         side = int(rng.integers(8, 65))
         density = (0.2, 0.5, 0.8)[i % 3]
-        occ = rng.random((side, side)) < density
-        v0, v1, v2 = G.minkowski(occ, 1.0)[0]
-        assert v0 == G.euler_crosscheck(occ)
+        by_side.setdefault(side, []).append(rng.random((side, side)) < density)
+    # each route once per side, on the stack of that side's grids; every
+    # assertion holds lattice by lattice
+    for occ in map(np.stack, by_side.values()):
+        v0, v1, v2 = G.minkowski(occ, 1.0)[:, 0].T
+        assert np.array_equal(v0, G.euler_crosscheck(occ))
         audit = G.audit_counters(occ)
-        faces, _, edges_shared, _ = audit[0]
-        assert v1 == 1.0 * (2 * faces - edges_shared)
-        assert v2 == faces
+        faces, _, edges_shared, _ = audit[:, 0].T
+        assert np.array_equal(v1, 1.0 * (2 * faces - edges_shared))
+        assert np.array_equal(v2, faces)
         assert np.array_equal(G.window_counters(occ), audit)
+    assert sum(map(len, by_side.values())) == 10_000
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"criterion 6 runtime {elapsed:.0f}s exceeds 1 minute"
     print(f"ACCEPTANCE 6 geometry duality: PASS (10000 grids, {elapsed:.0f}s)")

@@ -372,6 +372,14 @@ def test_verify_stdout_digest_pinned(capsys):
     assert digest == "ba4c084ecb755e00e9e3c87a8c92cf8db86d9929de91cc8244747660b3376600"
 
 
+def test_verify_full_stdout_digest_pinned(capsys):
+    # byte identity of the full report: the larger oracle envelope, 2,000
+    # duality grids and 4,000 Monte Carlo samples
+    assert cli.main(["verify", "--full"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "fbaace8258f1b9db05f9391af4b2d632a80d42dfe9fdaae3b9bd420bcb1fc2b8"
+
+
 def test_verify_module_entry_point():
     # the entry() path of the console script, in a fresh interpreter
     root = Path(__file__).resolve().parents[1]
@@ -435,6 +443,35 @@ def test_verify_negative_control(monkeypatch, capsys):
         assert groups["oracle_vs_analytic_1d"]["details"] == {"comparisons": 90}
         assert groups["oracle_vs_analytic_2d"]["details"] == {"comparisons": 36}
         assert groups["level_recursions"]["details"] == {"levels": 20}
+
+
+def test_verify_negative_control_geometry(monkeypatch, capsys):
+    # a tampered route of geometry_duality must fail it with exit code 3 and
+    # the offset as its worst residual: F's edges_shared of one lattice per
+    # audit stack, which enters no V0, then the cross-check of one lattice
+    from fracperc import geometry
+
+    def audit(occ, real=geometry.audit_counters):
+        counters = real(occ)
+        counters[0, 0, 2] += 1
+        return counters
+
+    def crosscheck(occ, real=geometry.euler_crosscheck):
+        chi = real(occ)
+        chi[0] -= 1
+        return chi
+
+    for name, tampered in (("audit_counters", audit), ("euler_crosscheck", crosscheck)):
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, name, tampered)
+            rc = cli.main(["verify", "--seed", "20240801"])
+        assert rc == EXIT_VERIFY, name
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False, name
+        groups = {g["name"]: g for g in report["groups"]}
+        assert [g for g in groups if not groups[g]["passed"]] == ["geometry_duality"], name
+        assert groups["geometry_duality"]["worst_residual"] == 1.0, name
+        assert groups["geometry_duality"]["details"] == {"grids": 300}, name
 
 
 def test_unknown_subcommand_exits_2():

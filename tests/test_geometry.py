@@ -55,6 +55,48 @@ def test_empty_grid():
     assert G.euler_crosscheck(np.zeros((4, 4), bool)) == 0
 
 
+def _euler_by_labels(occ):
+    """Components minus holes of one lattice from ``ndimage.label``'s own
+    counts: the reference of the stacked cross-check."""
+    _, components = ndimage.label(occ, structure=np.ones((3, 3), int))
+    _, empty = ndimage.label(np.pad(~occ, 1, constant_values=True),
+                             structure=ndimage.generate_binary_structure(2, 1))
+    return components - (empty - 1)
+
+
+def test_stacked_crosscheck_equals_the_per_lattice_loop():
+    rng = np.random.default_rng(33)
+    stacks = []
+    for _ in range(300):
+        side = int(rng.integers(1, 41))
+        shape = (1, side) if rng.random() < 0.2 else (side, int(rng.integers(1, 41)))
+        stacks.append(rng.random((int(rng.integers(1, 9)), *shape)) < rng.choice((0.2, 0.5, 0.8)))
+    # empty lattices (no labels, so the running max stays flat) at the start,
+    # the middle and the end, and full ones; rows and single cells
+    mixed = rng.random((7, 6, 5)) < 0.5
+    mixed[[0, 3, 6]] = False
+    mixed[[2, 5]] = True
+    stacks += [mixed, np.ones((4, 6, 5), bool), np.zeros((4, 6, 5), bool),
+               rng.random((9, 1, 1)) < 0.5, rng.random((5, 1, 7)) < 0.5, np.zeros((0, 4, 4), bool)]
+    for stack in stacks:
+        got = G.euler_crosscheck(stack)
+        assert got.dtype == np.int64 and got.shape == stack.shape[:1]
+        loop = [G.euler_crosscheck(lattice) for lattice in stack]
+        assert all(type(value) is int for value in loop)
+        assert got.tolist() == loop == [_euler_by_labels(lattice) for lattice in stack], stack.shape
+    # two leading axes
+    stack = rng.random((3, 4, 7, 9)) < rng.choice((0.2, 0.5, 0.8), size=(3, 4, 1, 1))
+    got = G.euler_crosscheck(stack)
+    assert got.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        assert got[index] == _euler_by_labels(stack[index])
+    # a GridRealization, as a lattice and as a stack of one
+    grid = S.sample(ModelParams(2, 0.7, 2), 5, 11, 0)
+    value = G.euler_crosscheck(grid)
+    assert type(value) is int
+    assert value == G.euler_crosscheck(grid.occupancy[None])[0] == _euler_by_labels(grid.occupancy)
+
+
 def test_lookup_equals_audit_and_crosscheck():
     rng = np.random.default_rng(123)
     cases = [(shape, density) for shape in ((1, 1), (1, 9), (9, 1), (2, 7), (6, 3))
