@@ -22,8 +22,11 @@ measures F and C of a lattice or a stack. A stack where few cells live
 (one in ``_SPARSE_RATIO`` or fewer, as at n = 12, p = 0.7) has its
 histogram read from the corner windows of its living cells, the windows
 they do not touch added per border class; any other is read window by
-window. ``audit_counters``, the graded pass, computes the same counters with
-direct reductions of an alive-count stack (``sampler.sample_grid``): F
+window. Monte Carlo hands in the living cells' positions that the sampler
+made (``sampler._draw``), so neither their number nor the cells themselves
+are found by a scan of the stack; other callers' stacks are scanned.
+``audit_counters``, the graded pass, computes the same counters with direct
+reductions of an alive-count stack (``sampler.sample_grid``): F
 counts the cells, pairs or windows whose max count reaches a threshold, C
 all but those whose min count does, so seven histograms shared by F and C
 give both at every point of a coupled p grid at once. Where a lattice has
@@ -116,7 +119,15 @@ _UNTOUCHED = (2 * (np.arange(16)[:, None] >> np.arange(4) & 1) * 3 ** np.arange(
 #: One lattice at n = 4 .. 6 costs 1.3 .. 1.9 times as much at every share,
 #: and at n = 7 1.00 at 1 / 32: about 45 numpy calls against a pass of 40 ..
 #: 110 us; Monte Carlo draws such lattices in blocks. Sampled lattices at
-#: n = 12, p = 0.7 (1 in 61 to 68 living): 21-23 ms against 84-88 ms.
+#: n = 12, p = 0.7 (1 in 48 to 74 living): 7-13 ms given the draw's
+#: positions, 13-19 ms scanned, against 76-79 ms. Re-measured with the
+#: positions given (sorted; scanned in parentheses), same shares: one lattice
+#: at n = 8 0.58 (0.89), 0.45 (0.61), 0.40 (0.51), 0.29 (0.36); n = 10 0.44
+#: (0.83), 0.27 (0.54), 0.21 (0.43), 0.11 (0.24); n = 12 0.67 (1.07), 0.36
+#: (0.63), 0.27 (0.49), 0.16 (0.29); blocks of 1,024 at n = 4 0.99 (1.23),
+#: 0.82 (1.00), 0.75 (0.88), 0.61 (0.69); 4 at n = 8 0.47 (0.85), 0.35
+#: (0.60), 0.27 (0.46), 0.17 (0.29). At 1 / 24 the scanned route of the
+#: default n = 4 block gains nothing, so the ratio stays.
 _SPARSE_RATIO = 32
 
 #: The graded pass bins each pair and window once by (max, min) where a
@@ -164,9 +175,10 @@ def _all_windows(block: np.ndarray) -> np.ndarray:
     return hist.reshape(size, 81)
 
 
-def _living_windows(stack: np.ndarray) -> np.ndarray:
+def _living_windows(stack: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
     """The (lattices, 81) window histogram of a bool stack from its living
-    cells alone.
+    cells alone: ``cells``, their flat positions in the stack in any order,
+    or found by a scan of the stack.
 
     Each living cell reads its 3 x 3 neighbourhood, a neighbour beyond its
     lattice as 2 (outside), and bins the codes of its four corner windows,
@@ -176,27 +188,42 @@ def _living_windows(stack: np.ndarray) -> np.ndarray:
     corners), and it takes the windows of its class that were not touched.
     """
     size, H, W = stack.shape
-    cells = np.flatnonzero(stack)  # nonzeros of bool are found fastest
-    lattices, columns = np.divmod(cells, W)
-    lattices, rows = np.divmod(lattices, H)
-    lattices *= 81  # each lattice's offset into the histogram
-    # per neighbour row (column) offset -1, 0, 1: where it lies inside the lattice
-    inside_rows, inside_columns = (rows > 0, True, rows < H - 1), (columns > 0, True, columns < W - 1)
-    del rows, columns
+    if cells is None:
+        cells = np.flatnonzero(stack)  # nonzeros of bool are found fastest
+    rows = cells // W  # the stack's rows, across lattices (floor division by a constant is fast)
+    columns = cells - rows * W
+    offsets = 0
+    if size > 1:
+        lattices = rows // H
+        rows -= lattices * H
+        # each lattice's offset into the histogram, in the least dtype that holds it
+        offsets = lattices.astype(np.min_scalar_type(81 * size - 1))
+        del lattices
+        offsets *= 81
+    edge = np.flatnonzero((rows == 0) | (rows == H - 1) | (columns == 0) | (columns == W - 1))
+    rows, columns = rows[edge], columns[edge]
     flat = stack.reshape(-1).view(np.uint8)
-    state = {(1, 1): 1}
+    # state[i, j]: the neighbour at row offset i - 1 and column offset j - 1,
+    # read with the index clipped: wrong only where it lies beyond the
+    # cell's lattice, so only for cells on a border, where it is set to 2
+    state = np.empty((3, 3, len(cells)), dtype=np.uint8)
+    state[1, 1] = 1
     for i, j in itertools.product(range(3), repeat=2):
         if (i, j) != (1, 1):
-            neighbour = flat.take(cells + ((i - 1) * W + j - 1), mode="clip")
-            state[i, j] = np.where(inside_rows[i] & inside_columns[j], neighbour, np.uint8(2))
-    del cells, inside_rows, inside_columns
-    codes = np.empty((4, len(lattices)), dtype=np.intp)
-    for k, (i, j) in enumerate(itertools.product(range(2), repeat=2)):  # the cell's NW corner .. SE
-        np.add(state[i, j] + 3 * state[i, j + 1] + 9 * state[i + 1, j] + 27 * state[i + 1, j + 1],
-               lattices, out=codes[k])
-    del state, lattices
-    hist = np.bincount(codes.reshape(-1), minlength=81 * size).reshape(size, 81)
-    del codes
+            flat.take(cells + ((i - 1) * W + j - 1), out=state[i, j], mode="clip")
+    inside = np.ones((2, 3, len(edge)), dtype=bool)  # per row, column offset -1, 0, 1: inside
+    inside[0, 0], inside[0, 2] = rows > 0, rows < H - 1
+    inside[1, 0], inside[1, 2] = columns > 0, columns < W - 1
+    state[..., edge] = np.where(inside[0, :, None] & inside[1, None], state[..., edge], np.uint8(2))
+    del rows, columns, inside, edge
+    pairs = state[:, :2] + 3 * state[:, 1:]  # a cell and its east neighbour: a + 3 b
+    codes = (pairs[:2] + 9 * pairs[1:]).reshape(4, -1)  # the cell's NW, NE, SW, SE windows, <= 80
+    del state, pairs
+    hist = np.zeros(81 * size, dtype=np.int64)
+    for code in codes:  # corner by corner: one corner's offset codes and their intp copy at a time
+        hist += np.bincount(code + offsets, minlength=81 * size)
+    del codes, offsets
+    hist = hist.reshape(size, 81)
     # a touched window, binned once per occupied cell, takes 12 shares in all
     hist *= _SHARES
     assert not (hist % 12).any()
@@ -210,7 +237,7 @@ def _living_windows(stack: np.ndarray) -> np.ndarray:
     return hist
 
 
-def window_counters(occ: np.ndarray) -> np.ndarray:
+def window_counters(occ: np.ndarray, living: np.ndarray | None = None) -> np.ndarray:
     """Counters of F and C for one lattice or a stack on leading axes.
 
     Returns int64 of shape ``occ.shape[:-2] + (2, 4)``: F, then C, each
@@ -218,18 +245,24 @@ def window_counters(occ: np.ndarray) -> np.ndarray:
     times ``_WINDOW_TABLE``. The histograms of a stack whose living cells
     are at most ``1 / _SPARSE_RATIO`` of its cells are read from those cells
     (``_living_windows``), of any other from every window (``_all_windows``).
-    Small lattices are grouped into blocks of about ``_BLOCK_WINDOWS``
-    windows, each lattice also charged its 81 histogram bins.
+    ``living``, the flat positions of the living cells in the stack in any
+    order, spares the scans that count and find them; without it, or where
+    the stack takes several groups, the stack is scanned. Small lattices
+    are grouped into blocks of about ``_BLOCK_WINDOWS`` windows, each
+    lattice also charged its 81 histogram bins.
     """
     occ = np.asarray(occ, dtype=bool)
     H, W = occ.shape[-2:]
     stack = occ.reshape((math.prod(occ.shape[:-2]), H, W))
-    sparse = stack.size and np.count_nonzero(stack) * _SPARSE_RATIO <= stack.size
-    histogram = _living_windows if sparse else _all_windows
-    out = np.empty((len(stack), 8), dtype=np.int64)
     group = max(1, _BLOCK_WINDOWS // ((H + 1) * (W + 1) + 81))
+    if len(stack) > group:  # the positions are not split by group: each group scans its own
+        living = None
+    alive = np.count_nonzero(stack) if living is None else len(living)
+    sparse = stack.size and alive * _SPARSE_RATIO <= stack.size
+    out = np.empty((len(stack), 8), dtype=np.int64)
     for start in range(0, len(stack), group):
-        counts4 = histogram(stack[start : start + group]) @ _WINDOW_TABLE
+        part = stack[start : start + group]
+        counts4 = (_living_windows(part, living) if sparse else _all_windows(part)) @ _WINDOW_TABLE
         assert not (counts4 % 4).any()
         out[start : start + len(counts4)] = counts4 // 4
     return out.reshape(occ.shape[:-2] + (2, 4))
@@ -359,7 +392,7 @@ def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
 
 
 def minkowski(occ: np.ndarray, cell_side: float, d: int = 2,
-              points: int | None = None) -> np.ndarray:
+              points: int | None = None, living: np.ndarray | None = None) -> np.ndarray:
     """V_0 .. V_d of F, then of C, of a lattice of cells of side
     ``cell_side``, or of every lattice of a ``(B, H, W)`` stack: float64 of
     shape ``occ.shape[:-2] + (2, d + 1)``. A d = 1 lattice is one row;
@@ -370,19 +403,21 @@ def minkowski(occ: np.ndarray, cell_side: float, d: int = 2,
     ``occ.shape[:-2] + (G, 2, d + 1)``, point j measuring ``occ >= G - j``.
     One point is measured by :func:`window_counters`, several by one graded
     pass (at one point, n = 12, p = 0.7, the graded pass takes 0.8 s, the
-    window histogram read from every window 77 ms, from the living cells
-    18-28 ms).
+    window histogram read from every window 76-79 ms, from the living cells
+    7-13 ms given their positions and 13-19 ms found by a scan). ``living``,
+    the flat positions of the stack's living cells at one point (any order),
+    goes to :func:`window_counters`.
     """
     if d not in (1, 2):
         raise ArgumentError(f"dimension d must be 1 or 2, got {d!r}")
     if d == 1 and np.shape(occ)[-2] != 1:
         raise ArgumentError(f"a d = 1 lattice is one row of cells, got shape {np.shape(occ)}")
     if points is None:
-        scores = vk_scores(window_counters(occ), d)
+        scores = vk_scores(window_counters(occ, living), d)
     else:  # the counters go with the call, before the float V_k are made
         G, counts = _grades(occ, points)
         # one point's 0/1 counts are its lattices: the lookup reads them without a copy
-        scores = vk_scores(window_counters(counts.view(bool))[..., None, :, :] if G == 1
+        scores = vk_scores(window_counters(counts.view(bool), living)[..., None, :, :] if G == 1
                            else _graded(counts, G), d)
     s = cell_side
     return scores * np.array((1.0, s, s * s)[: d + 1])

@@ -9,11 +9,13 @@ of memory (``_block_size``): each lattice is charged the larger of its
 draw and its scoring, and a block holds at most the charge of
 ``BLOCK_CELLS`` drawn cells, within the memory budget and a worker's
 share of the replicates. One worker runs the blocks in turn; several
-take them in contiguous runs. One ``sampler.sample_grid`` call draws a
-block once for a whole coupled p grid (a one-point grid by default), and
-one ``geometry.minkowski`` call given the grid size scores the whole
-block: V_0 .. V_d of F and C of every lattice at every point at cell side
-M^-n, by the window lookup over one point, one graded pass over several.
+take them in contiguous runs. One ``sampler._draw`` call (``sample_grid``'s
+stack) draws a block once for a whole coupled p grid (a one-point grid by
+default), and one ``geometry.minkowski`` call given the grid size scores
+the whole block: V_0 .. V_d of F and C of every lattice at every point at
+cell side M^-n, by the window lookup over one point, one graded pass over
+several. A sparse one-point block comes with the positions of its living
+cells, from which the lookup reads its windows without scanning the stack.
 A replicate's lattices are nested in p, so spanning is monotone over the
 grid: one ``geometry.first_spanning`` call gives each lattice's first
 spanning point per axis, and the lattice spans at every point from it on.
@@ -64,10 +66,11 @@ BLOCK_CELLS = 1 << 18
 #: ``bincount``'s intp copy of them) and 13.2 at n = 8, 37 points. One
 #: point's window histogram peaks lower: read from every window at 10 per
 #: cell (n = 10) and 17 (a block of 1,024 at n = 4), from the living cells
-#: at about 52 per living cell, so 1.6 per cell at the most that takes that
-#: route (1 in 32 living): 1.8 at n = 10 and 0.85 at n = 12, p = 0.7, 5.6
-#: for a block of 1,024 at n = 4, p = 0.3. Read only by ``_block_size``,
-#: which charges each lattice this or its draw.
+#: at 32 per living cell with their positions (24 beyond them), so 1.0 per
+#: cell at the most that takes that route (1 in 32 living): 1.1 at n = 10
+#: and 0.53 at n = 12, p = 0.7, 5.9 for a block of 1,024 at n = 4, p = 0.3
+#: (its 81-bin histograms). Read only by ``_block_size``, which charges each
+#: lattice this or its draw.
 SCORE_BYTES_PER_CELL, SCORE_BYTES_PER_POINT = 20, 160
 
 #: Peak bytes of scoring per lattice whatever its size: two 81-bin int64
@@ -169,9 +172,11 @@ def _run_block(args):
     d, G = params.d, len(grid)
     width = 2 * (d + 1)
     values = np.empty((G, last - first, width + len(axes)))
-    counts = sampler.sample_grid(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes)
+    # a sparse one-point stack comes with its living cells' positions, read by the window pass
+    counts, living = sampler._draw(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes,
+                                   geometry._SPARSE_RATIO)
     # (replicate, point) rows into the (point, replicate) table through a view
-    values[..., :width] = geometry.minkowski(counts, float(params.M) ** -n, d, G).reshape(
+    values[..., :width] = geometry.minkowski(counts, float(params.M) ** -n, d, G, living).reshape(
         last - first, G, width).swapaxes(0, 1)
     if axes:  # a lattice spans at every point from its first on
         values[..., width:] = np.arange(G)[:, None, None] >= geometry.first_spanning(

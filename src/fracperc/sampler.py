@@ -33,7 +33,10 @@ one ``sample`` draws for its index, and no level's lattice is ever expanded
 or scanned in full. ``sample`` is the one-replicate, one-point grid,
 whose 0/1 counts are the lattice viewed as bool. Only ``F_n`` is drawn:
 the functionals of its closed complement ``C_n`` come from the same
-lattice through the window pass of :mod:`fracperc.geometry`.
+lattice through the window pass of :mod:`fracperc.geometry`. Monte Carlo
+draws through ``_draw``, which also hands over a sparse one-point stack's
+living cells, their positions as the last level wrote them, so that the
+window pass need not scan the stack for them.
 """
 
 from __future__ import annotations
@@ -52,12 +55,14 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: at p = 1, ``sample`` peaks at 9.5 at n = 8 and 3.8 at n = 10 and 12 (the
 #: stack, the living cells of level n - 1 and one hash chunk), at 1.1 at
 #: n = 12, p = 0.7, and a one-point ``sample_grid`` at 13 for a block of 256
-#: lattices at n = 4; the F+C window pass peaks at 11 at n = 8 and 17 for
-#: that block read from every window, at 1.8 at n = 10, p = 0.7 and 0.85 at
-#: n = 12 read from the living cells (about 52 per living cell), and
-#: ``label`` at 5. A block of 1024 lattices at n = 4 drawn by ``sample_grid``
-#: over 37 points up to 0.98 peaks at 5.5, and at 19 with its thresholds and
-#: window passes; over 300 points up to p = 1 (uint16 counts) at 6.9 and 20.
+#: lattices at n = 4; ``_draw``'s buffer of living positions adds 0.25 (8
+#: bytes per cell in 32), 1.34-1.38 at n = 12, p = 0.7. The F+C window pass
+#: peaks at 11 at n = 8 and 17 for that block read from every window, at 1.1
+#: at n = 10, p = 0.7 and 0.44-0.67 at n = 12 read from the living cells
+#: (32 per living cell, their 8-byte positions included), and ``label`` at
+#: 5. A block of 1024 lattices at n = 4 drawn by ``sample_grid`` over 37
+#: points up to 0.98 peaks at 5.5, and at 19 with its thresholds and window
+#: passes; over 300 points up to p = 1 (uint16 counts) at 6.9 and 20.
 #: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
 #: beside its value table, on one of 230 over 300 points at 171, within its
 #: scoring charge. Blocks of 1, 10, 50 and 100 lattices over 37 points peak
@@ -235,6 +240,23 @@ def sample_grid(
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
     """
+    return _draw(M, d, grid, n, seed, indices, budget_bytes)[0]
+
+
+def _draw(M: int, d: int, grid, n: int, seed: int, indices,
+          budget_bytes: int = DEFAULT_BUDGET_BYTES, sparse_ratio=None) -> tuple:
+    """``sample_grid``'s stack and the flat stack positions of its living
+    cells: ``(counts, living)``.
+
+    ``living`` is collected from the last level's chunks, in their order,
+    only for a one-point grid at n >= 1 given a ``sparse_ratio``, and only
+    while at most one cell in ``sparse_ratio`` lives (the window pass reads
+    such a stack from its living cells, ``geometry._SPARSE_RATIO``); it is
+    None otherwise, and an empty intp array for extinct lattices. The
+    positions go into one buffer of that share of the cells (all of them
+    at a ratio of 0), 8 bytes per living cell: 0.25 bytes per cell at one
+    in 32.
+    """
     _integer("level n", n, 0)
     points = _grid_points(M, d, grid)
     _integer("seed", seed, 0, 2**64 - 1)
@@ -250,6 +272,10 @@ def sample_grid(
     per_chunk = max(1, _HASH_CHUNK // M**d)  # parents whose children one hash chunk holds
     live = np.arange(len(indices))  # flat stack positions of the living cells, level 0
     counts = np.full(len(indices), len(points), dtype=dtype)  # and their counts
+    living = None
+    if sparse_ratio is not None and len(points) == 1 and n:
+        size = len(indices) * cells
+        living, found = np.empty(int(size // sparse_ratio) if sparse_ratio else size, live.dtype), 0
     for level in range(1, n + 1):
         keys = rng.node_key(seed, indices, level)
         side = M ** (level - 1)  # of the parents' level
@@ -280,6 +306,14 @@ def sample_grid(
             np.minimum(own, parents[first : first + per_chunk], out=own)
             if level == n:
                 counts[part] = own
+                if living is not None:  # one point: the counts are 0/1
+                    alive = own.view(bool)
+                    here = np.count_nonzero(alive)
+                    if found + here > len(living):  # the window pass reads every window
+                        living = None
+                    else:
+                        living[found : found + here] = part[alive]
+                        found += here
             else:
                 alive = np.flatnonzero(own != 0)  # numpy finds nonzeros of bool faster
                 counts[kept : kept + len(alive)] = own.reshape(-1)[alive]
@@ -289,7 +323,8 @@ def sample_grid(
             del part, own  # before the next chunk hashes
         if level < n:
             live, counts = children[:kept], counts[:kept]
-    return counts.reshape(len(indices), M**n if d == 2 else 1, M**n)
+    counts = counts.reshape(len(indices), M**n if d == 2 else 1, M**n)
+    return counts, None if living is None else living[:found]
 
 
 def sample(

@@ -135,6 +135,8 @@ def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
         monkeypatch.setattr(G, "_BLOCK_WINDOWS", budget)
         for occ, expected in zip(cases, whole):
             assert np.array_equal(G.window_counters(occ), expected), (budget, occ.shape)
+            # positions across several groups are not split: each group scans its own
+            assert np.array_equal(G.window_counters(occ, np.flatnonzero(occ)), expected), budget
             assert np.array_equal(G.window_counters(occ[0]), expected[0]), (budget, occ.shape)
 
 
@@ -142,15 +144,24 @@ def _assert_branches_equal_audit(monkeypatch, occ):
     """``window_counters(occ)`` equals ``audit_counters(occ)`` with its
     histogram read from the living cells and from every window, each forced
     through ``_SPARSE_RATIO``: 0 sends every stack to the living cells, 1e30
-    every stack with a living cell to the windows. Both histograms of the
-    stack are also compared directly, which covers the windows of an empty
-    stack."""
+    every stack with a living cell to the windows. So does
+    ``window_counters(occ, living)`` given the living cells' flat positions
+    in ``np.flatnonzero`` order, reversed and shuffled. Both histograms of
+    the stack are also compared directly, which covers the windows of an
+    empty stack."""
     stack = np.asarray(occ, bool).reshape((-1,) + np.shape(occ)[-2:])
-    assert np.array_equal(G._living_windows(stack), G._all_windows(stack)), stack.shape
+    every = G._all_windows(stack)
+    assert np.array_equal(G._living_windows(stack), every), stack.shape
+    cells = np.flatnonzero(occ)
+    orders = (cells, cells[::-1], np.random.default_rng(len(cells)).permutation(cells))
+    for living in orders:
+        assert np.array_equal(G._living_windows(stack, living), every), stack.shape
     audit = G.audit_counters(occ)
     for ratio in (0, 1e30):
         monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
         assert np.array_equal(G.window_counters(occ), audit), (np.shape(occ), ratio)
+        for living in orders:
+            assert np.array_equal(G.window_counters(occ, living), audit), (np.shape(occ), ratio)
 
 
 def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
@@ -183,6 +194,25 @@ def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
         stack[2, rng.integers(H), rng.integers(W)] = True
         _assert_branches_equal_audit(monkeypatch, stack)
         _assert_branches_equal_audit(monkeypatch, np.stack((stack, stack[::-1])))
+    # a living cell on every border and in every corner of each lattice, and
+    # empty lattices first, in the middle and last
+    for H, W in ((1, 6), (2, 2), (4, 5), (6, 6)):
+        rim = np.zeros((5, H, W), bool)
+        rim[1, 0], rim[1, -1], rim[3, :, 0], rim[3, :, -1] = True, True, True, True
+        _assert_branches_equal_audit(monkeypatch, rim)
+        rim[1:4:2, 1:-1, 1:-1] = True
+        _assert_branches_equal_audit(monkeypatch, rim)
+    # sampled stacks with their draw's positions, in chunk order: one-row
+    # lattices, and a block of 1,024 n = 4 lattices
+    for M, d, n, block, p in ((2, 1, 10, 16, 0.7), (3, 1, 6, 16, 0.5), (2, 2, 8, 4, 0.3),
+                              (3, 2, 5, 4, 0.2), (2, 2, 4, 1024, 0.3)):
+        counts, living = S._draw(M, d, [p], n, 4, np.arange(block), sparse_ratio=0)
+        occ = counts.view(bool)
+        assert np.array_equal(G._living_windows(occ, living), G._all_windows(occ)), (M, d, n)
+        audit = G.audit_counters(occ)
+        for ratio in (0, 1e30):
+            monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
+            assert np.array_equal(G.window_counters(occ, living), audit), (M, d, n, ratio)
 
 
 def test_oracle_pattern_scores_from_either_branch(monkeypatch):
@@ -200,7 +230,7 @@ def test_oracle_pattern_scores_from_either_branch(monkeypatch):
 def test_window_counters_read_living_cells_under_the_ratio(monkeypatch):
     # the branch is chosen over the stack it is given: living * ratio <= cells
     calls = []
-    monkeypatch.setattr(G, "_living_windows", lambda stack: calls.append(stack.shape)
+    monkeypatch.setattr(G, "_living_windows", lambda stack, cells=None: calls.append(stack.shape)
                         or G._all_windows(stack))
     occ = np.zeros((2, 8, 8), bool)
     occ[0, 3, 3] = occ[0, 4, 4] = occ[1, 0, 0] = occ[1, 7, 7] = True  # 4 of 128 cells
@@ -208,12 +238,30 @@ def test_window_counters_read_living_cells_under_the_ratio(monkeypatch):
     assert calls == [(2, 8, 8)]
     G.window_counters(occ[0])  # 2 of 64
     assert calls == [(2, 8, 8), (1, 8, 8)]
-    occ[0, 5, 5] = True  # 5 of 128, 3 of 64
-    G.window_counters(occ)
-    G.window_counters(occ[0])
+    denser = occ.copy()
+    denser[0, 5, 5] = True  # 5 of 128, 3 of 64
+    G.window_counters(denser)
+    G.window_counters(denser[0])
     assert len(calls) == 2
     G.window_counters(np.zeros((0, 3), bool))  # no cells: every window is outside
     assert len(calls) == 2
+    # given positions, the branch follows their number: the stack is neither
+    # counted nor scanned, and the positions reach _living_windows as given
+    given = []
+    monkeypatch.setattr(G, "_living_windows", lambda stack, cells=None: given.append(cells)
+                        or G._all_windows(stack))
+    living, denser_living = np.flatnonzero(occ)[::-1], np.flatnonzero(denser)
+    expected, denser_expected = G.audit_counters(occ), G.audit_counters(denser)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the stack was scanned")
+
+    monkeypatch.setattr(G.np, "flatnonzero", no_scan)
+    monkeypatch.setattr(G.np, "count_nonzero", no_scan)
+    assert np.array_equal(G.window_counters(occ, living), expected)
+    assert len(given) == 1 and given[0] is living
+    assert np.array_equal(G.window_counters(denser, denser_living), denser_expected)
+    assert len(given) == 1  # every window, the positions unread
 
 
 def _assert_graded_equals_thresholds(counts, points):

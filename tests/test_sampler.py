@@ -286,6 +286,43 @@ def test_clustered_grid_draws_equal_the_reference(monkeypatch):
                         assert np.array_equal(counts[k] >= len(grid) - j, occ), (points, M, d, n, j)
 
 
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_draw_hands_over_the_living_cells(M, d, monkeypatch):
+    # a one-point draw hands over the flat stack positions of its living
+    # cells, each once, with the stack sample_grid returns; chunks of 13
+    # candidates split the last level into many
+    n = {(2, 2): 6, (3, 2): 4, (2, 1): 10, (3, 1): 6}[M, d]
+    for chunk in (S._HASH_CHUNK, 13):
+        monkeypatch.setattr(S, "_HASH_CHUNK", chunk)
+        for block in (1, 4, 64):
+            indices = np.arange(7, 7 + block)
+            for p in (1.1 / M**d, 0.7):
+                expected = S.sample_grid(M, d, [p], n, 5, indices)
+                counts, living = S._draw(M, d, [p], n, 5, indices, sparse_ratio=0)
+                assert np.array_equal(counts, expected) and counts.dtype == expected.dtype
+                assert living.dtype == np.intp and len(np.unique(living)) == len(living)
+                assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (chunk, block, p)
+                # under the real ratio: handed over while at most 1 cell in 32 lives
+                counts, living = S._draw(M, d, [p], n, 5, indices, sparse_ratio=G._SPARSE_RATIO)
+                assert np.array_equal(counts, expected)
+                if np.count_nonzero(counts) * G._SPARSE_RATIO <= counts.size:
+                    assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (block, p)
+                else:
+                    assert living is None, (chunk, block, p)
+    # an extinct lattice hands over an empty array
+    counts, living = S._draw(M, d, [0.0], 3, 5, [0], sparse_ratio=G._SPARSE_RATIO)
+    assert not counts.any() and living.dtype == np.intp and len(living) == 0
+    # n = 0, a grid of two points, no ratio and a stack over the ratio hand over None
+    counts, living = S._draw(M, d, [0.5], 0, 5, [0, 1], sparse_ratio=G._SPARSE_RATIO)
+    assert np.array_equal(counts, np.ones((2, 1, 1))) and living is None
+    counts, living = S._draw(M, d, [0.01, 0.5], 3, 5, [0, 1], sparse_ratio=0)
+    assert np.array_equal(counts, S.sample_grid(M, d, [0.01, 0.5], 3, 5, [0, 1])) and living is None
+    assert S._draw(M, d, [0.5], 3, 5, [0, 1])[1] is None
+    counts, living = S._draw(M, d, [1.0], 3, 5, [0, 1], sparse_ratio=G._SPARSE_RATIO)
+    assert counts.all() and living is None
+
+
 def test_sample_grid_refuses_a_bad_grid():
     for grid in ([], [0.5, 0.4], [0.2, float("nan")], [-0.1, 0.5], [0.5, 1.5], [[0.5]]):
         with pytest.raises(ValueError):
