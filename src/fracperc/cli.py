@@ -99,7 +99,8 @@ class RunConfig:
     full: bool = _option(False, "--full", on=("verify",), action="store_const", const=True)
     workers: int = _option(1, "--workers", on=("simulate",), type=int)
     budget_bytes: int = _option(sampler.DEFAULT_BUDGET_BYTES, "--budget-bytes", on=_LATTICE,
-                                type=int, help="memory budget per realization")
+                                type=int, help="memory budget in bytes of one rendered lattice"
+                                " or one block of simulated replicates")
 
     def to_text(self) -> str:
         lines = []
@@ -236,13 +237,6 @@ def _p_grid(config: RunConfig, d: int) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_table(path: Path, headers: list, rows: list) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
-
-
 def cmd_curves(config: RunConfig) -> int:
     grid = _p_grid(config, 2)
     m_list = tuple(config.m_list)
@@ -259,14 +253,14 @@ def cmd_curves(config: RunConfig) -> int:
     f, c = thresholds.euler_curve, thresholds.complement_curve
     for fname, curve in {"curves_f.csv": f, "curves_c.csv": c}.items():
         rows = [[p, *(curve(config.M, p, n) for n in n_list), curve(config.M, p)] for p in grid]
-        _write_table(out / fname, headers, rows)
+        montecarlo.write_csv(out / fname, headers, rows)
     headers = ["p", *(f"f_M{m}" for m in m_list), "f_inf", *(f"c_M{m}" for m in m_list), "c_inf"]
     rows = [
         [p, *(f(m, p) for m in m_list), analytic.large_m_v(p),
          *(c(m, p) for m in m_list), analytic.large_m_vc(p)]
         for p in limits_grid
     ]
-    _write_table(out / "limits.csv", headers, rows)
+    montecarlo.write_csv(out / "limits.csv", headers, rows)
     print(f"wrote {out / 'curves_f.csv'}, {out / 'curves_c.csv'}, {out / 'limits.csv'}")
     return EXIT_OK
 
@@ -303,7 +297,8 @@ def cmd_simulate(config: RunConfig) -> int:
     out = Path(config.out)  # made only once every run has succeeded
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "simulation.csv"
-    montecarlo.write_csv(rows, csv_path)
+    columns = montecarlo.CSV_COLUMNS
+    montecarlo.write_csv(csv_path, columns, [[row[c] for c in columns] for row in rows])
     resolved = dataclasses.replace(config, seed=seed, n=n)
     montecarlo.write_manifest(
         out / "simulation.manifest.json",

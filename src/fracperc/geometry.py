@@ -29,12 +29,13 @@ are found by a scan of the stack; other callers' stacks are scanned.
 reductions of an alive-count stack (``sampler.sample_grid``): F
 counts the cells, pairs or windows whose max count reaches a threshold, C
 all but those whose min count does, so seven histograms shared by F and C
-give both at every point of a coupled p grid at once. Where a lattice has
-a few windows per (max, min) pair of counts, each pair and window is binned
-once by that pair and the histograms are its marginals. Its bool (one-point)
-case is the audit route of the lookup; ``minkowski`` given a grid of
-several points takes its graded case, which scores Monte Carlo blocks
-drawn over that grid. A third, structurally different cross-check obtains
+give both at every point of a coupled p grid at once. Each pair kind and
+the windows are reduced to their max and min once; where a lattice has a
+few windows per (max, min) pair of counts, each pair and window is binned
+once by that pair and the histograms are its marginals, and by its max and
+its min apart otherwise. Its bool (one-point) case is the audit route of
+the lookup; ``minkowski`` given a grid of several points takes its graded
+case, which scores Monte Carlo blocks drawn over that grid. A third, structurally different cross-check obtains
 the Euler characteristic as components minus holes from
 connected-component labelling (occupied cells 8-connected, complement
 cells 4-connected, matching closed-set semantics), of a lattice or a stack
@@ -132,20 +133,17 @@ _SPARSE_RATIO = 32
 
 #: The graded pass bins each pair and window once by (max, min) where a
 #: lattice has at least _JOINT_RATIO windows per joint bin, (G + 1)^2, and by
-#: max and by min apart otherwise. Measured on a 2-vCPU box, sampled stacks
-#: of the default block sizes, M = 2, d = 2: time apart over time jointly at
-#: 0.73 .. 0.89 windows per bin 0.72 (300 points, n = 8), 0.87 (37, n = 5),
-#: 1.04 (17, n = 4), 1.05 (9, n = 3); at 1.47 .. 1.65 1.03 .. 1.20; at 2.0 ..
-#: 2.3 1.09 .. 1.21 and 0.95 .. 0.99 for blocks of 7,084 one-point n = 1
-#: lattices; at 2.9 .. 6.5 1.15 .. 1.29; at 11 .. 180 1.25 .. 1.43 (37 points:
-#: 3.4 against 4.6 ms at n = 8, 4 lattices). A joint histogram holds 8 bytes
-#: per bin, so at most 4 per window here. A stack of fewer than
-#: _JOINT_WINDOWS windows in all bins apart: there the joint route's extra
-#: numpy calls outweigh the ``bincount`` they save. One lattice at one point,
-#: per pair kind or the windows: 47 x 47 cells 26 against 21 us jointly and
-#: apart, 64 x 64 32 against 35, 90 x 90 48 against 60; 16 lattices of
-#: 16 x 16 39 against 41.
-_JOINT_RATIO, _JOINT_WINDOWS = 2, 4096
+#: max and by min apart otherwise; either way from the same max and min
+#: reductions. Measured on a 2-vCPU box, sampled stacks of the default block
+#: sizes, M = 2, d = 2: time apart over time jointly at 0.73 .. 0.89 windows
+#: per bin 0.72 (300 points, n = 8), 0.87 (37, n = 5), 1.04 (17, n = 4), 1.05
+#: (9, n = 3); at 1.47 .. 1.65 1.03 .. 1.20; at 2.0 .. 2.3 1.09 .. 1.21 and
+#: 0.95 .. 0.99 for blocks of 7,084 one-point n = 1 lattices; at 2.9 .. 6.5
+#: 1.15 .. 1.29; at 11 .. 180 1.25 .. 1.43 (37 points: 3.4 against 4.6 ms at
+#: n = 8, 4 lattices). A joint histogram holds 8 bytes per bin, so at most 4
+#: per window here; at many points joint histograms would break the block's
+#: scoring charge, so those bin apart.
+_JOINT_RATIO = 2
 
 
 def vk_scores(counters, d: int) -> np.ndarray:
@@ -157,6 +155,15 @@ def vk_scores(counters, d: int) -> np.ndarray:
     return np.array((v0, faces) if d == 1 else (v0, 2 * faces - edges_shared, faces)).T
 
 
+def _add_counts(hist: np.ndarray, values: np.ndarray, bins: int) -> None:
+    """Add to the flat (lattice, bin) histogram ``hist``, ``bins`` bins per
+    lattice, one count per value of the stack ``values``: the values offset
+    by lattice, then one ``bincount``."""
+    size = len(values)
+    offsets = bins * np.arange(size).reshape((size,) + (1,) * (values.ndim - 1))
+    hist += np.bincount((values + offsets).ravel(), minlength=size * bins)
+
+
 def _all_windows(block: np.ndarray) -> np.ndarray:
     """The (lattices, 81) window histogram of a bool stack from every window.
     A lattice with more than ``_BLOCK_WINDOWS`` windows is split into bands
@@ -166,12 +173,11 @@ def _all_windows(block: np.ndarray) -> np.ndarray:
     hist = np.zeros(81 * size, dtype=np.int64)
     rows = max(1, _BLOCK_WINDOWS // (W + 1))
     P = np.pad(block.view(np.uint8), ((0, 0), (1, 1), (1, 1)), constant_values=2)
-    offsets = 81 * np.arange(size)[:, None]
     for top in range(0, H + 1, rows):
         band = P[:, top : top + rows + 1]
         codes = (band[:, :-1, :-1] + 3 * band[:, :-1, 1:]
                  + 9 * band[:, 1:, :-1] + 27 * band[:, 1:, 1:])
-        hist += np.bincount((codes.reshape(size, -1) + offsets).ravel(), minlength=81 * size)
+        _add_counts(hist, codes, 81)
     return hist.reshape(size, 81)
 
 
@@ -268,14 +274,19 @@ def window_counters(occ: np.ndarray, living: np.ndarray | None = None) -> np.nda
     return out.reshape(occ.shape[:-2] + (2, 4))
 
 
-def _bin_jointly(by_max: np.ndarray, by_min: np.ndarray, high: np.ndarray, low: np.ndarray,
-                 bins: int) -> None:
+def _bin(by_max: np.ndarray, by_min: np.ndarray, high: np.ndarray, low: np.ndarray,
+         bins: int, jointly: bool) -> None:
     """Add to the flat (lattice, count) histograms ``by_max`` and ``by_min``
     the items of a stack whose max counts are ``high`` and min counts
-    ``low``: one ``bincount`` of max * bins + min, offset by lattice, and
-    its two marginals. The codes take the least unsigned dtype that holds
-    them: at 4 lattices and 37 points uint16, which cut a call from 0.83 to
-    0.62 ms against intp."""
+    ``low``. Jointly, one ``bincount`` of max * bins + min, offset by
+    lattice, and its two marginals; the codes take the least unsigned dtype
+    that holds them: at 4 lattices and 37 points uint16, which cut a call
+    from 0.83 to 0.62 ms against intp. Apart, one offset ``bincount`` of the
+    max counts and one of the min counts (``_add_counts``)."""
+    if not jointly:
+        _add_counts(by_max, high, bins)
+        _add_counts(by_min, low, bins)
+        return
     size = len(high)
     dtype = np.min_scalar_type(size * bins * bins - 1)
     code = np.multiply(high, bins, dtype=dtype)
@@ -290,51 +301,38 @@ def _bin_jointly(by_max: np.ndarray, by_min: np.ndarray, high: np.ndarray, low: 
 
 def _graded(counts: np.ndarray, G: int) -> np.ndarray:
     """The graded pass over a count stack of G points: int64
-    ``counts.shape[:-2] + (G, 2, 4)``. Pairs and windows are binned jointly
-    by (max, min) (``_bin_jointly``) where a lattice has ``_JOINT_RATIO``
-    windows per joint bin or more and the stack ``_JOINT_WINDOWS`` windows,
-    and by max and by min apart otherwise."""
+    ``counts.shape[:-2] + (G, 2, 4)``. Each pair kind and the windows are
+    reduced to their max and min counts once, and each (max, min) pair is
+    binned by ``_bin``: jointly by (max, min) where a lattice has
+    ``_JOINT_RATIO`` windows per joint bin or more, by max and by min apart
+    otherwise."""
     H, W = counts.shape[-2:]
     size, bins = math.prod(counts.shape[:-2]), G + 1
     block = counts.reshape((size, H, W))
-    offsets = bins * np.arange(size).reshape(size, 1, 1)
     hist = np.zeros((2, 4, size * bins), dtype=np.int64)
     (_, edges_any, edges_shared, vertices), (_, c_any, c_shared, c_vertices) = hist
-
-    def count(target, values):
-        target += np.bincount((values + offsets).ravel(), minlength=size * bins)
-
-    count(hist[:, 0], block)  # faces, in F and in C
+    _add_counts(hist[:, 0], block, bins)  # faces, in F and in C
     # a border cell once per border edge, in F's edges_any and in C's
-    count(hist[:, 1], np.hstack((block[:, 0], block[:, -1], block[:, :, 0], block[:, :, -1]))[:, None])
+    _add_counts(hist[:, 1], np.hstack((block[:, 0], block[:, -1], block[:, :, 0], block[:, :, -1])), bins)
+    jointly = bins * bins * _JOINT_RATIO <= (H + 1) * (W + 1)
+    # interior pairs by max for F's edges_any and C's edges_shared, by min the
+    # other way round; windows by max, the outside 0, for F, and by min, the
+    # outside G, for C: horizontal pairs, vertical pairs (interior columns of
+    # the padded ones), windows
+    _bin(c_shared, edges_shared, np.maximum(block[:, :, :-1], block[:, :, 1:]),
+         np.minimum(block[:, :, :-1], block[:, :, 1:]), bins, jointly)
     P = np.empty((size, H + 2, W + 2), dtype=block.dtype)
     P[:, 1:-1, 1:-1] = block
-    # interior pairs by max for F's edges_any and C's edges_shared, by min the other
-    # way round; windows by max, the outside 0, for F, and by min, the outside G, for C
-    lattice_windows = (H + 1) * (W + 1)
-    if bins * bins * _JOINT_RATIO <= lattice_windows and size * lattice_windows >= _JOINT_WINDOWS:
-        # horizontal pairs, vertical pairs (interior columns of the padded
-        # ones), windows: each item binned once by (max, min)
-        _bin_jointly(c_shared, edges_shared, np.maximum(block[:, :, :-1], block[:, :, 1:]),
-                     np.minimum(block[:, :, :-1], block[:, :, 1:]), bins)
-        P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = 0
-        high = np.maximum(P[:, :-1], P[:, 1:])
-        P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = G
-        low = np.minimum(P[:, :-1], P[:, 1:])
-        del P
-        _bin_jointly(c_shared, edges_shared, high[:, 1:-1, 1:-1], low[:, 1:-1, 1:-1], bins)
-        high = np.maximum(high[:, :, :-1], high[:, :, 1:])
-        low = np.minimum(low[:, :, :-1], low[:, :, 1:])
-        _bin_jointly(vertices, c_vertices, high, low, bins)
-        del high, low
-    else:
-        for pad, reduce, pairs, windows in ((0, np.maximum, c_shared, vertices),
-                                            (G, np.minimum, edges_shared, c_vertices)):
-            P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = pad
-            columns = reduce(P[:, :-1], P[:, 1:])  # vertical pairs; their pairs are the windows
-            count(pairs, columns[:, 1:-1, 1:-1])
-            count(pairs, reduce(block[:, :, :-1], block[:, :, 1:]))
-            count(windows, reduce(columns[:, :, :-1], columns[:, :, 1:]))
+    P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = 0
+    high = np.maximum(P[:, :-1], P[:, 1:])
+    P[:, 0] = P[:, -1] = P[:, :, 0] = P[:, :, -1] = G
+    low = np.minimum(P[:, :-1], P[:, 1:])
+    del P
+    _bin(c_shared, edges_shared, high[:, 1:-1, 1:-1], low[:, 1:-1, 1:-1], bins, jointly)
+    high = np.maximum(high[:, :, :-1], high[:, :, 1:])
+    low = np.minimum(low[:, :, :-1], low[:, :, 1:])
+    _bin(vertices, c_vertices, high, low, bins, jointly)
+    del high, low
     edges_any += c_shared
     c_any += edges_shared
     # in place, the items reaching G, G - 1, .., 1: point 0, 1, .., G - 1
@@ -377,13 +375,14 @@ def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
     edges_shared the min over interior pairs. C counts all items but those
     whose min (the outside padded with G; the max for edges_shared) reaches
     it, so F and C share seven histograms of the values 0..G and one of the
-    border cells, summed from the top. Each is a ``bincount`` offset by
-    lattice, or, where a lattice has ``_JOINT_RATIO`` windows per bin of
-    (G + 1)^2 or more and the stack ``_JOINT_WINDOWS`` windows (a bool
-    lattice from 63 x 63 cells on), a pair kind's or the windows' max and
-    min histograms are the marginals of one ``bincount`` of (max, min). The
-    stack is graded whole: ``montecarlo._block_size`` sizes the blocks it
-    scores.
+    border cells, summed from the top. A pair kind and the windows are
+    reduced to their max and min counts once. Where a lattice has
+    ``_JOINT_RATIO`` windows per bin of (G + 1)^2 or more (a bool lattice
+    of 8 windows or more), their max and min histograms are the marginals of
+    one ``bincount`` of (max, min); otherwise each histogram is its own
+    ``bincount``, offset by lattice, as are the faces' and the border
+    cells'. The stack is graded whole: ``montecarlo._block_size`` sizes the
+    blocks it scores.
     """
     if points is None:
         return _graded(np.asarray(counts, dtype=bool).view(np.uint8), 1)[..., 0, :, :]

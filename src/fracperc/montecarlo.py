@@ -275,23 +275,22 @@ CSV_COLUMNS = ("M", "p", "n", "functional", "target", "mean", "stderr", "count",
 
 
 def format_float(x) -> str:
-    """17 significant digits: round-trips float64 exactly."""
+    """17 significant digits: round-trips float64 exactly. None is empty,
+    ints and strings are written as they are."""
     if x is None:
         return ""
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return format(float(x), ".17g")
 
 
-def write_csv(rows: list, path) -> None:
-    """Rows are dicts with the CSV_COLUMNS keys; strings are written as they
-    are and every other field through ``format_float``."""
+def write_csv(path, headers, rows) -> None:
+    """A CSV table: the ``headers`` line, then per row its values in
+    ``headers`` order, each through ``format_float``."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(headers) + "\n")
         for row in rows:
-            values = (row.get(col) for col in CSV_COLUMNS)
-            fields = (v if isinstance(v, str) else format_float(v) for v in values)
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(map(format_float, row)) + "\n")
 
 
 def config_digest(text: str) -> str:

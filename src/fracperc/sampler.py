@@ -19,7 +19,8 @@ Thresholding the counts at a grid point gives that p's lattice, bit for
 bit. A grid of a few points is counted one compare per point; a larger
 one from a bucket table built once per call: [0, 1) cut into a power of
 two of buckets, so that the points above a uniform's bucket are one
-lookup and only the points inside it are compared.
+lookup and only the points inside it are compared. Both run the same
+compare loop, over the points or over the table's gathered rows.
 
 Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
 array has a single row so the 2-d code paths are shared. A block of
@@ -186,26 +187,25 @@ def _count_below(u: np.ndarray, points: np.ndarray, table, out: np.ndarray) -> N
     """Write to ``out`` the number of ``points`` p with ``u < p``, per uniform.
 
     With their ``_bucket_table`` ``table``, a chunk of ``_TABLE_CANDIDATES``
-    uniforms or more is read from it: the points above u's bucket, and one
-    compare per row with the points inside it. Otherwise each point is one
-    compare. ``u`` may be scaled by K in place; it, its bucket indices
-    (uint8 up to K = 256) and the gathered points are freed on return,
-    before the next chunk hashes."""
+    uniforms or more is read from it: the points above u's bucket, then one
+    row per row of the table, the points inside u's bucket gathered.
+    Otherwise the count starts at 0 with one row per point. One compare
+    loop adds ``u < row`` for every row. ``u`` may be scaled by K in place;
+    it, its bucket indices (uint8 up to K = 256) and the gathered points are
+    freed on return, before the next chunk hashes."""
     below = np.empty(len(u), dtype=bool)
     if table is None or len(u) < _TABLE_CANDIDATES:
         out.fill(0)
-        for p in points:
-            np.less(u, p, out=below)
-            np.add(out, below.view(np.uint8), out=out)
-        return
-    K, above, inside = table
-    u *= K
-    index = u.astype(np.min_scalar_type(K - 1))  # the floor: u K lies in [0, K)
-    above.take(index, out=out, mode="clip")  # "clip" writes out unbuffered; no index clips
-    gathered = np.empty(len(u))
-    for row in inside:
-        row.take(index, out=gathered, mode="clip")
-        np.less(u, gathered, out=below)
+        rows = points  # one row per point
+    else:
+        K, above, inside = table
+        u *= K
+        index = u.astype(np.min_scalar_type(K - 1))  # the floor: u K lies in [0, K)
+        above.take(index, out=out, mode="clip")  # "clip" writes out unbuffered; no index clips
+        gathered = np.empty(len(u))
+        rows = (row.take(index, out=gathered, mode="clip") for row in inside)  # one per table row
+    for row in rows:
+        np.less(u, row, out=below)
         np.add(out, below.view(np.uint8), out=out)
 
 
@@ -254,7 +254,7 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
     such a stack from its living cells, ``geometry._SPARSE_RATIO``); it is
     None otherwise, and an empty intp array for extinct lattices. The
     positions go into one buffer of that share of the cells (all of them
-    at a ratio of 0), 8 bytes per living cell: 0.25 bytes per cell at one
+    at a ratio of 1), 8 bytes per living cell: 0.25 bytes per cell at one
     in 32.
     """
     _integer("level n", n, 0)
@@ -275,7 +275,7 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
     living = None
     if sparse_ratio is not None and len(points) == 1 and n:
         size = len(indices) * cells
-        living, found = np.empty(int(size // sparse_ratio) if sparse_ratio else size, live.dtype), 0
+        living, found = np.empty(int(size // sparse_ratio), live.dtype), 0
     for level in range(1, n + 1):
         keys = rng.node_key(seed, indices, level)
         side = M ** (level - 1)  # of the parents' level

@@ -143,7 +143,7 @@ def test_window_counters_in_small_blocks_and_row_bands(monkeypatch):
 def _assert_branches_equal_audit(monkeypatch, occ):
     """``window_counters(occ)`` equals ``audit_counters(occ)`` with its
     histogram read from the living cells and from every window, each forced
-    through ``_SPARSE_RATIO``: 0 sends every stack to the living cells, 1e30
+    through ``_SPARSE_RATIO``: 1 sends every stack to the living cells, 1e30
     every stack with a living cell to the windows. So does
     ``window_counters(occ, living)`` given the living cells' flat positions
     in ``np.flatnonzero`` order, reversed and shuffled. Both histograms of
@@ -157,7 +157,7 @@ def _assert_branches_equal_audit(monkeypatch, occ):
     for living in orders:
         assert np.array_equal(G._living_windows(stack, living), every), stack.shape
     audit = G.audit_counters(occ)
-    for ratio in (0, 1e30):
+    for ratio in (1, 1e30):
         monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
         assert np.array_equal(G.window_counters(occ), audit), (np.shape(occ), ratio)
         for living in orders:
@@ -206,11 +206,11 @@ def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
     # lattices, and a block of 1,024 n = 4 lattices
     for M, d, n, block, p in ((2, 1, 10, 16, 0.7), (3, 1, 6, 16, 0.5), (2, 2, 8, 4, 0.3),
                               (3, 2, 5, 4, 0.2), (2, 2, 4, 1024, 0.3)):
-        counts, living = S._draw(M, d, [p], n, 4, np.arange(block), sparse_ratio=0)
+        counts, living = S._draw(M, d, [p], n, 4, np.arange(block), sparse_ratio=1)
         occ = counts.view(bool)
         assert np.array_equal(G._living_windows(occ, living), G._all_windows(occ)), (M, d, n)
         audit = G.audit_counters(occ)
-        for ratio in (0, 1e30):
+        for ratio in (1, 1e30):
             monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
             assert np.array_equal(G.window_counters(occ, living), audit), (M, d, n, ratio)
 
@@ -220,7 +220,7 @@ def test_oracle_pattern_scores_from_either_branch(monkeypatch):
     keys = O._block_structure(2, 2, 2).keys
     occ = (keys[:, None] >> (15 - np.arange(16)) & 1).astype(bool).reshape(-1, 4, 4)
     audit = G.audit_counters(occ)
-    for ratio in (0, 1e30):
+    for ratio in (1, 1e30):
         monkeypatch.setattr(G, "_SPARSE_RATIO", ratio)
         scores = O._pattern_scores.__wrapped__(2, 2, 2)  # past the cache: scored again
         assert np.array_equal(scores[..., :4], audit), ratio
@@ -311,31 +311,57 @@ def test_graded_pass_equals_window_counters_at_every_point():
 
 
 def test_graded_pass_takes_the_joint_route_from_its_boundaries(monkeypatch):
-    # a stack bins its pairs and windows jointly by (max, min), three calls,
-    # where each lattice has _JOINT_RATIO windows per joint bin, (G + 1)^2,
-    # and the stack _JOINT_WINDOWS windows: exactly at each boundary, and
-    # apart, no call, one column or one lattice fewer
+    # a stack bins its pairs and windows jointly by (max, min), three calls
+    # of _bin, where each lattice has _JOINT_RATIO windows per joint bin,
+    # (G + 1)^2: exactly at the boundary, and apart one column fewer, at any
+    # size of the stack
     calls = []
-    joint = G._bin_jointly
-    monkeypatch.setattr(G, "_bin_jointly", lambda *args: calls.append(args[-1]) or joint(*args))
+    binning = G._bin
+    monkeypatch.setattr(G, "_bin", lambda *args: calls.append(args[-2:]) or binning(*args))
     rng = np.random.default_rng(32)
     cases = []
     for points in (1, 2, 37, 255, 256):  # at 255 points one lattice's codes fill uint16
         # H = G and W = (G + 1) _JOINT_RATIO - 1: the ratio's boundary
         H, W = points, (points + 1) * G._JOINT_RATIO - 1
         assert (H + 1) * (W + 1) == (points + 1) ** 2 * G._JOINT_RATIO
-        size = -(-G._JOINT_WINDOWS // ((H + 1) * W))  # the stack's windows above its bound
-        cases += [(points, (size, H, W), True), (points, (size, H, W - 1), False)]
-    # 7 x 7 lattices at one point have 64 windows, 16 per joint bin
-    size = G._JOINT_WINDOWS // 64
-    assert size * 64 == G._JOINT_WINDOWS
-    cases += [(1, (size, 7, 7), True), (1, (size - 1, 7, 7), False)]
+        for size in (1, 3):
+            cases += [(points, (size, H, W), True), (points, (size, H, W - 1), False)]
+    # 7 x 7 lattices at one point have 64 windows, 16 per joint bin: jointly
+    # for one lattice and for stacks of a few, as for many
+    cases += [(1, (size, 7, 7), True) for size in (1, 4, 64)]
     for points, shape, jointly in cases:
         counts = rng.integers(0, points + 1, size=shape)
         counts[0, 0, 0] = points
         calls.clear()
         _assert_graded_equals_thresholds(counts.astype(np.min_scalar_type(points)), points)
-        assert calls == [points + 1] * (3 if jointly else 0), (points, shape)
+        assert calls == [(points + 1, jointly)] * 3, (points, shape)
+
+
+def test_graded_pass_kills_its_binning_mutants(monkeypatch):
+    # each mutant of _bin makes the graded counters differ from the window
+    # pass at the points, on a stack that bins jointly (n = 6, 37 points) and
+    # on one that bins apart (n = 2, 300 points: 25 windows per lattice
+    # against 301^2 joint bins); the pass's own check of its totals may be
+    # the assertion that fails
+    binning = G._bin
+
+    def swapped(by_max, by_min, high, low, bins, jointly):  # the two marginals swapped
+        binning(by_min, by_max, high, low, bins, jointly)
+
+    def no_offset(by_max, by_min, high, low, bins, jointly):  # every lattice in the first's bins
+        shape = (1, -1) + (1,) * (high.ndim - 2)
+        binning(by_max[:bins], by_min[:bins], high.reshape(shape), low.reshape(shape), bins, jointly)
+
+    for n, points in ((6, 37), (2, 300)):
+        counts = S.sample_grid(2, 2, np.linspace(0.26, 0.98, points), n, 13, np.arange(4))
+        windows = (2**n + 1) ** 2
+        assert (windows >= G._JOINT_RATIO * (points + 1) ** 2) == (n == 6)
+        _assert_graded_equals_thresholds(counts, points)
+        for mutant in (swapped, no_offset):
+            monkeypatch.setattr(G, "_bin", mutant)
+            with pytest.raises(AssertionError):
+                _assert_graded_equals_thresholds(counts, points)
+            monkeypatch.setattr(G, "_bin", binning)
 
 
 def test_graded_pass_refuses_counts_it_cannot_grade():

@@ -443,7 +443,7 @@ def test_csv_round_trip(tmp_path):
     res = MC.run_experiment(ModelParams(2, 0.6, 2), 3, 60, seed=8)
     rows = res.to_rows()
     path = tmp_path / "out.csv"
-    MC.write_csv(rows, path)
+    MC.write_csv(path, MC.CSV_COLUMNS, [[row[c] for c in MC.CSV_COLUMNS] for row in rows])
     with open(path) as fh:
         back = list(csv.DictReader(fh))
     assert len(back) == len(rows)

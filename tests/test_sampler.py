@@ -143,7 +143,7 @@ def test_replicate_peak_memory_within_guard_model(monkeypatch):
             assert net <= block * charge, (M, d, n, points, budget, net / (block * charge))
     # one-point blocks scored from their living cells, forced: at n = 10 and
     # p = 0.7 about half the lattices have more than 1 / 32 of their cells living
-    monkeypatch.setattr(G, "_SPARSE_RATIO", 0)
+    monkeypatch.setattr(G, "_SPARSE_RATIO", 1)
     for n, p in ((10, 0.7), (4, 0.3)):
         params = ModelParams(2, p, 2)
         cells = 4**n
@@ -299,7 +299,7 @@ def test_draw_hands_over_the_living_cells(M, d, monkeypatch):
             indices = np.arange(7, 7 + block)
             for p in (1.1 / M**d, 0.7):
                 expected = S.sample_grid(M, d, [p], n, 5, indices)
-                counts, living = S._draw(M, d, [p], n, 5, indices, sparse_ratio=0)
+                counts, living = S._draw(M, d, [p], n, 5, indices, sparse_ratio=1)
                 assert np.array_equal(counts, expected) and counts.dtype == expected.dtype
                 assert living.dtype == np.intp and len(np.unique(living)) == len(living)
                 assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (chunk, block, p)
@@ -316,7 +316,7 @@ def test_draw_hands_over_the_living_cells(M, d, monkeypatch):
     # n = 0, a grid of two points, no ratio and a stack over the ratio hand over None
     counts, living = S._draw(M, d, [0.5], 0, 5, [0, 1], sparse_ratio=G._SPARSE_RATIO)
     assert np.array_equal(counts, np.ones((2, 1, 1))) and living is None
-    counts, living = S._draw(M, d, [0.01, 0.5], 3, 5, [0, 1], sparse_ratio=0)
+    counts, living = S._draw(M, d, [0.01, 0.5], 3, 5, [0, 1], sparse_ratio=1)
     assert np.array_equal(counts, S.sample_grid(M, d, [0.01, 0.5], 3, 5, [0, 1])) and living is None
     assert S._draw(M, d, [0.5], 3, 5, [0, 1])[1] is None
     counts, living = S._draw(M, d, [1.0], 3, 5, [0, 1], sparse_ratio=G._SPARSE_RATIO)
