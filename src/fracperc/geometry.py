@@ -22,9 +22,10 @@ measures F and C of a lattice or a stack. A stack where few cells live
 (one in ``_SPARSE_RATIO`` or fewer, as at n = 12, p = 0.7) has its
 histogram read from the corner windows of its living cells, the windows
 they do not touch added per border class; any other is read window by
-window. Monte Carlo hands in the living cells' positions that the sampler
-made (``sampler._draw``), so neither their number nor the cells themselves
-are found by a scan of the stack; other callers' stacks are scanned.
+window. Monte Carlo hands in the positions of every one-point block's
+living cells that the sampler kept (``sampler._draw``), so neither their
+number nor the cells themselves are found by a scan of the stack; other
+callers' stacks are scanned.
 ``audit_counters``, the graded pass, computes the same counters with direct
 reductions of an alive-count stack (``sampler.sample_grid``): F
 counts the cells, pairs or windows whose max count reaches a threshold, C

@@ -14,8 +14,9 @@ stack) draws a block once for a whole coupled p grid (a one-point grid by
 default), and one ``geometry.minkowski`` call given the grid size scores
 the whole block: V_0 .. V_d of F and C of every lattice at every point at
 cell side M^-n, by the window lookup over one point, one graded pass over
-several. A sparse one-point block comes with the positions of its living
-cells, from which the lookup reads its windows without scanning the stack.
+several. A one-point block comes with the positions of its living cells,
+so the lookup neither counts nor finds them by a scan of the stack, and a
+sparse block reads its windows from them.
 A replicate's lattices are nested in p, so spanning is monotone over the
 grid: one ``geometry.first_spanning`` call gives each lattice's first
 spanning point per axis, and the lattice spans at every point from it on.
@@ -172,9 +173,8 @@ def _run_block(args):
     d, G = params.d, len(grid)
     width = 2 * (d + 1)
     values = np.empty((G, last - first, width + len(axes)))
-    # a sparse one-point stack comes with its living cells' positions, read by the window pass
-    counts, living = sampler._draw(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes,
-                                   geometry._SPARSE_RATIO)
+    # a one-point stack comes with its living cells' positions, which the window pass counts and reads
+    counts, living = sampler._draw(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes)
     # (replicate, point) rows into the (point, replicate) table through a view
     values[..., :width] = geometry.minkowski(counts, float(params.M) ** -n, d, G, living).reshape(
         last - first, G, width).swapaxes(0, 1)
@@ -190,8 +190,9 @@ def _grid_values(params, grid, n, samples, seed, connectivity, axes, workers, bu
     ``(G, samples, width)``, read-only; ``params`` is the model at the grid's
     largest p. The replicates run in blocks of ``_block_size``, cut to a
     worker's share so that every worker has one; several workers take the
-    blocks in contiguous runs. The key holds every argument, so a different
-    worker count or budget draws again."""
+    blocks in contiguous runs. A budget under one lattice is refused here,
+    before any block is drawn or pool started. The key holds every argument,
+    so a different worker count or budget draws again."""
     step = min(_block_size(params, n, budget_bytes, len(grid)), -(-samples // workers))
     blocks = [(params, grid, n, seed, first, min(first + step, samples), connectivity, axes,
                budget_bytes) for first in range(0, samples, step)]
@@ -249,7 +250,6 @@ def run_experiment(
     grid = (p,) if grid is None else tuple(sampler._grid_points(params.M, params.d, grid).tolist())
     if p not in grid:
         raise ArgumentError(f"p = {p!r} is not a point of the grid {grid}")
-    _block_size(params, n, budget_bytes, len(grid))  # a budget under one lattice, refused here
     keys = [(t, f) for t in ("F", "C") for f in list(_FUNCTIONAL_INDEX)[: params.d + 1]]
     axes = tuple(dict.fromkeys(spanning_axes))
     values = _grid_values(

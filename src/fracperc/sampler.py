@@ -24,20 +24,22 @@ compare loop, over the points or over the table's gathered rows.
 
 Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
 array has a single row so the 2-d code paths are shared. A block of
-replicates is one ``(B, rows, columns)`` stack. Below the last level only
-the living cells are kept, as their flat positions in the level's stack and
-their counts; each level makes their children's positions arithmetically,
+replicates is one ``(B, rows, columns)`` stack. Each level keeps only its
+living cells, as their flat positions in the level's stack and their
+counts; each level makes their children's positions arithmetically,
 hashes one key per replicate, splits each position into (replicate, cell)
-and draws its uniform from that replicate's key. The last level's children
-are written into one zeroed stack, so every lattice of the stack equals the
-one ``sample`` draws for its index, and no level's lattice is ever expanded
-or scanned in full. ``sample`` is the one-replicate, one-point grid,
-whose 0/1 counts are the lattice viewed as bool. Only ``F_n`` is drawn:
-the functionals of its closed complement ``C_n`` come from the same
-lattice through the window pass of :mod:`fracperc.geometry`. Monte Carlo
-draws through ``_draw``, which also hands over a sparse one-point stack's
-living cells, their positions as the last level wrote them, so that the
-window pass need not scan the stack for them.
+and draws its uniform from that replicate's key. A grid of several points
+writes its last level's children into one zeroed stack; a one-point grid
+keeps its last level's living cells like every level above it and
+scatters them into the zeroed stack once. Every lattice of the stack
+equals the one ``sample`` draws for its index, and no level's lattice is
+ever expanded or scanned in full. ``sample`` is the one-replicate,
+one-point grid, whose 0/1 counts are the lattice viewed as bool. Only
+``F_n`` is drawn: the functionals of its closed complement ``C_n`` come
+from the same lattice through the window pass of :mod:`fracperc.geometry`.
+Monte Carlo draws through ``_draw``, which also hands over a one-point
+stack's living positions, so that the window pass neither counts nor
+finds them by a scan of the stack.
 """
 
 from __future__ import annotations
@@ -53,24 +55,27 @@ from .analytic import ArgumentError, ModelParams, _integer
 DEFAULT_BUDGET_BYTES = 2 << 30
 
 #: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
-#: at p = 1, ``sample`` peaks at 9.5 at n = 8 and 3.8 at n = 10 and 12 (the
-#: stack, the living cells of level n - 1 and one hash chunk), at 1.1 at
-#: n = 12, p = 0.7, and a one-point ``sample_grid`` at 13 for a block of 256
-#: lattices at n = 4; ``_draw``'s buffer of living positions adds 0.25 (8
-#: bytes per cell in 32), 1.34-1.38 at n = 12, p = 0.7. The F+C window pass
-#: peaks at 11 at n = 8 and 17 for that block read from every window, at 1.1
-#: at n = 10, p = 0.7 and 0.44-0.67 at n = 12 read from the living cells
-#: (32 per living cell, their 8-byte positions included), and ``label`` at
-#: 5. A block of 1024 lattices at n = 4 drawn by ``sample_grid`` over 37
-#: points up to 0.98 peaks at 5.5, and at 19 with its thresholds and window
-#: passes; over 300 points up to p = 1 (uint16 counts) at 6.9 and 20.
-#: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
-#: beside its value table, on one of 230 over 300 points at 171, within its
-#: scoring charge. Blocks of 1, 10, 50 and 100 lattices over 37 points peak
-#: at 43, 41, 39 and 27, where fixed costs of a few kB weigh most (the block
-#: of 1 holds the 1.2 kB bucket table and counts its 256-uniform chunks by
-#: compares, ``_TABLE_CANDIDATES``). The constant stays above every figure,
-#: and the block sizes rest on it.
+#: at p = 1, ``sample`` peaks at 17.5 at n = 8 and 12.25 at n = 10 and 12
+#: (the last level's living cells, 8 bytes of position and 1 of count per
+#: cell, beside the stack, the living cells of level n - 1 and one hash
+#: chunk), at 5.6 at n = 12, p = 0.9 and 1.3 at n = 12, p = 0.7, and a
+#: one-point ``sample_grid`` at 20 for a block of 256 lattices at n = 4.
+#: The F+C window pass peaks at 11 at n = 8 and 17 for that block read from
+#: every window, at 1.1 at n = 10, p = 0.7 and 0.44-0.67 at n = 12 read from
+#: the living cells (32 per living cell, their 8-byte positions included),
+#: and ``label`` at 5. ``montecarlo._run_block`` over one point at p = 1,
+#: the draw's positions held through the window pass, peaks at 26 for a
+#: block of 1,024 at n = 4 and 19 at n = 8 and 10. A block of 1024 lattices
+#: at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98 peaks at
+#: 5.5, and at 19 with its thresholds and window passes; over 300 points up
+#: to p = 1 (uint16 counts) at 6.9 and 20. ``montecarlo._run_block`` on a
+#: block of 1000 over 37 points peaks at 24 beside its value table, on one
+#: of 230 over 300 points at 171, within its scoring charge. Blocks of 1,
+#: 10, 50 and 100 lattices over 37 points peak at 43, 41, 39 and 27, where
+#: fixed costs of a few kB weigh most (the block of 1 holds the 1.2 kB
+#: bucket table and counts its 256-uniform chunks by compares,
+#: ``_TABLE_CANDIDATES``). The constant stays above every figure, and the
+#: block sizes rest on it.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call, the children of ``_HASH_CHUNK // M^d`` living
@@ -234,8 +239,8 @@ def sample_grid(
     children's positions from them (``_children``), so a cell dead at the
     grid's largest p hashes no children and no lattice below level n is
     built. Each level hashes one key per replicate, then the children's
-    uniforms ``_HASH_CHUNK`` at a time; the last level's counts are written
-    into the zeroed stack that is returned.
+    uniforms ``_HASH_CHUNK`` at a time; the last level's counts end in the
+    zeroed stack that is returned (``_draw``).
 
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
@@ -244,18 +249,15 @@ def sample_grid(
 
 
 def _draw(M: int, d: int, grid, n: int, seed: int, indices,
-          budget_bytes: int = DEFAULT_BUDGET_BYTES, sparse_ratio=None) -> tuple:
+          budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple:
     """``sample_grid``'s stack and the flat stack positions of its living
     cells: ``(counts, living)``.
 
-    ``living`` is collected from the last level's chunks, in their order,
-    only for a one-point grid at n >= 1 given a ``sparse_ratio``, and only
-    while at most one cell in ``sparse_ratio`` lives (the window pass reads
-    such a stack from its living cells, ``geometry._SPARSE_RATIO``); it is
-    None otherwise, and an empty intp array for extinct lattices. The
-    positions go into one buffer of that share of the cells (all of them
-    at a ratio of 1), 8 bytes per living cell: 0.25 bytes per cell at one
-    in 32.
+    A one-point grid's last level is kept like every level above it, as
+    its living cells' positions and counts, in chunk order, and scattered
+    into the zeroed stack once; those positions are ``living`` (an intp
+    array, empty for extinct lattices). A grid of several points writes its
+    last level into the stack chunk by chunk, and ``living`` is None.
     """
     _integer("level n", n, 0)
     points = _grid_points(M, d, grid)
@@ -272,10 +274,6 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
     per_chunk = max(1, _HASH_CHUNK // M**d)  # parents whose children one hash chunk holds
     live = np.arange(len(indices))  # flat stack positions of the living cells, level 0
     counts = np.full(len(indices), len(points), dtype=dtype)  # and their counts
-    living = None
-    if sparse_ratio is not None and len(points) == 1 and n:
-        size = len(indices) * cells
-        living, found = np.empty(int(size // sparse_ratio), live.dtype), 0
     for level in range(1, n + 1):
         keys = rng.node_key(seed, indices, level)
         side = M ** (level - 1)  # of the parents' level
@@ -284,7 +282,8 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
         # a * M * side + b from the parent's first child (b for d = 1)
         offsets = [a * M * side + b for a in range(M if d == 2 else 1) for b in range(M)]
         parents = counts
-        if level == n:  # the last level is the stack itself
+        dense = level == n and len(points) > 1  # several points: the last level is the stack
+        if dense:
             counts = np.zeros(len(indices) * level_cells, dtype=dtype)
         else:
             counts = np.empty(len(live) * M**d, dtype=dtype)
@@ -304,16 +303,8 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
             _count_below(u, points, table, own.reshape(-1))
             del u
             np.minimum(own, parents[first : first + per_chunk], out=own)
-            if level == n:
+            if dense:
                 counts[part] = own
-                if living is not None:  # one point: the counts are 0/1
-                    alive = own.view(bool)
-                    here = np.count_nonzero(alive)
-                    if found + here > len(living):  # the window pass reads every window
-                        living = None
-                    else:
-                        living[found : found + here] = part[alive]
-                        found += here
             else:
                 alive = np.flatnonzero(own != 0)  # numpy finds nonzeros of bool faster
                 counts[kept : kept + len(alive)] = own.reshape(-1)[alive]
@@ -321,10 +312,14 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
                 kept += len(alive)
                 del alive
             del part, own  # before the next chunk hashes
-        if level < n:
+        if not dense:
             live, counts = children[:kept], counts[:kept]
-    counts = counts.reshape(len(indices), M**n if d == 2 else 1, M**n)
-    return counts, None if living is None else living[:found]
+    shape = (len(indices), M**n if d == 2 else 1, M**n)
+    if len(points) > 1:
+        return counts.reshape(shape), None
+    stack = np.zeros(len(indices) * cells, dtype=dtype)
+    stack[live] = counts
+    return stack.reshape(shape), live
 
 
 def sample(

@@ -206,7 +206,7 @@ def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
     # lattices, and a block of 1,024 n = 4 lattices
     for M, d, n, block, p in ((2, 1, 10, 16, 0.7), (3, 1, 6, 16, 0.5), (2, 2, 8, 4, 0.3),
                               (3, 2, 5, 4, 0.2), (2, 2, 4, 1024, 0.3)):
-        counts, living = S._draw(M, d, [p], n, 4, np.arange(block), sparse_ratio=1)
+        counts, living = S._draw(M, d, [p], n, 4, np.arange(block))
         occ = counts.view(bool)
         assert np.array_equal(G._living_windows(occ, living), G._all_windows(occ)), (M, d, n)
         audit = G.audit_counters(occ)

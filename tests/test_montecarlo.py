@@ -43,6 +43,19 @@ def _lattice_charge(cells, points):
                + MC.SCORE_BYTES_PER_LATTICE + points * MC.SCORE_BYTES_PER_POINT)
 
 
+def _counted_draws(monkeypatch) -> list:
+    """The arguments of every ``sampler._draw`` call made in this process
+    from now on; each call still draws."""
+    draws, draw = [], S._draw
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(S, "_draw", counted)
+    return draws
+
+
 def _per_replicate_reference(params, n, samples, seed, axes):
     """The estimates of run_experiment, one sample, window pass and labelling per replicate."""
     from fracperc import geometry as G
@@ -140,8 +153,11 @@ def test_budget_below_one_scored_lattice_refused(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(MC, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(S.MemoryBudgetError, match="300 point"):
-        MC.run_experiment(pr, 4, 2, 1, workers=2, budget_bytes=12_288, grid=grid)
+    draws = _counted_draws(monkeypatch)
+    for workers in (1, 2):
+        with pytest.raises(S.MemoryBudgetError, match="300 point"):
+            MC.run_experiment(pr, 4, 2, 1, workers=workers, budget_bytes=12_288, grid=grid)
+    assert draws == []
     # a budget of exactly one lattice's charge runs, one lattice per block
     exact = MC.run_experiment(pr, 4, 2, 1, budget_bytes=_lattice_charge(4**4, 300), grid=grid)
     assert exact.estimates == MC.run_experiment(pr, 4, 2, 1, grid=grid).estimates
@@ -400,13 +416,11 @@ def test_refused_level_starts_no_workers(monkeypatch):
 def test_refused_connectivity_draws_nothing(monkeypatch):
     # the connectivity is checked before any block is drawn or pool started,
     # whether or not spanning is requested
-    draws = []
-
     def no_pool(max_workers):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(MC, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(S, "sample_grid", lambda *args: draws.append(args))
+    draws = _counted_draws(monkeypatch)
     for workers in (1, 2):
         for axes in ((), ("x",), ("x", "y")):
             MC._grid_values.cache_clear()

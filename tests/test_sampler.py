@@ -1,6 +1,7 @@
 """Sampling determinism, tree consistency, offspring law, memory guard, PBM output."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,6 +242,44 @@ def test_sample_grid_small_chunks_and_extinction_match_reference(M, d, monkeypat
     assert living.any() and not living.all(), living
 
 
+def test_reference_kills_sampler_mutants(monkeypatch):
+    # two defects patched into the sampler alone, so that the reference's
+    # own rng calls stay sound: every replicate of a block hashed under the
+    # first replicate's key, and _children placing a parent's children as if
+    # the parent's row and column were swapped. The reference catches each,
+    # over a one-point grid and a coupled one, and passes the sound draw
+    seed, indices = 31, [4, 0, 9]
+
+    def matches_reference(M, d, n, grid):
+        counts = S.sample_grid(M, d, grid, n, seed, indices)
+        return all(np.array_equal(counts[k] >= len(grid) - j, occ)
+                   for k, index in enumerate(indices)
+                   for j, occ in enumerate(_reference_lattices(M, d, grid, n, seed, index)))
+
+    def first_key(seed, indices, level):
+        return np.repeat(rng.node_key(seed, indices[:1], level), len(indices))
+
+    children = S._children
+
+    def swapped(f, offsets, M, d, side):
+        replicate, cell = np.divmod(f, side**d)
+        row, column = np.divmod(cell, side)
+        return children(replicate * side**d + column * side + row, offsets, M, d, side)
+
+    cases = [(M, d, 4, grid) for M, d in ((2, 2), (3, 2), (2, 1)) for grid in ([0.7], [0.5, 0.7, 0.9])]
+    assert all(matches_reference(*case) for case in cases)
+    mutants = [  # each with the cases that show it: a one-row lattice has no swap
+        ("rng", SimpleNamespace(node_key=first_key, cell_uniforms=rng.cell_uniforms), cases),
+        ("_children", swapped, [case for case in cases if case[1] == 2]),
+    ]
+    for attribute, mutant, shown in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(S, attribute, mutant)
+            for case in shown:
+                assert not matches_reference(*case), (attribute, case)
+    assert all(matches_reference(*case) for case in cases)
+
+
 def test_bucket_count_equals_the_per_point_count(monkeypatch):
     # per uniform, the bucket table's count and the per-point loop's equal the
     # plain sum of u < p: at every point itself (u == p counts nothing), at
@@ -289,38 +328,35 @@ def test_clustered_grid_draws_equal_the_reference(monkeypatch):
 @pytest.mark.parametrize("M", [2, 3])
 @pytest.mark.parametrize("d", [1, 2])
 def test_draw_hands_over_the_living_cells(M, d, monkeypatch):
-    # a one-point draw hands over the flat stack positions of its living
-    # cells, each once, with the stack sample_grid returns; chunks of 13
-    # candidates split the last level into many
+    # every one-point draw hands over the flat stack positions of its living
+    # cells, each once, with its stack: near extinction, at p = 0.7 and 1, at
+    # n = 0 and for an extinct stack; chunks of 13 candidates split each
+    # level into many, and most chunks mix replicates
     n = {(2, 2): 6, (3, 2): 4, (2, 1): 10, (3, 1): 6}[M, d]
+
+    def handed_over(p, n, indices):
+        counts, living = S._draw(M, d, [p], n, 5, indices)
+        assert living.dtype == np.intp and len(np.unique(living)) == len(living)
+        assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (p, n, len(indices))
+        assert np.array_equal(counts[0], _reference_lattices(M, d, [p], n, 5, indices[0])[0])
+        return counts
+
     for chunk in (S._HASH_CHUNK, 13):
         monkeypatch.setattr(S, "_HASH_CHUNK", chunk)
         for block in (1, 4, 64):
             indices = np.arange(7, 7 + block)
             for p in (1.1 / M**d, 0.7):
-                expected = S.sample_grid(M, d, [p], n, 5, indices)
-                counts, living = S._draw(M, d, [p], n, 5, indices, sparse_ratio=1)
-                assert np.array_equal(counts, expected) and counts.dtype == expected.dtype
-                assert living.dtype == np.intp and len(np.unique(living)) == len(living)
-                assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (chunk, block, p)
-                # under the real ratio: handed over while at most 1 cell in 32 lives
-                counts, living = S._draw(M, d, [p], n, 5, indices, sparse_ratio=G._SPARSE_RATIO)
-                assert np.array_equal(counts, expected)
-                if np.count_nonzero(counts) * G._SPARSE_RATIO <= counts.size:
-                    assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (block, p)
-                else:
-                    assert living is None, (chunk, block, p)
-    # an extinct lattice hands over an empty array
-    counts, living = S._draw(M, d, [0.0], 3, 5, [0], sparse_ratio=G._SPARSE_RATIO)
-    assert not counts.any() and living.dtype == np.intp and len(living) == 0
-    # n = 0, a grid of two points, no ratio and a stack over the ratio hand over None
-    counts, living = S._draw(M, d, [0.5], 0, 5, [0, 1], sparse_ratio=G._SPARSE_RATIO)
-    assert np.array_equal(counts, np.ones((2, 1, 1))) and living is None
-    counts, living = S._draw(M, d, [0.01, 0.5], 3, 5, [0, 1], sparse_ratio=1)
-    assert np.array_equal(counts, S.sample_grid(M, d, [0.01, 0.5], 3, 5, [0, 1])) and living is None
-    assert S._draw(M, d, [0.5], 3, 5, [0, 1])[1] is None
-    counts, living = S._draw(M, d, [1.0], 3, 5, [0, 1], sparse_ratio=G._SPARSE_RATIO)
-    assert counts.all() and living is None
+                handed_over(p, n, indices)
+            assert handed_over(1.0, n, indices).all() and handed_over(0.5, 0, indices).all()
+        assert not handed_over(0.0, 3, [0, 1]).any()  # extinct: an empty array
+    # a grid of two points or more writes its stack and hands over None
+    for grid in ([0.01, 0.5], [0.3, 0.5, 0.7, 1.0]):
+        for n in (0, 3):
+            counts, living = S._draw(M, d, grid, n, 5, [0, 1])
+            assert living is None, (grid, n)
+            for k in range(2):
+                for j, occ in enumerate(_reference_lattices(M, d, grid, n, 5, k)):
+                    assert np.array_equal(counts[k] >= len(grid) - j, occ), (grid, n, k, j)
 
 
 def test_sample_grid_refuses_a_bad_grid():
