@@ -29,17 +29,15 @@ living cells, as their flat positions in the level's stack and their
 counts; each level makes their children's positions arithmetically,
 hashes one key per replicate, splits each position into (replicate, cell)
 and draws its uniform from that replicate's key. A grid of several points
-writes its last level's children into one zeroed stack; a one-point grid
-keeps its last level's living cells like every level above it and
-scatters them into the zeroed stack once. Every lattice of the stack
-equals the one ``sample`` draws for its index, and no level's lattice is
-ever expanded or scanned in full. ``sample`` is the one-replicate,
-one-point grid, whose 0/1 counts are the lattice viewed as bool. Only
-``F_n`` is drawn: the functionals of its closed complement ``C_n`` come
-from the same lattice through the window pass of :mod:`fracperc.geometry`.
-Monte Carlo draws through ``_draw``, which also hands over a one-point
-stack's living positions, so that the window pass neither counts nor
-finds them by a scan of the stack.
+writes its last level into one zeroed stack; a one-point grid scatters its
+last level's living cells into it once. Every lattice of the stack equals
+the one ``sample`` draws for its index, and no level's lattice is ever
+expanded or scanned in full. ``sample`` is the one-replicate, one-point
+grid, whose 0/1 counts are the lattice viewed as bool. Only ``F_n`` is
+drawn: the functionals of its closed complement ``C_n`` come from the same
+lattice through the window pass of :mod:`fracperc.geometry`. Monte Carlo
+draws through ``_draw``, which also hands over a one-point stack's living
+positions, so that the window pass need not scan the stack for them.
 """
 
 from __future__ import annotations
@@ -55,27 +53,26 @@ from .analytic import ArgumentError, ModelParams, _integer
 DEFAULT_BUDGET_BYTES = 2 << 30
 
 #: Modelled peak bytes per cell of one replicate or stack. Under tracemalloc
-#: at p = 1, ``sample`` peaks at 17.5 at n = 8 and 12.25 at n = 10 and 12
-#: (the last level's living cells, 8 bytes of position and 1 of count per
-#: cell, beside the stack, the living cells of level n - 1 and one hash
-#: chunk), at 5.6 at n = 12, p = 0.9 and 1.3 at n = 12, p = 0.7, and a
-#: one-point ``sample_grid`` at 20 for a block of 256 lattices at n = 4.
-#: The F+C window pass peaks at 11 at n = 8 and 17 for that block read from
-#: every window, at 1.1 at n = 10, p = 0.7 and 0.44-0.67 at n = 12 read from
-#: the living cells (32 per living cell, their 8-byte positions included),
-#: and ``label`` at 5. ``montecarlo._run_block`` over one point at p = 1,
-#: the draw's positions held through the window pass, peaks at 26 for a
-#: block of 1,024 at n = 4 and 19 at n = 8 and 10. A block of 1024 lattices
-#: at n = 4 drawn by ``sample_grid`` over 37 points up to 0.98 peaks at
-#: 5.5, and at 19 with its thresholds and window passes; over 300 points up
-#: to p = 1 (uint16 counts) at 6.9 and 20. ``montecarlo._run_block`` on a
-#: block of 1000 over 37 points peaks at 24 beside its value table, on one
-#: of 230 over 300 points at 171, within its scoring charge. Blocks of 1,
-#: 10, 50 and 100 lattices over 37 points peak at 43, 41, 39 and 27, where
-#: fixed costs of a few kB weigh most (the block of 1 holds the 1.2 kB
-#: bucket table and counts its 256-uniform chunks by compares,
-#: ``_TABLE_CANDIDATES``). The constant stays above every figure, and the
-#: block sizes rest on it.
+#: at p = 1, ``sample`` peaks at 16.5 at n = 8 and 11.25 at n = 10 and 12
+#: (the stack, the last level's living positions, 8 bytes per cell, those
+#: of level n - 1 and one hash chunk), at 5.2 at n = 12, p = 0.9 and 1.3 at
+#: n = 12, p = 0.7, and a one-point ``sample_grid`` at 19.4 for a block of
+#: 256 lattices at n = 4. The F+C window pass peaks at 11 at n = 8 and 17
+#: for that block read from every window, at 1.1 at n = 10, p = 0.7 and
+#: 0.44-0.67 at n = 12 read from the living cells (32 per living cell,
+#: their 8-byte positions included), and ``label`` at 5. One-point
+#: ``montecarlo._run_block`` at p = 1, the positions held through the
+#: window pass, peaks at 26 for a block of 1024 at n = 4 and 19 at n = 10.
+#: A block of 1024 lattices at n = 4 drawn by ``sample_grid`` over 37
+#: points up to 0.98 peaks at 5.5, and at 19 with its thresholds and window
+#: passes; over 300 points up to p = 1 (uint16 counts) at 6.9 and 20.
+#: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
+#: beside its value table, on one of 230 over 300 points at 171, within its
+#: scoring charge. Blocks of 1, 10, 50 and 100 lattices over 37 points peak
+#: at 43, 41, 39 and 27, where fixed costs of a few kB weigh most (the block
+#: of 1 holds the 1.2 kB bucket table and counts its 256-uniform chunks by
+#: compares, ``_TABLE_CANDIDATES``). The constant stays above every figure,
+#: and the block sizes rest on it.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call, the children of ``_HASH_CHUNK // M^d`` living
@@ -254,10 +251,11 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
     cells: ``(counts, living)``.
 
     A one-point grid's last level is kept like every level above it, as
-    its living cells' positions and counts, in chunk order, and scattered
-    into the zeroed stack once; those positions are ``living`` (an intp
-    array, empty for extinct lattices). A grid of several points writes its
-    last level into the stack chunk by chunk, and ``living`` is None.
+    its living cells' positions in chunk order (their counts are all 1),
+    and scattered into the zeroed stack once; those positions are
+    ``living`` (an intp array, empty for extinct lattices). A grid of
+    several points writes its last level into the stack chunk by chunk,
+    and ``living`` is None.
     """
     _integer("level n", n, 0)
     points = _grid_points(M, d, grid)
@@ -286,8 +284,9 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
         if dense:
             counts = np.zeros(len(indices) * level_cells, dtype=dtype)
         else:
-            counts = np.empty(len(live) * M**d, dtype=dtype)
-            children, kept = np.empty(len(counts), dtype=live.dtype), 0
+            # a one-point grid's living counts are all 1: its last level keeps none
+            counts = np.empty(len(live) * M**d if level < n else 0, dtype=dtype)
+            children, kept = np.empty(len(live) * M**d, dtype=live.dtype), 0
         for first in range(0, len(live), per_chunk):
             f = live[first : first + per_chunk]
             part = _children(f, offsets, M, d, side)
@@ -307,7 +306,8 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
                 counts[part] = own
             else:
                 alive = np.flatnonzero(own != 0)  # numpy finds nonzeros of bool faster
-                counts[kept : kept + len(alive)] = own.reshape(-1)[alive]
+                if level < n:
+                    counts[kept : kept + len(alive)] = own.reshape(-1)[alive]
                 children[kept : kept + len(alive)] = part.reshape(-1)[alive]
                 kept += len(alive)
                 del alive
@@ -318,7 +318,7 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
     if len(points) > 1:
         return counts.reshape(shape), None
     stack = np.zeros(len(indices) * cells, dtype=dtype)
-    stack[live] = counts
+    stack[live] = 1
     return stack.reshape(shape), live
 
 
