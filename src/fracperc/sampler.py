@@ -16,11 +16,11 @@ grid points at which the cell lives (in the smallest unsigned dtype that
 holds the grid's size), the least over its ancestry of the points p with
 ``u < p``, so a cell dead at the grid's largest p hashes no children.
 Thresholding the counts at a grid point gives that p's lattice, bit for
-bit. A grid of a few points is counted one compare per point; a larger
-one from a bucket table built once per call: [0, 1) cut into a power of
-two of buckets, so that the points above a uniform's bucket are one
-lookup and only the points inside it are compared. Both run the same
-compare loop, over the points or over the table's gathered rows.
+bit. Each draw decides once how it counts: a grid of 12 points or more
+over a block of one hash chunk of cells or more from a bucket table,
+[0, 1) cut into a power of two of buckets so that the points above a
+uniform's bucket are one lookup and only those inside it are compared,
+any other one compare per point, both in one compare loop.
 
 Lattices are stored as row-major arrays, one byte per cell; for d = 1 the
 array has a single row so the 2-d code paths are shared. A block of
@@ -68,10 +68,11 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: passes; over 300 points up to p = 1 (uint16 counts) at 6.9 and 20.
 #: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
 #: beside its value table, on one of 230 over 300 points at 171, within its
-#: scoring charge. Blocks of 1, 10, 50 and 100 lattices over 37 points peak
-#: at 43, 41, 39 and 27, where fixed costs of a few kB weigh most (the block
-#: of 1 holds the 1.2 kB bucket table and counts its 256-uniform chunks by
-#: compares, ``_TABLE_CANDIDATES``). The constant stays above every figure,
+#: scoring charge. Blocks of 1, 2, 10, 50 and 100 lattices at n = 4 peak at
+#: 39, 46, 39, 38 and 27 over 37 points and at 35, 46, 42, 41 and 30 over
+#: 300 points, where fixed costs of a few kB weigh most (blocks under 64
+#: lattices, one hash chunk of cells, build no bucket table; with one, a
+#: block of 1 peaked at 44 and 140). The constant stays above every figure,
 #: and the block sizes rest on it.
 PEAK_BYTES_PER_CELL = 48
 
@@ -82,20 +83,21 @@ PEAK_BYTES_PER_CELL = 48
 #: bucket table's intp indices and gathered points, about 35) to a constant.
 _HASH_CHUNK = 1 << 14
 
-#: Grids of _TABLE_POINTS points or more count a chunk of _TABLE_CANDIDATES
-#: uniforms or more from a bucket table (``_bucket_table``); smaller grids
-#: and chunks take one compare per point. Measured on a 2-vCPU box, points
-#: 0.26 .. 0.98: a 16,384-uniform chunk takes 5.4 us per point by compares
-#: (19 at 2 points, 80 at 12, 198-207 at 37) and 73-89 us from the table at
-#: any grid size (90 at 300 points); 2,048 uniforms 9 .. 61 us by compares
-#: at 2 .. 20 points, 18-24 from the table. ``sample_grid`` per block of 4 at
-#: n = 8, 64 at n = 6 and 1,024 at n = 4, compares against table: even at
-#: 10 to 16 points, the table slower by 6 to 20 % at 2 to 8, faster by 20 to
-#: 45 % at 37. The table holds about 17 bytes per uniform more than the
-#: compares (its intp indices and gathered points); in a chunk of a few
-#: hundred, as in a block of one n = 4 lattice, that lifted the block's
-#: traced peak from 40 to 56 bytes per cell, over its charge.
-_TABLE_POINTS, _TABLE_CANDIDATES = 12, 1024
+#: A draw over a grid of _TABLE_POINTS points or more, at n >= 1, over a
+#: block of _HASH_CHUNK cells or more counts every uniform from a bucket
+#: table (``_bucket_table``); any other draw takes one compare per point.
+#: Measured on a 2-vCPU box, points 0.26 .. 0.98: a 16,384-uniform chunk
+#: takes 5.4 us per point by compares (19 at 2 points, 80 at 12, 198-207 at
+#: 37) and 73-89 us from the table at any grid size (90 at 300 points);
+#: 2,048 uniforms 9 .. 61 us by compares at 2 .. 20 points, 18-24 from the
+#: table. ``sample_grid`` per block of 4 at n = 8, 64 at n = 6 and 1,024 at
+#: n = 4, compares against table: even at 10 to 16 points, the table slower
+#: by 6 to 20 % at 2 to 8, faster by 20 to 45 % at 37. The block rule is for
+#: memory: the table costs K x rows x 8 bytes (8 KiB per row at 300 points)
+#: and about 17 bytes per uniform of each chunk it reads more than the
+#: compares (its intp indices and gathered points), a few bytes per cell
+#: over a block of one chunk or more; a smaller block counts by compares.
+_TABLE_POINTS = 12
 
 
 class MemoryBudgetError(RuntimeError):
@@ -188,15 +190,15 @@ def _bucket_table(points: np.ndarray) -> tuple:
 def _count_below(u: np.ndarray, points: np.ndarray, table, out: np.ndarray) -> None:
     """Write to ``out`` the number of ``points`` p with ``u < p``, per uniform.
 
-    With their ``_bucket_table`` ``table``, a chunk of ``_TABLE_CANDIDATES``
-    uniforms or more is read from it: the points above u's bucket, then one
-    row per row of the table, the points inside u's bucket gathered.
-    Otherwise the count starts at 0 with one row per point. One compare
-    loop adds ``u < row`` for every row. ``u`` may be scaled by K in place;
-    it, its bucket indices (uint8 up to K = 256) and the gathered points are
-    freed on return, before the next chunk hashes."""
+    With their ``_bucket_table`` ``table``, every uniform is read from it:
+    the points above u's bucket, then one row per row of the table, the
+    points inside u's bucket gathered. Without one (``_draw`` decides) the
+    count starts at 0 with one row per point. One compare loop adds
+    ``u < row`` for every row. ``u`` may be scaled by K in place; it, its
+    bucket indices (uint8 up to K = 256) and the gathered points are freed
+    on return, before the next chunk hashes."""
     below = np.empty(len(u), dtype=bool)
-    if table is None or len(u) < _TABLE_CANDIDATES:
+    if table is None:
         out.fill(0)
         rows = points  # one row per point
     else:
@@ -268,7 +270,8 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
             f"{len(indices)} lattice(s) of {cells} cells need {need} bytes, over {budget_bytes}"
         )
     dtype = np.min_scalar_type(len(points))
-    table = _bucket_table(points) if len(points) >= _TABLE_POINTS and n else None
+    # decided once per draw: a block of under one hash chunk of cells pays no table's memory
+    table = _bucket_table(points) if len(points) >= _TABLE_POINTS and n and len(indices) * cells >= _HASH_CHUNK else None
     per_chunk = max(1, _HASH_CHUNK // M**d)  # parents whose children one hash chunk holds
     live = np.arange(len(indices))  # flat stack positions of the living cells, level 0
     counts = np.full(len(indices), len(points), dtype=dtype)  # and their counts
@@ -290,7 +293,10 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
         for first in range(0, len(live), per_chunk):
             f = live[first : first + per_chunk]
             part = _children(f, offsets, M, d, side)
-            if len(indices) == 1:  # one replicate: the flat position is the cell
+            # one replicate: the flat position is the cell, with no copy. That is
+            # for memory: without it a block of one n = 4 lattice over 37 points
+            # peaks at 56 bytes per cell, and n = 12, p = 0.7 draws no faster
+            if len(indices) == 1:
                 key, cell = keys[0], part
             else:
                 replicate = f // side**d

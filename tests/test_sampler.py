@@ -165,21 +165,53 @@ def test_replicate_peak_memory_within_guard_model(monkeypatch):
 
 
 def test_small_blocks_peak_within_their_charge():
-    # blocks of 1 to 100 n = 4 lattices over the default 37-point grid, each
-    # drawn with a budget of exactly its charge, peak within that charge
-    grid = [round(0.26 + 0.02 * j, 12) for j in range(37)]
+    # blocks of 1 to 100 n = 4 lattices over the default 37-point grid and
+    # over 300 points up to p = 1 (uint16 counts, 1,024 buckets), each drawn
+    # with a budget of exactly its charge, peak within that charge: blocks
+    # under one hash chunk of cells count by compares and build no table
     cells = 4**4
-    S.sample_grid(2, 2, grid, 4, 3, [0])  # numpy's one-time caches are no block's
-    for block in (1, 10, 50, 100):
-        charge = block * cells * S.PEAK_BYTES_PER_CELL
-        tracemalloc.start()
-        try:
-            counts = S.sample_grid(2, 2, grid, 4, 3, np.arange(block), charge)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts.shape == (block, 16, 16)
-        assert peak <= charge, (block, peak / (block * cells))
+    for grid in ([round(0.26 + 0.02 * j, 12) for j in range(37)], np.linspace(0.0, 1.0, 300)):
+        for warm in ([0], [0, 1]):  # numpy's one-time caches of both key paths are no block's
+            S.sample_grid(2, 2, grid, 4, 3, warm)
+        for block in (1, 2, 10, 50, 100):
+            charge = block * cells * S.PEAK_BYTES_PER_CELL
+            tracemalloc.start()
+            try:
+                counts = S.sample_grid(2, 2, grid, 4, 3, np.arange(block), charge)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts.shape == (block, 16, 16)
+            assert peak <= charge, (len(grid), block, peak / (block * cells))
+
+
+def test_draw_decides_once_whether_to_build_a_table(monkeypatch):
+    # a table only for a grid of _TABLE_POINTS points or more, at n >= 1, over
+    # a block of one hash chunk of cells or more (64 n = 4 lattices), and the
+    # counts it gives equal those by compares
+    built = _count_tables(monkeypatch)
+    grid = [round(0.26 + 0.02 * j, 12) for j in range(37)]
+    for points, n, block in ((grid, 4, 2), (grid, 4, 63), (grid[:11], 4, 64), (grid, 0, 1 << 14)):
+        built.clear()
+        S.sample_grid(2, 2, points, n, 3, np.arange(block))
+        assert built == [], (len(points), n, block)
+    tabled = S.sample_grid(2, 2, grid, 4, 3, np.arange(64))
+    assert built == [37]
+    monkeypatch.setattr(S, "_TABLE_POINTS", 38)
+    assert np.array_equal(tabled, S.sample_grid(2, 2, grid, 4, 3, np.arange(64)))
+    assert built == [37]
+
+
+def _count_tables(monkeypatch) -> list:
+    """Patch ``_bucket_table`` to record the size of each grid it is built for."""
+    built, bucket_table = [], S._bucket_table
+
+    def counted(points):
+        built.append(len(points))
+        return bucket_table(points)
+
+    monkeypatch.setattr(S, "_bucket_table", counted)
+    return built
 
 
 def _reference_lattices(M, d, grid, n, seed, index):
@@ -243,11 +275,12 @@ def test_sample_grid_small_chunks_and_extinction_match_reference(M, d, monkeypat
 
 
 def test_reference_kills_sampler_mutants(monkeypatch):
-    # two defects patched into the sampler alone, so that the reference's
+    # three defects patched into the sampler alone, so that the reference's
     # own rng calls stay sound: every replicate of a block hashed under the
-    # first replicate's key, and _children placing a parent's children as if
-    # the parent's row and column were swapped. The reference catches each,
-    # over a one-point grid and a coupled one, and passes the sound draw
+    # first replicate's key, _children placing a parent's children as if
+    # the parent's row and column were swapped, and the coupled count
+    # taking u <= p for u < p. The reference catches each, over a one-point
+    # grid and coupled ones, and passes the sound draw
     seed, indices = 31, [4, 0, 9]
 
     def matches_reference(M, d, n, grid):
@@ -266,25 +299,44 @@ def test_reference_kills_sampler_mutants(monkeypatch):
         row, column = np.divmod(cell, side)
         return children(replicate * side**d + column * side + row, offsets, M, d, side)
 
-    cases = [(M, d, 4, grid) for M, d in ((2, 2), (3, 2), (2, 1)) for grid in ([0.7], [0.5, 0.7, 0.9])]
-    assert all(matches_reference(*case) for case in cases)
+    count_below = S._count_below
+
+    def at_or_below(u, points, table, out):
+        ties = (u[:, None] == points).sum(axis=1, dtype=out.dtype)  # before u is scaled in place
+        count_below(u, points, table, out)
+        out += ties
+
+    layouts = ((2, 2), (3, 2), (2, 1))
+    cases = [(M, d, 4, grid) for M, d in layouts for grid in ([0.7], [0.5, 0.7, 0.9])]
+    # a level-1 uniform of replicate 4 as a grid point: at n = 1 its cell ties
+    u = float(rng.cell_uniforms(rng.node_key(seed, 4, 1), [1])[0])
+    tied = [(M, d, 1, sorted({0.0, 0.35, u, 0.8, 0.95, 1.0})) for M, d in layouts]
+    assert all(matches_reference(*case) for case in cases + tied)
     mutants = [  # each with the cases that show it: a one-row lattice has no swap
         ("rng", SimpleNamespace(node_key=first_key, cell_uniforms=rng.cell_uniforms), cases),
         ("_children", swapped, [case for case in cases if case[1] == 2]),
+        ("_count_below", at_or_below, tied),
     ]
     for attribute, mutant, shown in mutants:
         with monkeypatch.context() as patch:
             patch.setattr(S, attribute, mutant)
             for case in shown:
                 assert not matches_reference(*case), (attribute, case)
-    assert all(matches_reference(*case) for case in cases)
+    assert all(matches_reference(*case) for case in cases + tied)
+    # u <= p again on the table route: a table for any grid and every chunk
+    with monkeypatch.context() as patch:
+        patch.setattr(S, "_TABLE_POINTS", 2)
+        patch.setattr(S, "_HASH_CHUNK", 1)
+        assert all(matches_reference(*case) for case in tied)
+        patch.setattr(S, "_count_below", at_or_below)
+        for case in tied:
+            assert not matches_reference(*case), ("table", case)
 
 
-def test_bucket_count_equals_the_per_point_count(monkeypatch):
+def test_bucket_count_equals_the_per_point_count():
     # per uniform, the bucket table's count and the per-point loop's equal the
     # plain sum of u < p: at every point itself (u == p counts nothing), at
     # its float neighbours on both sides, at 0 and at the largest uniform
-    monkeypatch.setattr(S, "_TABLE_CANDIDATES", 1)  # the table reads any chunk
     for G in (2, 37, 255, 256, 300):
         spread = np.linspace(0.05, 0.95, G)
         grids = {
@@ -310,19 +362,23 @@ def test_bucket_count_equals_the_per_point_count(monkeypatch):
 
 def test_clustered_grid_draws_equal_the_reference(monkeypatch):
     # points within one bucket, repeated and at p = 1, counted from the table
-    # at every chunk, then as sample_grid chooses (one compare per point, as
-    # the grid has fewer than _TABLE_POINTS points)
+    # (forced for any grid and block: every draw at n >= 1 builds one), then
+    # as sample_grid chooses (one compare per point, as the grid has fewer
+    # than _TABLE_POINTS points)
     seed, indices = 17, [0, 3, 8]
     grid = [0.5, 0.5, 0.5001, 0.5002, 0.7, 0.7, 1.0]
-    for points, candidates in ((2, 1), (S._TABLE_POINTS, S._TABLE_CANDIDATES)):
+    built = _count_tables(monkeypatch)
+    for points, chunk in ((2, 1), (S._TABLE_POINTS, S._HASH_CHUNK)):
         monkeypatch.setattr(S, "_TABLE_POINTS", points)
-        monkeypatch.setattr(S, "_TABLE_CANDIDATES", candidates)
+        monkeypatch.setattr(S, "_HASH_CHUNK", chunk)
+        built.clear()
         for M, d in ((2, 2), (3, 2), (2, 1)):
             for n in range(5):
                 counts = S.sample_grid(M, d, grid, n, seed, indices)
                 for k, index in enumerate(indices):
                     for j, occ in enumerate(_reference_lattices(M, d, grid, n, seed, index)):
                         assert np.array_equal(counts[k] >= len(grid) - j, occ), (points, M, d, n, j)
+        assert len(built) == (12 if points == 2 else 0), (points, built)
 
 
 @pytest.mark.parametrize("M", [2, 3])
