@@ -23,11 +23,11 @@ measures F and C of a lattice or a stack. A stack where few cells live
 histogram read from the corner windows of its living cells, the windows
 they do not touch added per border class; any other is read window by
 window. Monte Carlo hands in the positions of every one-point block's
-living cells that the sampler kept (``sampler._draw``), so neither their
-number nor the cells themselves are found by a scan of the stack; other
-callers' stacks are scanned.
+living cells, which ``sampler.sample_grid`` returns beside the stack, so
+neither their number nor the cells themselves are found by a scan of the
+stack; other callers' stacks are scanned.
 ``audit_counters``, the graded pass, computes the same counters with direct
-reductions of an alive-count stack (``sampler.sample_grid``): F
+reductions of an alive-count stack (``sampler.sample_grid``'s counts): F
 counts the cells, pairs or windows whose max count reaches a threshold, C
 all but those whose min count does, so seven histograms shared by F and C
 give both at every point of a coupled p grid at once. Each pair kind and
@@ -365,7 +365,7 @@ def audit_counters(counts: np.ndarray, points: int | None = None) -> np.ndarray:
     route), at every point of a coupled p grid in one pass.
 
     ``counts`` is an alive-count stack of G = ``points`` grid points, values
-    0..G as ``sampler.sample_grid`` returns them: F at point j is
+    0..G as ``sampler.sample_grid``'s counts: F at point j is
     ``counts >= G - j``. Returns int64 ``counts.shape[:-2] + (G, 2, 4)``.
     Without ``points`` the lattice or stack is read as bool (G = 1) and the
     point axis is dropped: ``window_counters``' shape.

@@ -9,9 +9,9 @@ of memory (``_block_size``): each lattice is charged the larger of its
 draw and its scoring, and a block holds at most the charge of
 ``BLOCK_CELLS`` drawn cells, within the memory budget and a worker's
 share of the replicates. One worker runs the blocks in turn; several
-take them in contiguous runs. One ``sampler._draw`` call (``sample_grid``'s
-stack) draws a block once for a whole coupled p grid (a one-point grid by
-default), and one ``geometry.minkowski`` call given the grid size scores
+take them in contiguous runs. One ``sampler.sample_grid`` call draws a
+block once for a whole coupled p grid (a one-point grid by default), and
+one ``geometry.minkowski`` call given the grid size scores
 the whole block: V_0 .. V_d of F and C of every lattice at every point at
 cell side M^-n, by the window lookup over one point, one graded pass over
 several. A one-point block comes with the positions of its living cells,
@@ -174,7 +174,7 @@ def _run_block(args):
     width = 2 * (d + 1)
     values = np.empty((G, last - first, width + len(axes)))
     # a one-point stack comes with its living cells' positions, which the window pass counts and reads
-    counts, living = sampler._draw(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes)
+    counts, living = sampler.sample_grid(params.M, d, grid, n, seed, np.arange(first, last), budget_bytes)
     # (replicate, point) rows into the (point, replicate) table through a view
     values[..., :width] = geometry.minkowski(counts, float(params.M) ** -n, d, G, living).reshape(
         last - first, G, width).swapaxes(0, 1)

@@ -27,17 +27,19 @@ array has a single row so the 2-d code paths are shared. A block of
 replicates is one ``(B, rows, columns)`` stack. Each level keeps only its
 living cells, as their flat positions in the level's stack and their
 counts; each level makes their children's positions arithmetically,
-hashes one key per replicate, splits each position into (replicate, cell)
-and draws its uniform from that replicate's key. A grid of several points
-writes its last level into one zeroed stack; a one-point grid scatters its
-last level's living cells into it once. Every lattice of the stack equals
-the one ``sample`` draws for its index, and no level's lattice is ever
-expanded or scanned in full. ``sample`` is the one-replicate, one-point
-grid, whose 0/1 counts are the lattice viewed as bool. Only ``F_n`` is
-drawn: the functionals of its closed complement ``C_n`` come from the same
-lattice through the window pass of :mod:`fracperc.geometry`. Monte Carlo
-draws through ``_draw``, which also hands over a one-point stack's living
-positions, so that the window pass need not scan the stack for them.
+hashes one key per replicate, shifts each position in place to its cell
+in its replicate's lattice, draws its uniform from that replicate's key
+and shifts it back. A grid of several points writes its last level into
+one zeroed stack; a one-point grid scatters its last level's living cells
+into it once. Every lattice of the stack equals the one ``sample`` draws
+for its index, and no level's lattice is ever expanded or scanned in full.
+``sample_grid`` is the one draw: it returns ``(counts, living)``, the
+stack and, for a one-point grid, the flat positions of its living cells,
+so that Monte Carlo's window pass need not scan the stack for them.
+``sample`` is its one-replicate, one-point case, whose 0/1 counts are the
+lattice viewed as bool. Only ``F_n`` is drawn: the functionals of its
+closed complement ``C_n`` come from the same lattice through the window
+pass of :mod:`fracperc.geometry`.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: at p = 1, ``sample`` peaks at 16.5 at n = 8 and 11.25 at n = 10 and 12
 #: (the stack, the last level's living positions, 8 bytes per cell, those
 #: of level n - 1 and one hash chunk), at 5.2 at n = 12, p = 0.9 and 1.3 at
-#: n = 12, p = 0.7, and a one-point ``sample_grid`` at 19.4 for a block of
+#: n = 12, p = 0.7, and a one-point ``sample_grid`` at 17.3 for a block of
 #: 256 lattices at n = 4. The F+C window pass peaks at 11 at n = 8 and 17
 #: for that block read from every window, at 1.1 at n = 10, p = 0.7 and
 #: 0.44-0.67 at n = 12 read from the living cells (32 per living cell,
@@ -69,11 +71,14 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: ``montecarlo._run_block`` on a block of 1000 over 37 points peaks at 24
 #: beside its value table, on one of 230 over 300 points at 171, within its
 #: scoring charge. Blocks of 1, 2, 10, 50 and 100 lattices at n = 4 peak at
-#: 39, 46, 39, 38 and 27 over 37 points and at 35, 46, 42, 41 and 30 over
-#: 300 points, where fixed costs of a few kB weigh most (blocks under 64
-#: lattices, one hash chunk of cells, build no bucket table; with one, a
-#: block of 1 peaked at 44 and 140). The constant stays above every figure,
-#: and the block sizes rest on it.
+#: 39, 37, 31, 30 and 26 over 37 points, at 35, 38, 34, 33 and 29 over 300
+#: points and at 43, 44, 40, 39 and 28 over one point at p = 1, where fixed
+#: costs of a few kB weigh most (blocks under 64 lattices, one hash chunk of
+#: cells, build no bucket table; with one, a block of 1 peaked at 44 and
+#: 140). Blocks of several lattices shift each chunk's positions in place
+#: for the hash, because a shifted copy put blocks of 2 at 46 over 37 and
+#: 300 points and at 52.4 over one point. The constant stays above every
+#: figure, and the block sizes rest on it.
 PEAK_BYTES_PER_CELL = 48
 
 #: Candidates hashed per call, the children of ``_HASH_CHUNK // M^d`` living
@@ -192,9 +197,9 @@ def _count_below(u: np.ndarray, points: np.ndarray, table, out: np.ndarray) -> N
 
     With their ``_bucket_table`` ``table``, every uniform is read from it:
     the points above u's bucket, then one row per row of the table, the
-    points inside u's bucket gathered. Without one (``_draw`` decides) the
-    count starts at 0 with one row per point. One compare loop adds
-    ``u < row`` for every row. ``u`` may be scaled by K in place; it, its
+    points inside u's bucket gathered. Without one (``sample_grid``
+    decides) the count starts at 0 with one row per point. One compare loop
+    adds ``u < row`` for every row. ``u`` may be scaled by K in place; it, its
     bucket indices (uint8 up to K = 256) and the gathered points are freed
     on return, before the next chunk hashes."""
     below = np.empty(len(u), dtype=bool)
@@ -213,51 +218,37 @@ def _count_below(u: np.ndarray, points: np.ndarray, table, out: np.ndarray) -> N
         np.add(out, below.view(np.uint8), out=out)
 
 
-def sample_grid(
-    M: int,
-    d: int,
-    grid,
-    n: int,
-    seed: int,
-    indices,
-    budget_bytes: int = DEFAULT_BUDGET_BYTES,
-) -> np.ndarray:
-    """Draw the replicates ``indices`` of F_n once for every p of ``grid``.
+def sample_grid(M: int, d: int, grid, n: int, seed: int, indices,
+                budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple:
+    """Draw the replicates ``indices`` of F_n once for every p of ``grid``:
+    ``(counts, living)``.
 
     ``grid`` is a nonempty ascending sequence of G survival probabilities.
-    Returns the alive-count stack, shape ``(B, M^n, M^n)`` or ``(B, 1, M^n)``
-    for d = 1, of the smallest unsigned dtype that holds G (uint8 up to 255
-    points): per cell, the number of grid points at which the cell lives, so
-    ``counts >= G - j`` is the lattice of F_n at ``grid[j]``, equal to the
-    one-point grid's at that p. The k-th lattice is replicate
-    ``indices[k]``, an integer in [0, 2^64), as is ``seed`` (ArgumentError
-    otherwise). A cell's uniform u passes the test ``u < p`` at
-    ``sum(u < p for p in grid)`` points, and its count is the smaller of
+    ``counts`` is the alive-count stack, shape ``(B, M^n, M^n)`` or
+    ``(B, 1, M^n)`` for d = 1, of the smallest unsigned dtype that holds G
+    (uint8 up to 255 points): per cell, the number of grid points at which
+    the cell lives, so ``counts >= G - j`` is the lattice of F_n at
+    ``grid[j]``, equal to the one-point grid's at that p. The k-th lattice
+    is replicate ``indices[k]``, an integer in [0, 2^64), as is ``seed``
+    (ArgumentError otherwise). A cell's uniform u passes the test ``u < p``
+    at ``sum(u < p for p in grid)`` points, and its count is the smaller of
     that and its parent's; level 0 counts G. Each level keeps only the
     cells with a nonzero count, as flat stack positions, and makes their
     children's positions from them (``_children``), so a cell dead at the
     grid's largest p hashes no children and no lattice below level n is
     built. Each level hashes one key per replicate, then the children's
-    uniforms ``_HASH_CHUNK`` at a time; the last level's counts end in the
-    zeroed stack that is returned (``_draw``).
+    uniforms ``_HASH_CHUNK`` at a time.
+
+    A grid of several points writes its last level into the zeroed stack
+    chunk by chunk, and ``living`` is None. A one-point grid keeps its last
+    level like every level above it, as its living cells' positions in
+    chunk order (their counts are all 1), and scatters them into the
+    zeroed stack once; those flat stack positions are ``living`` (an intp
+    array, empty for extinct lattices), which the window pass reads in
+    place of a scan of the stack.
 
     Raises :class:`MemoryBudgetError` when the stack's modelled peak,
     ``PEAK_BYTES_PER_CELL`` bytes per cell, would exceed ``budget_bytes``.
-    """
-    return _draw(M, d, grid, n, seed, indices, budget_bytes)[0]
-
-
-def _draw(M: int, d: int, grid, n: int, seed: int, indices,
-          budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple:
-    """``sample_grid``'s stack and the flat stack positions of its living
-    cells: ``(counts, living)``.
-
-    A one-point grid's last level is kept like every level above it, as
-    its living cells' positions in chunk order (their counts are all 1),
-    and scattered into the zeroed stack once; those positions are
-    ``living`` (an intp array, empty for extinct lattices). A grid of
-    several points writes its last level into the stack chunk by chunk,
-    and ``living`` is None.
     """
     _integer("level n", n, 0)
     points = _grid_points(M, d, grid)
@@ -293,17 +284,21 @@ def _draw(M: int, d: int, grid, n: int, seed: int, indices,
         for first in range(0, len(live), per_chunk):
             f = live[first : first + per_chunk]
             part = _children(f, offsets, M, d, side)
-            # one replicate: the flat position is the cell, with no copy. That is
-            # for memory: without it a block of one n = 4 lattice over 37 points
-            # peaks at 56 bytes per cell, and n = 12, p = 0.7 draws no faster
+            # one replicate: the flat position is the cell, with no shift. Without
+            # it a block of one n = 4 lattice peaks at 47 bytes per cell over 37
+            # points and 50 over one point at p = 1, and n = 12, p = 0.7 draws
+            # about 11 % slower
             if len(indices) == 1:
-                key, cell = keys[0], part
+                u = rng.cell_uniforms(keys[0], part)
             else:
                 replicate = f // side**d
                 key = np.broadcast_to(keys[replicate], part.shape)  # each parent's, for its children
-                cell = part - replicate * level_cells
-            u = rng.cell_uniforms(key, cell).reshape(-1)
-            del key, cell
+                replicate *= level_cells
+                part -= replicate  # each child's cell in its lattice, in place: no second copy
+                u = rng.cell_uniforms(key, part)
+                part += replicate  # back to flat stack positions
+                del key, replicate
+            u = u.reshape(-1)
             own = np.empty(part.shape, dtype=dtype)
             _count_below(u, points, table, own.reshape(-1))
             del u
@@ -339,7 +334,7 @@ def sample(
     :func:`sample_grid`, whose 0/1 counts are the lattice viewed as bool
     without a copy. It raises on a bad index and guards the memory budget."""
     p = float(params.p)
-    counts = sample_grid(params.M, params.d, (p,), n, seed, [sample_index], budget_bytes)
+    counts = sample_grid(params.M, params.d, (p,), n, seed, [sample_index], budget_bytes)[0]
     return GridRealization(params.M, p, params.d, n, seed, sample_index, counts[0].view(bool))
 
 

@@ -169,7 +169,7 @@ def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
     # lattices too; each stack is also scored lattice by lattice
     for M, d, n in ((2, 2, 10), (2, 2, 6), (3, 2, 5), (2, 1, 10), (3, 1, 6)):
         for p in (1.1 / M**d, 0.7):
-            counts = S.sample_grid(M, d, [p], n, 9, np.arange(3 if n > 6 else 12))
+            counts = S.sample_grid(M, d, [p], n, 9, np.arange(3 if n > 6 else 12))[0]
             _assert_branches_equal_audit(monkeypatch, counts.view(bool))
             for occ in counts.view(bool)[:3]:
                 _assert_branches_equal_audit(monkeypatch, occ)
@@ -206,7 +206,7 @@ def test_window_counters_from_living_cells_equal_every_window(monkeypatch):
     # lattices, and a block of 1,024 n = 4 lattices
     for M, d, n, block, p in ((2, 1, 10, 16, 0.7), (3, 1, 6, 16, 0.5), (2, 2, 8, 4, 0.3),
                               (3, 2, 5, 4, 0.2), (2, 2, 4, 1024, 0.3)):
-        counts, living = S._draw(M, d, [p], n, 4, np.arange(block))
+        counts, living = S.sample_grid(M, d, [p], n, 4, np.arange(block))
         occ = counts.view(bool)
         assert np.array_equal(G._living_windows(occ, living), G._all_windows(occ)), (M, d, n)
         audit = G.audit_counters(occ)
@@ -284,7 +284,7 @@ def test_graded_pass_equals_window_counters_at_every_point():
     # sampled stacks: G = 2, 255 (uint8 at its limit) and 256 (uint16), M = 3, d = 1 rows
     for M, d, n, points in ((2, 2, 3, 2), (3, 2, 2, 255), (2, 2, 3, 256), (2, 1, 6, 37),
                             (3, 1, 3, 255)):
-        counts = S.sample_grid(M, d, np.linspace(0.2, 1.0, points), n, 11, np.arange(5))
+        counts = S.sample_grid(M, d, np.linspace(0.2, 1.0, points), n, 11, np.arange(5))[0]
         assert counts.dtype == (np.uint8 if points <= 255 else np.uint16)
         _assert_graded_equals_thresholds(counts, points)
     # random rectangles holding every count 0..G, as uint8 also above G = 255
@@ -353,7 +353,7 @@ def test_graded_pass_kills_its_binning_mutants(monkeypatch):
         binning(by_max[:bins], by_min[:bins], high.reshape(shape), low.reshape(shape), bins, jointly)
 
     for n, points in ((6, 37), (2, 300)):
-        counts = S.sample_grid(2, 2, np.linspace(0.26, 0.98, points), n, 13, np.arange(4))
+        counts = S.sample_grid(2, 2, np.linspace(0.26, 0.98, points), n, 13, np.arange(4))[0]
         windows = (2**n + 1) ** 2
         assert (windows >= G._JOINT_RATIO * (points + 1) ** 2) == (n == 6)
         _assert_graded_equals_thresholds(counts, points)
@@ -409,7 +409,7 @@ def test_minkowski_over_a_grid_measures_each_point():
     rng = np.random.default_rng(12)
     for M, d, n, points in ((2, 2, 3, 1), (2, 2, 3, 2), (3, 2, 2, 37), (2, 1, 5, 1), (2, 1, 5, 9),
                             (2, 2, 2, 300)):
-        counts = S.sample_grid(M, d, np.sort(rng.random(points)), n, 5, np.arange(4))
+        counts = S.sample_grid(M, d, np.sort(rng.random(points)), n, 5, np.arange(4))[0]
         side = float(M) ** -n
         graded = G.minkowski(counts, side, d, points)
         assert graded.shape == (4, points, 2, d + 1)
@@ -567,7 +567,7 @@ def _assert_first_spanning(counts, points, axes, connectivity) -> set:
 def test_spans_equal_label_flags(M, d, n):
     # 12 replicates at 11 p on both sides of the spanning transition, as nested lattices
     grid = [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.96, 0.98, 1.0]
-    counts = S.sample_grid(M, d, grid, n, 5, np.arange(12))
+    counts = S.sample_grid(M, d, grid, n, 5, np.arange(12))[0]
     seen = set()
     for connectivity in (4, 8):
         for axes in (("x", "y"), ("y", "x"), ("x",), ("y",)):
@@ -641,13 +641,13 @@ def test_spans_labels_only_where_the_shadow_spans(monkeypatch):
     # lattice and axis, none for those whose shadow never spans
     grid = [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.96, 0.98, 1.0]
     for M, n in ((2, 6), (3, 4)):
-        counts = S.sample_grid(M, 2, grid, n, 5, np.arange(12))
+        counts = S.sample_grid(M, 2, grid, n, 5, np.arange(12))[0]
         for axes in (("x",), ("y",), ("x", "y")):
             for lattice in counts:
                 calls.clear()
                 G.first_spanning(lattice, len(grid), axes, 8)
                 assert len(calls) <= 4 * len(axes), (M, n, axes)
-    sparse = S.sample_grid(2, 2, [0.3, 0.4, 0.5], 8, 5, np.arange(4))
+    sparse = S.sample_grid(2, 2, [0.3, 0.4, 0.5], 8, 5, np.arange(4))[0]
     calls.clear()
     assert (G.first_spanning(sparse, 3) == 3).all() and calls == []
     with pytest.raises(ArgumentError, match="axis"):

@@ -44,15 +44,15 @@ def _lattice_charge(cells, points):
 
 
 def _counted_draws(monkeypatch) -> list:
-    """The arguments of every ``sampler._draw`` call made in this process
-    from now on; each call still draws."""
-    draws, draw = [], S._draw
+    """The arguments of every ``sampler.sample_grid`` call made in this
+    process from now on; each call still draws."""
+    draws, draw = [], S.sample_grid
 
     def counted(*args):
         draws.append(args)
         return draw(*args)
 
-    monkeypatch.setattr(S, "_draw", counted)
+    monkeypatch.setattr(S, "sample_grid", counted)
     return draws
 
 

@@ -96,7 +96,7 @@ def test_replicate_peak_memory_within_guard_model(monkeypatch):
         cells = block * 4**n
         tracemalloc.start()
         try:
-            stack = S.sample_grid(2, 2, [p], n, 3, np.arange(block)).view(bool)
+            stack = S.sample_grid(2, 2, [p], n, 3, np.arange(block))[0].view(bool)
             G.minkowski(stack, 2.0**-n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -111,7 +111,7 @@ def test_replicate_peak_memory_within_guard_model(monkeypatch):
     for grid, dtype in ((default_grid, np.uint8), (np.linspace(0.0, 1.0, 300), np.uint16)):
         tracemalloc.start()
         try:
-            counts = S.sample_grid(2, 2, grid, n, 3, np.arange(block))
+            counts = S.sample_grid(2, 2, grid, n, 3, np.arange(block))[0]
             for j in range(len(grid)):
                 G.minkowski(counts >= len(grid) - j, 2.0**-n)
             peak = tracemalloc.get_traced_memory()[1]
@@ -165,19 +165,22 @@ def test_replicate_peak_memory_within_guard_model(monkeypatch):
 
 
 def test_small_blocks_peak_within_their_charge():
-    # blocks of 1 to 100 n = 4 lattices over the default 37-point grid and
-    # over 300 points up to p = 1 (uint16 counts, 1,024 buckets), each drawn
+    # blocks of 1 to 100 n = 4 lattices over the default 37-point grid, over
+    # 300 points up to p = 1 (uint16 counts, 1,024 buckets) and over one
+    # point at p = 1 and 0.98 (their living positions returned), each drawn
     # with a budget of exactly its charge, peak within that charge: blocks
-    # under one hash chunk of cells count by compares and build no table
+    # under one hash chunk of cells count by compares and build no table,
+    # and blocks of several lattices hash each chunk's cells in place
     cells = 4**4
-    for grid in ([round(0.26 + 0.02 * j, 12) for j in range(37)], np.linspace(0.0, 1.0, 300)):
+    grids = ([round(0.26 + 0.02 * j, 12) for j in range(37)], np.linspace(0.0, 1.0, 300), [1.0], [0.98])
+    for grid in grids:
         for warm in ([0], [0, 1]):  # numpy's one-time caches of both key paths are no block's
             S.sample_grid(2, 2, grid, 4, 3, warm)
         for block in (1, 2, 10, 50, 100):
             charge = block * cells * S.PEAK_BYTES_PER_CELL
             tracemalloc.start()
             try:
-                counts = S.sample_grid(2, 2, grid, 4, 3, np.arange(block), charge)
+                counts = S.sample_grid(2, 2, grid, 4, 3, np.arange(block), charge)[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -195,10 +198,10 @@ def test_draw_decides_once_whether_to_build_a_table(monkeypatch):
         built.clear()
         S.sample_grid(2, 2, points, n, 3, np.arange(block))
         assert built == [], (len(points), n, block)
-    tabled = S.sample_grid(2, 2, grid, 4, 3, np.arange(64))
+    tabled = S.sample_grid(2, 2, grid, 4, 3, np.arange(64))[0]
     assert built == [37]
     monkeypatch.setattr(S, "_TABLE_POINTS", 38)
-    assert np.array_equal(tabled, S.sample_grid(2, 2, grid, 4, 3, np.arange(64)))
+    assert np.array_equal(tabled, S.sample_grid(2, 2, grid, 4, 3, np.arange(64))[0])
     assert built == [37]
 
 
@@ -236,7 +239,7 @@ def test_sample_grid_matches_level_by_level_reference(M, d):
     u = float(rng.cell_uniforms(rng.node_key(seed, 4, 1), [1])[0])
     grid = sorted({0.0, 0.35, u, 0.8, 0.95, 1.0})
     for n in range(6):
-        counts = S.sample_grid(M, d, grid, n, seed, indices)
+        counts = S.sample_grid(M, d, grid, n, seed, indices)[0]
         assert counts.shape == (3, M**n if d == 2 else 1, M**n) and counts.dtype == np.uint8
         for k, index in enumerate(indices):
             reference = _reference_lattices(M, d, grid, n, seed, index)
@@ -244,7 +247,7 @@ def test_sample_grid_matches_level_by_level_reference(M, d):
                 assert np.array_equal(counts[k] >= len(grid) - j, occ), (n, index, grid[j])
     # the strict test: at p = u the cell is dead, just above u it lives
     j = grid.index(u)
-    counts = S.sample_grid(M, d, grid, 1, seed, [4])
+    counts = S.sample_grid(M, d, grid, 1, seed, [4])[0]
     assert counts[0].flat[1] == len(grid) - j - 1
 
 
@@ -259,18 +262,18 @@ def test_sample_grid_small_chunks_and_extinction_match_reference(M, d, monkeypat
     doomed, mixed = [0.05 / M**d, 0.1 / M**d], [top / 3, top / 2, top]
     for grid in (doomed, mixed):
         for n in range(5):
-            counts = S.sample_grid(M, d, grid, n, seed, indices)
+            counts = S.sample_grid(M, d, grid, n, seed, indices)[0]
             assert counts.shape == (12, M**n if d == 2 else 1, M**n)
             for k, index in enumerate(indices):
                 reference = _reference_lattices(M, d, grid, n, seed, index)
                 for j, occ in enumerate(reference):
                     assert np.array_equal(counts[k] >= len(grid) - j, occ), (grid, n, index, j)
     # n = 0 is one cell living at every point
-    assert np.array_equal(S.sample_grid(M, d, mixed, 0, seed, indices), np.full((12, 1, 1), 3))
+    assert np.array_equal(S.sample_grid(M, d, mixed, 0, seed, indices)[0], np.full((12, 1, 1), 3))
     # every doomed replicate is dead by level 3, so level 4 starts with no
     # living cell; the mixed block loses some replicates by level 4, not all
-    assert not S.sample_grid(M, d, doomed, 3, seed, indices).any()
-    living = S.sample_grid(M, d, mixed, 4, seed, indices).reshape(12, -1).any(axis=1)
+    assert not S.sample_grid(M, d, doomed, 3, seed, indices)[0].any()
+    living = S.sample_grid(M, d, mixed, 4, seed, indices)[0].reshape(12, -1).any(axis=1)
     assert living.any() and not living.all(), living
 
 
@@ -284,7 +287,7 @@ def test_reference_kills_sampler_mutants(monkeypatch):
     seed, indices = 31, [4, 0, 9]
 
     def matches_reference(M, d, n, grid):
-        counts = S.sample_grid(M, d, grid, n, seed, indices)
+        counts = S.sample_grid(M, d, grid, n, seed, indices)[0]
         return all(np.array_equal(counts[k] >= len(grid) - j, occ)
                    for k, index in enumerate(indices)
                    for j, occ in enumerate(_reference_lattices(M, d, grid, n, seed, index)))
@@ -374,7 +377,7 @@ def test_clustered_grid_draws_equal_the_reference(monkeypatch):
         built.clear()
         for M, d in ((2, 2), (3, 2), (2, 1)):
             for n in range(5):
-                counts = S.sample_grid(M, d, grid, n, seed, indices)
+                counts = S.sample_grid(M, d, grid, n, seed, indices)[0]
                 for k, index in enumerate(indices):
                     for j, occ in enumerate(_reference_lattices(M, d, grid, n, seed, index)):
                         assert np.array_equal(counts[k] >= len(grid) - j, occ), (points, M, d, n, j)
@@ -391,7 +394,7 @@ def test_draw_hands_over_the_living_cells(M, d, monkeypatch):
     n = {(2, 2): 6, (3, 2): 4, (2, 1): 10, (3, 1): 6}[M, d]
 
     def handed_over(p, n, indices):
-        counts, living = S._draw(M, d, [p], n, 5, indices)
+        counts, living = S.sample_grid(M, d, [p], n, 5, indices)
         assert living.dtype == np.intp and len(np.unique(living)) == len(living)
         assert np.array_equal(np.sort(living), np.flatnonzero(counts)), (p, n, len(indices))
         assert np.array_equal(counts[0], _reference_lattices(M, d, [p], n, 5, indices[0])[0])
@@ -408,7 +411,7 @@ def test_draw_hands_over_the_living_cells(M, d, monkeypatch):
     # a grid of two points or more writes its stack and hands over None
     for grid in ([0.01, 0.5], [0.3, 0.5, 0.7, 1.0]):
         for n in (0, 3):
-            counts, living = S._draw(M, d, grid, n, 5, [0, 1])
+            counts, living = S.sample_grid(M, d, grid, n, 5, [0, 1])
             assert living is None, (grid, n)
             for k in range(2):
                 for j, occ in enumerate(_reference_lattices(M, d, grid, n, 5, k)):
@@ -420,8 +423,8 @@ def test_sample_grid_refuses_a_bad_grid():
         with pytest.raises(ValueError):
             S.sample_grid(2, 2, grid, 2, 0, [0])
     # repeated points are ascending, and equal their one-point draws
-    counts = S.sample_grid(2, 2, [0.6, 0.6], 3, 0, [0])
-    assert np.array_equal(counts >= 1, S.sample_grid(2, 2, [0.6], 3, 0, [0]) == 1)
+    counts = S.sample_grid(2, 2, [0.6, 0.6], 3, 0, [0])[0]
+    assert np.array_equal(counts >= 1, S.sample_grid(2, 2, [0.6], 3, 0, [0])[0] == 1)
     assert np.array_equal(counts >= 1, counts >= 2)
 
 
@@ -429,10 +432,10 @@ def test_sample_grid_counts_beyond_uint16():
     # 70,000 points take uint32 counts; each threshold is that point's own draw
     grid = np.linspace(0.3, 0.9, 70_000)
     indices = np.arange(40)
-    counts = S.sample_grid(2, 2, grid, 1, 5, indices)
+    counts = S.sample_grid(2, 2, grid, 1, 5, indices)[0]
     assert counts.dtype == np.uint32 and counts.max() > np.iinfo(np.uint16).max
     for j in (0, len(grid) // 2, len(grid) - 1):
-        alone = S.sample_grid(2, 2, [grid[j]], 1, 5, indices)
+        alone = S.sample_grid(2, 2, [grid[j]], 1, 5, indices)[0]
         assert np.array_equal(counts >= len(grid) - j, alone == 1), j
 
 
@@ -444,7 +447,7 @@ def test_sample_stack_matches_sample(M, d):
     for n in (0, 1, 3, 4):
         for p in (0.0, 0.4, 1.0):
             params = ModelParams(M, p, d)
-            stack = S.sample_grid(M, d, [p], n, 21, np.array(indices)).view(bool)
+            stack = S.sample_grid(M, d, [p], n, 21, np.array(indices))[0].view(bool)
             side = M**n
             assert stack.shape == (3, side if d == 2 else 1, side) and stack.dtype == bool
             for k, i in enumerate(indices):
@@ -453,7 +456,7 @@ def test_sample_stack_matches_sample(M, d):
 
 def test_sample_stack_memory_guard():
     need = 3 * 4**3 * S.PEAK_BYTES_PER_CELL  # the guard charges the whole stack
-    assert S.sample_grid(2, 2, [0.5], 3, 0, [4, 5, 6], budget_bytes=need).shape == (3, 8, 8)
+    assert S.sample_grid(2, 2, [0.5], 3, 0, [4, 5, 6], budget_bytes=need)[0].shape == (3, 8, 8)
     with pytest.raises(MemoryBudgetError):
         S.sample_grid(2, 2, [0.5], 3, 0, [4, 5, 6], budget_bytes=need - 1)
     with pytest.raises(ValueError):
@@ -474,12 +477,12 @@ def test_sample_index_must_be_an_integer_in_range(bad):
 def test_sample_index_range_ends_are_drawn():
     params = ModelParams(3, 0.6, 1)
     top = 2**64 - 1
-    stack = S.sample_grid(3, 1, [0.6], 2, 1, [0, 2**63, top]).view(bool)
+    stack = S.sample_grid(3, 1, [0.6], 2, 1, [0, 2**63, top])[0].view(bool)
     assert np.array_equal(stack, S.sample_grid(3, 1, [0.6], 2, 1,
-                                               np.array([0, 2**63, top], np.uint64)) == 1)
+                                               np.array([0, 2**63, top], np.uint64))[0] == 1)
     assert np.array_equal(stack[2], S.sample(params, 2, 1, top).occupancy)
     # the int64 blocks that Monte Carlo passes, and numpy integer scalars
-    assert np.array_equal(S.sample_grid(3, 1, [0.6], 2, 1, np.arange(3, dtype=np.int64))[1] == 1,
+    assert np.array_equal(S.sample_grid(3, 1, [0.6], 2, 1, np.arange(3, dtype=np.int64))[0][1] == 1,
                           S.sample(params, 2, 1, np.int64(1)).occupancy)
 
 
@@ -499,7 +502,7 @@ def test_seed_range_ends_are_drawn():
     params = ModelParams(3, 0.6, 1)
     for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
         grid = S.sample(params, 3, seed)
-        assert np.array_equal(grid.occupancy, S.sample_grid(3, 1, [0.6], 3, seed, [0])[0] == 1)
+        assert np.array_equal(grid.occupancy, S.sample_grid(3, 1, [0.6], 3, seed, [0])[0][0] == 1)
     # the two ends are different streams
     assert not np.array_equal(S.sample(params, 3, 0).occupancy, S.sample(params, 3, 2**64 - 1).occupancy)
 
@@ -523,7 +526,7 @@ def test_population_mean_matches_branching_mean():
     counts = np.empty(samples)
     for first in range(0, samples, block):
         indices = np.arange(first, min(first + block, samples))
-        counts[indices] = S.sample_grid(2, 2, [0.7], n, 999, indices).sum(axis=(1, 2))
+        counts[indices] = S.sample_grid(2, 2, [0.7], n, 999, indices)[0].sum(axis=(1, 2))
     mean = counts.mean()
     stderr = counts.std(ddof=1) / np.sqrt(samples)
     expected = (4 * 0.7) ** n
